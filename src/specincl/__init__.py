@@ -54,6 +54,7 @@ from .inclusion import (
     MethodReport,
     gershgorin,
     gershgorin_block,
+    membership,
     pi_method,
     run_method,
     sigma_tau,

@@ -25,7 +25,6 @@ from .corpus import build_corpus, verify_containment
 from .errors import SpecinclError
 from .ingest import load_matrix
 from .matrixcore import make_view, resolve_partition
-from .penalty import eps_pi, eps_tau, eps_tau1, PenaltyParams
 from .toeplitz import (
     convergence_study,
     jordan,
@@ -53,8 +52,17 @@ def _parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex number {text!r}") from exc
 
 
+def _parse_number(text: str, kind, option: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"{option} expects {kind.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _parse_eps_list(text: str) -> list[float]:
-    vals = [float(x) for x in text.split(",") if x.strip()]
+    vals = [_parse_number(x, float, "--eps") for x in text.split(",")
+            if x.strip()]
     if not vals or any(v < 0 for v in vals):
         raise UsageError(f"eps list must be nonnegative, got {text!r}")
     return vals
@@ -65,11 +73,12 @@ def _parse_grid(text, A, pad, default_nodes=256):
         return ps.default_grid(A, pad=pad, nx=default_nodes, ny=default_nodes)
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) == 2:
-        nx, ny = int(parts[0]), int(parts[1])
+        nx, ny = (_parse_number(x, int, "--grid") for x in parts)
         return ps.default_grid(A, pad=pad, nx=nx, ny=ny)
     if len(parts) == 6:
-        return ps.GridSpec(float(parts[0]), float(parts[1]), float(parts[2]),
-                           float(parts[3]), int(parts[4]), int(parts[5]))
+        kinds = (float,) * 4 + (int,) * 2
+        return ps.GridSpec(*(_parse_number(x, kind, "--grid")
+                             for x, kind in zip(parts, kinds)))
     raise UsageError("grid must be 'auto', 'nx,ny', or "
                      "'re_min,re_max,im_min,im_max,nx,ny'")
 
@@ -79,7 +88,7 @@ def _jobs_default(value) -> int:
         return int(value)
     env = os.environ.get("SPECINCL_JOBS")
     if env:
-        return int(env)
+        return _parse_number(env, int, "SPECINCL_JOBS")
     return os.cpu_count() or 1
 
 
@@ -95,6 +104,8 @@ def _load_input(args) -> np.ndarray:
             return laplacian(args.M)
         raise UsageError(f"unknown builtin {args.builtin!r}")
     if args.input:
+        if not Path(args.input).is_file():
+            raise UsageError(f"input file not found: {args.input}")
         return load_matrix(args.input)
     raise UsageError("an input matrix is required (--input or --builtin)")
 
@@ -125,16 +136,7 @@ def cmd_include(args) -> int:
     pad = 0.0
     if needs_n:
         p = inc.penalty_params(view, args.n, args.cnorm_mode)
-        worst = max(eps_list)
-        for m in methods:
-            if m == "tau":
-                n_hat = max(1, args.n - 2)
-                p_hat = PenaltyParams.from_offdiag(p.r_L, p.r_U, p.c_norm, n_hat)
-                pad = max(pad, worst + eps_tau(p_hat))
-            elif m == "pi":
-                pad = max(pad, worst + eps_pi(p))
-            elif m == "tau1":
-                pad = max(pad, worst + eps_tau1(p))
+        pad = max(max(inc.levels(p, m, max(eps_list))) for m in methods)
     grid = _parse_grid(args.grid, A, pad)
 
     out_dir = Path(args.out_dir)
@@ -176,10 +178,11 @@ def cmd_converge(args) -> int:
         parts = row.split(":")
         if len(parts) != 3:
             raise UsageError(f"schedule rows are M:n:w, got {row!r}")
-        schedule.append(tuple(int(x) for x in parts))
+        schedule.append(tuple(_parse_number(x, int, "--schedule")
+                              for x in parts))
     if not schedule:
         raise UsageError("empty schedule")
-    eps = float(args.eps)
+    eps = _parse_number(args.eps, float, "--eps")
 
     result = convergence_study(symbol, eps, schedule,
                                grid_nodes=args.grid_nodes,
@@ -273,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--max-n", type=int, default=None)
     p_ver.add_argument("--adversarial", action="store_true",
                        help="halve penalties (negative control)")
-    p_ver.add_argument("--jobs", type=int)
     p_ver.add_argument("--out-dir", default="out")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -17,7 +17,6 @@ import numpy as np
 from . import inclusion as inc
 from . import pseudospec as ps
 from .matrixcore import BlockPartition, make_view
-from .penalty import PenaltyParams, eps_pi, eps_tau, eps_tau1
 from .toeplitz import build_toeplitz, toeplitz_spec
 
 __all__ = ["CorpusItem", "build_corpus", "VerifyRecord", "verify_containment"]
@@ -88,6 +87,10 @@ class VerifyRecord:
     margin: float
 
 
+# absolute allowance of the verifier's level comparisons
+_LEVEL_SLACK = 1e-12
+
+
 def verify_containment(items, eps_values=(0.0, 0.1), t_values=(1, -1, 1j),
                        penalty_scale: float = 1.0,
                        max_n: int | None = None,
@@ -97,77 +100,53 @@ def verify_containment(items, eps_values=(0.0, 0.1), t_values=(1, -1, 1j),
     ``penalty_scale`` < 1 shrinks the inclusion levels (negative control:
     Theorem-guaranteed containment should then start to fail).  The sandwich
     side of the rectangular method is checked at the eigenvalues plus a few
-    random probe points inside the inclusion set.
+    random probe points inside the inclusion set.  Each term's smin field at
+    the eigenvalues does not depend on eps, so it is evaluated once per
+    (matrix, n) and thresholded for every eps.
     """
     rng = np.random.default_rng(rng_seed)
     records = []
     for item in items:
         view = make_view(item.matrix, item.partition)
         lams = ps.eig(item.matrix)
+        plan = [("tau", None)]
+        if view.partition.uniform:
+            plan += [("pi", t) for t in t_values]
+        plan.append(("tau1", None))
         N = view.block_count
-        n_values = range(1, N if max_n is None else min(N, max_n + 1))
-        for n in n_values:
+        for n in range(1, N if max_n is None else min(N, max_n + 1)):
+            p = inc.penalty_params(view, n)
+            families = [inc.family(view, m, n, t) for m, t in plan]
+            cache: dict = {}
+            fields = [[inc.min_field(terms, lams, cache=cache)
+                       for terms in fam] for fam in families]
             for eps in eps_values:
-                records.extend(
-                    _check_all(item, view, n, eps, lams, t_values,
-                               penalty_scale, rng))
+                for (m, t), f in zip(plan, fields):
+                    lvls = inc.levels(p, m, eps, penalty_scale)
+                    contained = all(bool(np.all(v <= lvl + _LEVEL_SLACK))
+                                    for v, lvl in zip(f, lvls))
+                    records.append(VerifyRecord(
+                        item.name, m, n, None if t is None else complex(t),
+                        eps, contained, float(lvls[0] - f[0].max())))
+                records.extend(_check_sandwich(
+                    item, view, n, eps, p, lams, families[-1][0],
+                    fields[-1][0], penalty_scale, rng))
     return records
 
 
-def _scaled_inside(best: np.ndarray, eps: float, penalty: float,
-                   scale: float) -> tuple[np.ndarray, float]:
-    level = eps + scale * penalty
-    return best <= level + 1e-12, level
-
-
-def _min_field(groups, pts) -> np.ndarray:
-    best = np.full(pts.shape, np.inf)
-    for mat, embed, _ in groups:
-        np.minimum(best, ps.smin_grid(mat, pts, embed=embed), out=best)
-    return best
-
-
-def _check_all(item, view, n, eps, lams, t_values, scale, rng):
-    out = []
-    p = inc.penalty_params(view, n)
-
-    # tau
-    main, edges = inc._tau_family(view, n)
-    best = _min_field(inc._dedup(main + edges), lams)
-    inside, level = _scaled_inside(best, eps, eps_tau(p), scale)
-    if n > 2:
-        p_hat = PenaltyParams.from_offdiag(p.r_L, p.r_U, p.c_norm, n - 2)
-        best_hat = _min_field(inc._dedup(main), lams)
-        hat_inside, _ = _scaled_inside(best_hat, eps, eps_tau(p_hat), scale)
-        inside &= hat_inside
-    margin = float((eps + scale * eps_tau(p)) - best.max())
-    out.append(VerifyRecord(item.name, "tau", n, None, eps,
-                            bool(inside.all()), margin))
-
-    # pi (uniform partitions only)
-    if view.partition.uniform:
-        for t in t_values:
-            best = _min_field(inc._dedup(inc._pi_family(view, n, t)), lams)
-            inside, level = _scaled_inside(best, eps, eps_pi(p), scale)
-            out.append(VerifyRecord(item.name, "pi", n, complex(t), eps,
-                                    bool(inside.all()),
-                                    float(level - best.max())))
-
-    # tau1 + sandwich
-    best = _min_field(inc._dedup(inc._tau1_family(view, n)), lams)
-    inside, level = _scaled_inside(best, eps, eps_tau1(p), scale)
-    out.append(VerifyRecord(item.name, "tau1", n, None, eps,
-                            bool(inside.all()), float(level - best.max())))
-
-    probes = lams[best <= level + 1e-12]
-    if probes.size:
-        box = np.abs(item.matrix).sum(axis=1).max() + eps
-        extra = (rng.uniform(-box, box, 8) + 1j * rng.uniform(-box, box, 8))
-        inner = _min_field(inc._dedup(inc._tau1_family(view, n)), extra)
-        probes = np.concatenate([probes, extra[inner <= level + 1e-12]])
-        outer_level = eps + scale * (eps_tau1(p) + 2.0 * p.c_norm)
-        outer_vals = ps.smin_grid(view.matrix, probes)
-        ok = bool(np.all(outer_vals <= outer_level + 1e-12))
-        out.append(VerifyRecord(item.name, "tau1-sandwich", n, None, eps, ok,
-                                float(outer_level - outer_vals.max())))
-    return out
+def _check_sandwich(item, view, n, eps, p, lams, terms, field, scale, rng):
+    """Sandwich record of the rectangular method: the eigenvalues and random
+    probes inside its inclusion set must lie in the outer pseudospectrum."""
+    level = inc.levels(p, "tau1", eps, scale)[0]
+    probes = lams[field <= level + _LEVEL_SLACK]
+    if not probes.size:
+        return []
+    box = np.abs(item.matrix).sum(axis=1).max() + eps
+    extra = rng.uniform(-box, box, 8) + 1j * rng.uniform(-box, box, 8)
+    inner = inc.min_field(terms, extra)
+    probes = np.concatenate([probes, extra[inner <= level + _LEVEL_SLACK]])
+    outer_level = inc.tau1_outer_level(p, eps, scale)
+    outer_vals = ps.smin_grid(view.matrix, probes)
+    ok = bool(np.all(outer_vals <= outer_level + _LEVEL_SLACK))
+    return [VerifyRecord(item.name, "tau1-sandwich", n, None, eps, ok,
+                         float(outer_level - outer_vals.max()))]

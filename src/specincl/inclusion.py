@@ -1,17 +1,21 @@
 """Assembly of the three inclusion-set families and Gershgorin baselines.
 
-Every method call evaluates all of its submatrix pseudospectra on one shared
-grid, so unions and intersections are exact pointwise operations.  Duplicate
-submatrices (ubiquitous for Toeplitz inputs) are detected by content and
-computed once.  Alongside the grid regions, each family has a pointwise
-membership test that mirrors the same penalties and submatrix families
-exactly, for cheap containment verification at arbitrary points.
+Each family method is an intersection of terms; a term is the union of the
+pseudospectra of a set of submatrices of B, thresholded at eps plus a
+penalty.  The tau method has two terms (sigma and sigma_hat), the pi and
+tau1 methods one.  ``levels`` gives the thresholds, ``family`` the
+contributions of each term and ``min_field`` the pointwise minimum of their
+smallest singular values, at grid nodes or at any points.  The grid methods,
+the pointwise ``membership`` test and the corpus verifier are all built on
+these three.  Duplicate submatrices (ubiquitous for Toeplitz inputs) are
+detected by content and computed once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -32,16 +36,16 @@ from .penalty import PenaltyParams, eps_pi, eps_tau, eps_tau1
 __all__ = [
     "MethodReport",
     "penalty_params",
+    "levels",
+    "family",
+    "min_field",
+    "membership",
     "sigma_tau",
     "pi_method",
     "tau1_method",
     "gershgorin",
     "gershgorin_block",
-    "sigma_tau_membership",
-    "pi_membership",
-    "tau1_membership",
     "tau1_outer_level",
-    "method_grid",
     "run_method",
 ]
 
@@ -74,83 +78,123 @@ def _check_method_n(view: BlockMatrixView, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# contribution families
+# one evaluation path: levels, families, fields
 # ---------------------------------------------------------------------------
-# a contribution is (descriptor, matrix, embedding-or-None); descriptors are
-# (kind, n, k) triples kept for reports
 
-def _tau_family(view: BlockMatrixView, n: int):
-    N = view.block_count
-    main = [(("tau", n, k), submatrix_tau(view, n, k), None)
-            for k in range(N - n + 1)]
-    edges = []
-    for m in range(1, n):
-        edges.append((("tau", m, 0), submatrix_tau(view, m, 0), None))
-        edges.append((("tau", m, N - m), submatrix_tau(view, m, N - m), None))
-    return main, edges
+def levels(p: PenaltyParams, method: str, eps: float,
+           scale: float = 1.0) -> list[float]:
+    """Threshold of each term of a family method, in the order of ``family``.
 
-
-def _pi_family(view: BlockMatrixView, n: int, t: complex):
-    N = view.block_count
-    return [(("pi", n, k), submatrix_pi(view, n, k, t), None)
-            for k in range(N - n + 1)]
-
-
-def _tau1_family(view: BlockMatrixView, n: int):
-    N = view.block_count
-    return [(("tau1", n, k), submatrix_tau1(view, n, k),
-             embedding_selector(n, k, view))
-            for k in range(N - n + 1)]
-
-
-def _dedup(entries):
-    """Group contributions by matrix content; returns (groups, order).
-
-    groups: list of (matrix, embed, [descriptors]) in first-seen order.
+    tau: ``eps + s*eps_n``, plus ``eps + s*eps_{n-2}`` for n > 2; pi:
+    ``eps + s*eps'_n``; tau1: ``eps + s*eps''_n`` (s = ``scale``).
     """
-    seen: dict[bytes, int] = {}
-    groups = []
-    for desc, mat, embed in entries:
+    if method == "tau":
+        out = [eps + scale * eps_tau(p)]
+        if p.n > 2:
+            hat = PenaltyParams.from_offdiag(p.r_L, p.r_U, p.c_norm, p.n - 2)
+            out.append(eps + scale * eps_tau(hat))
+        return out
+    if method == "pi":
+        return [eps + scale * eps_pi(p)]
+    if method == "tau1":
+        return [eps + scale * eps_tau1(p)]
+    raise DomainError(f"unknown family method {method!r}")
+
+
+def tau1_outer_level(p: PenaltyParams, eps: float, scale: float = 1.0) -> float:
+    """Threshold of the right-hand sandwich set of the rectangular method."""
+    return eps + scale * (eps_tau1(p) + 2.0 * p.c_norm)
+
+
+def family(view: BlockMatrixView, method: str, n: int,
+           t: complex | None = None) -> list[list[tuple]]:
+    """Contributions of each term of a family method, in ``levels`` order.
+
+    A contribution is ``(descriptor, matrix, embedding-or-None)``; descriptors
+    are ``(kind, n, k)`` triples kept for reports.  The tau terms are the
+    main truncations plus the short edge ones, then (for n > 2) the main
+    truncations alone.
+    """
+    N = view.block_count
+    if method == "tau":
+        main = [(("tau", n, k), submatrix_tau(view, n, k), None)
+                for k in range(N - n + 1)]
+        edges = []
+        for m in range(1, n):
+            edges.append((("tau", m, 0), submatrix_tau(view, m, 0), None))
+            edges.append((("tau", m, N - m), submatrix_tau(view, m, N - m),
+                          None))
+        return [main + edges, main] if n > 2 else [main + edges]
+    if method == "pi":
+        if t is None:
+            raise DomainError("pi method needs t")
+        return [[(("pi", n, k), submatrix_pi(view, n, k, t), None)
+                 for k in range(N - n + 1)]]
+    if method == "tau1":
+        return [[(("tau1", n, k), submatrix_tau1(view, n, k),
+                  embedding_selector(n, k, view))
+                 for k in range(N - n + 1)]]
+    raise DomainError(f"unknown family method {method!r}")
+
+
+def min_field(contributions, points, jobs: int | None = None,
+              cache: dict | None = None) -> np.ndarray:
+    """Pointwise minimum of smin over the content-distinct contributions.
+
+    ``cache`` maps content keys to fields already evaluated at the same
+    points; pass one dict to several calls to share their sweeps.
+    """
+    cache = {} if cache is None else cache
+    fields = {}
+    for _, mat, embed in contributions:
         key = mat.tobytes() + (b"" if embed is None else b"|" + embed.tobytes())
-        if key in seen:
-            groups[seen[key]][2].append(desc)
-        else:
-            seen[key] = len(groups)
-            groups.append((mat, embed, [desc]))
-    return groups
+        if key not in fields:
+            if key not in cache:
+                cache[key] = ps.smin_grid(mat, points, embed=embed, jobs=jobs)
+            fields[key] = cache[key]
+    return reduce(np.minimum, fields.values())
 
 
-def _fields(groups, grid: ps.GridSpec, jobs, cache: dict | None = None):
-    """smin field per unique contribution on the grid."""
+def membership(view: BlockMatrixView, method: str, n: int, eps: float,
+               points, t: complex | None = None,
+               cnorm_mode: str = "auto") -> np.ndarray:
+    """Exact pointwise membership in a family method's inclusion set."""
+    _check_method_n(view, n)
+    pts = np.asarray(points, dtype=np.complex128).ravel()
+    lvls = levels(penalty_params(view, n, cnorm_mode), method, eps)
+    cache: dict = {}
+    inside = np.ones(pts.shape, dtype=bool)
+    for terms, level in zip(family(view, method, n, t), lvls):
+        inside &= min_field(terms, pts, cache=cache) <= level
+    return inside
+
+
+def _term_regions(view: BlockMatrixView, method: str, n: int, eps: float,
+                  grid, cnorm_mode: str, jobs, t=None, outer: bool = False):
+    """Penalty inputs and one grid Region per term of a family method.
+
+    Without a grid, the default one is padded by the largest level (by the
+    sandwich level when ``outer``).
+    """
+    _check_method_n(view, n)
+    if eps < 0:
+        raise DomainError("eps must be nonnegative")
+    p = penalty_params(view, n, cnorm_mode)
+    lvls = levels(p, method, eps)
+    if grid is None:
+        pad = tau1_outer_level(p, eps) if outer else max(lvls)
+        grid = ps.default_grid(view.matrix, pad=pad)
     nodes = grid.nodes()
-    out = []
-    for mat, embed, descs in groups:
-        key = mat.tobytes() + (b"" if embed is None else b"|" + embed.tobytes())
-        if cache is not None and key in cache:
-            vals = cache[key]
-        else:
-            vals = ps.smin_grid(mat, nodes, embed=embed, jobs=jobs)
-            if cache is not None:
-                cache[key] = vals
-        out.append((vals, descs))
-    return out
-
-
-def _union_at_level(fields, grid: ps.GridSpec, level: float) -> ps.Region:
-    combined = None
-    for vals, _ in fields:
-        combined = vals if combined is None else np.minimum(combined, vals)
-    return ps.Region(grid, combined <= level, combined, level)
-
-
-def method_grid(view: BlockMatrixView, pad: float,
-                nx: int = 256, ny: int = 256) -> ps.GridSpec:
-    """Default shared grid: Gershgorin box inflated by the worst level."""
-    return ps.default_grid(view.matrix, pad=pad, nx=nx, ny=ny)
+    cache: dict = {}
+    regions = []
+    for terms, level in zip(family(view, method, n, t), lvls):
+        vals = min_field(terms, nodes, jobs, cache)
+        regions.append(ps.Region(grid, vals <= level, vals, level))
+    return p, regions
 
 
 # ---------------------------------------------------------------------------
-# tau method
+# grid methods
 # ---------------------------------------------------------------------------
 
 def sigma_tau(view: BlockMatrixView, n: int, eps: float,
@@ -163,87 +207,21 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     union at level ``eps + eps_{n-2}`` for n > 2 (else None), and their
     intersection (== sigma for n <= 2).
     """
-    _check_method_n(view, n)
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
-    p_n = penalty_params(view, n, cnorm_mode)
-    level = eps + eps_tau(p_n)
-    level_hat = None
-    if n > 2:
-        p_hat = PenaltyParams.from_offdiag(p_n.r_L, p_n.r_U, p_n.c_norm, n - 2)
-        level_hat = eps + eps_tau(p_hat)
-    if grid is None:
-        grid = method_grid(view, pad=max(level, level_hat or 0.0))
-
-    main, edges = _tau_family(view, n)
-    cache: dict = {}
-    main_fields = _fields(_dedup(main), grid, jobs, cache)
-    all_fields = main_fields + _fields(_dedup(edges), grid, jobs, cache)
-    sigma = _union_at_level(all_fields, grid, level)
-    if n <= 2:
-        return sigma, None, sigma
-    sigma_hat = _union_at_level(main_fields, grid, level_hat)
+    _, regions = _term_regions(view, "tau", n, eps, grid, cnorm_mode, jobs)
+    if len(regions) == 1:
+        return regions[0], None, regions[0]
+    sigma, sigma_hat = regions
     return sigma, sigma_hat, ps.region_intersect(sigma, sigma_hat)
 
-
-def sigma_tau_membership(view: BlockMatrixView, n: int, eps: float, points,
-                         cnorm_mode: str = "auto") -> np.ndarray:
-    """Exact pointwise membership in the tau inclusion set."""
-    _check_method_n(view, n)
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    p_n = penalty_params(view, n, cnorm_mode)
-    level = eps + eps_tau(p_n)
-    main, edges = _tau_family(view, n)
-
-    def min_field(groups):
-        best = np.full(pts.shape, np.inf)
-        for mat, embed, _ in groups:
-            np.minimum(best, ps.smin_grid(mat, pts, embed=embed), out=best)
-        return best
-
-    main_groups = _dedup(main)
-    inside = min_field(main_groups + _dedup(edges)) <= level
-    if n > 2:
-        p_hat = PenaltyParams.from_offdiag(p_n.r_L, p_n.r_U, p_n.c_norm, n - 2)
-        inside &= min_field(main_groups) <= eps + eps_tau(p_hat)
-    return inside
-
-
-# ---------------------------------------------------------------------------
-# pi method
-# ---------------------------------------------------------------------------
 
 def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
-    _check_method_n(view, n)
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
-    p = penalty_params(view, n, cnorm_mode)
-    level = eps + eps_pi(p)
-    family = _pi_family(view, n, t)
-    if grid is None:
-        grid = method_grid(view, pad=level)
-    fields = _fields(_dedup(family), grid, jobs)
-    return _union_at_level(fields, grid, level)
+    _, [region] = _term_regions(view, "pi", n, eps, grid, cnorm_mode, jobs,
+                                t=t)
+    return region
 
-
-def pi_membership(view: BlockMatrixView, n: int, t: complex, eps: float,
-                  points, cnorm_mode: str = "auto") -> np.ndarray:
-    _check_method_n(view, n)
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    p = penalty_params(view, n, cnorm_mode)
-    level = eps + eps_pi(p)
-    best = np.full(pts.shape, np.inf)
-    for mat, embed, _ in _dedup(_pi_family(view, n, t)):
-        np.minimum(best, ps.smin_grid(mat, pts, embed=embed), out=best)
-    return best <= level
-
-
-# ---------------------------------------------------------------------------
-# tau_1 method
-# ---------------------------------------------------------------------------
 
 def tau1_method(view: BlockMatrixView, n: int, eps: float,
                 grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
@@ -255,42 +233,15 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     is computed only when ``outer`` is True, or by default for orders
     <= 512; pass ``outer=False`` to skip it.
     """
-    _check_method_n(view, n)
-    if eps < 0:
-        raise DomainError("eps must be nonnegative")
-    p = penalty_params(view, n, cnorm_mode)
-    level = eps + eps_tau1(p)
-    outer_level = level + 2.0 * p.c_norm
     if outer is None:
         outer = view.order <= _OUTER_AUTO_MAX_ORDER
-    if grid is None:
-        grid = method_grid(view, pad=outer_level if outer else level)
-    fields = _fields(_dedup(_tau1_family(view, n)), grid, jobs)
-    gamma = _union_at_level(fields, grid, level)
+    p, [gamma] = _term_regions(view, "tau1", n, eps, grid, cnorm_mode, jobs,
+                               outer=outer)
     outer_region = None
     if outer:
-        outer_region = ps.pseudospectrum(view.matrix, outer_level, grid,
-                                         jobs=jobs)
+        outer_region = ps.pseudospectrum(view.matrix, tau1_outer_level(p, eps),
+                                         gamma.grid, jobs=jobs)
     return gamma, outer_region
-
-
-def tau1_membership(view: BlockMatrixView, n: int, eps: float, points,
-                    cnorm_mode: str = "auto") -> np.ndarray:
-    _check_method_n(view, n)
-    pts = np.asarray(points, dtype=np.complex128).ravel()
-    p = penalty_params(view, n, cnorm_mode)
-    level = eps + eps_tau1(p)
-    best = np.full(pts.shape, np.inf)
-    for mat, embed, _ in _dedup(_tau1_family(view, n)):
-        np.minimum(best, ps.smin_grid(mat, pts, embed=embed), out=best)
-    return best <= level
-
-
-def tau1_outer_level(view: BlockMatrixView, n: int, eps: float,
-                     cnorm_mode: str = "auto") -> float:
-    """Threshold of the right-hand sandwich set of the rectangular method."""
-    p = penalty_params(view, n, cnorm_mode)
-    return eps + eps_tau1(p) + 2.0 * p.c_norm
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +282,8 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
         radii.append(sum(ps.spectral_norm(view.block(i, j))
                          for j in range(N) if j != i))
     if grid is None:
-        grid = method_grid(view, pad=max(radii) if radii else 0.0)
+        grid = ps.default_grid(view.matrix,
+                               pad=max(radii) if radii else 0.0)
     nodes = grid.nodes()
     mask = np.zeros(nodes.shape, dtype=bool)
     for i in range(N):
@@ -359,7 +311,6 @@ class MethodReport:
     region: ps.Region
 
     def to_json(self) -> str:
-        g = self.region.grid
         doc = {
             "method": self.method,
             "n": self.n,
@@ -369,22 +320,13 @@ class MethodReport:
             "c_norm": self.c_norm,
             "cnorm_mode": self.cnorm_mode,
             "contributions": [list(c) for c in self.contributions],
-            "grid": {
-                "re_min": g.re_min, "re_max": g.re_max,
-                "im_min": g.im_min, "im_max": g.im_max,
-                "nx": g.nx, "ny": g.ny,
-            },
-            "mask_rle": ps._mask_rle(self.region.mask),
+            **ps.region_doc(self.region),
         }
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "MethodReport":
         doc = json.loads(text)
-        g = doc["grid"]
-        grid = ps.GridSpec(g["re_min"], g["re_max"], g["im_min"], g["im_max"],
-                           g["nx"], g["ny"])
-        mask = ps._mask_from_rle(doc["mask_rle"], (grid.ny, grid.nx))
         t = doc["t"]
         return cls(
             method=doc["method"],
@@ -395,7 +337,7 @@ class MethodReport:
             c_norm=doc["c_norm"],
             cnorm_mode=doc["cnorm_mode"],
             contributions=tuple(tuple(c) for c in doc["contributions"]),
-            region=ps.Region(grid, mask),
+            region=ps.region_from_doc(doc),
         )
 
 
@@ -409,25 +351,18 @@ def run_method(view: BlockMatrixView, method: str, n: int | None = None,
     if method in ("tau", "pi", "tau1"):
         if n is None:
             raise DomainError(f"method {method!r} needs n")
-        params = penalty_params(view, n, mode)
-    if method == "tau":
-        main, edges = _tau_family(view, n)
-        _, _, region = sigma_tau(view, n, eps, grid, mode, jobs)
-        descs = tuple(d for d, _, _ in main + edges)
-        return MethodReport("tau", n, None, eps, eps_tau(params),
-                            params.c_norm, mode, descs, region)
-    if method == "pi":
-        if t is None:
-            raise DomainError("pi method needs t")
-        region = pi_method(view, n, t, eps, grid, mode, jobs)
-        descs = tuple(d for d, _, _ in _pi_family(view, n, t))
-        return MethodReport("pi", n, complex(t), eps, eps_pi(params),
-                            params.c_norm, mode, descs, region)
-    if method == "tau1":
-        region, _ = tau1_method(view, n, eps, grid, mode, jobs, outer=outer)
-        descs = tuple(d for d, _, _ in _tau1_family(view, n))
-        return MethodReport("tau1", n, None, eps, eps_tau1(params),
-                            params.c_norm, mode, descs, region)
+        if method == "tau":
+            region = sigma_tau(view, n, eps, grid, mode, jobs)[2]
+        elif method == "pi":
+            region = pi_method(view, n, t, eps, grid, mode, jobs)
+        else:
+            region = tau1_method(view, n, eps, grid, mode, jobs,
+                                 outer=outer)[0]
+        t = complex(t) if method == "pi" else None
+        p = penalty_params(view, n, mode)
+        descs = tuple(d for d, _, _ in family(view, method, n, t)[0])
+        return MethodReport(method, n, t, eps, levels(p, method, 0.0)[0],
+                            p.c_norm, mode, descs, region)
     if method == "gersh":
         region, discs = gershgorin(view.matrix, grid)
         descs = tuple(("gersh", 1, k) for k in range(len(discs)))

@@ -118,16 +118,13 @@ class BlockMatrixView:
         """
         n = self.block_count
         o = self.offsets
-        ri = self.partition.sizes[i] if 0 <= i < n else self._edge_height(i)
-        rj = self.partition.sizes[j] if 0 <= j < n else self._edge_height(j)
         if 0 <= i < n and 0 <= j < n:
             return self.matrix[o[i]:o[i + 1], o[j]:o[j + 1]]
+        # the virtual zero blocks just outside the partition have one row
+        # (column), the border height the one-sided truncation uses there
+        ri = self.partition.sizes[i] if 0 <= i < n else 1
+        rj = self.partition.sizes[j] if 0 <= j < n else 1
         return np.zeros((ri, rj), dtype=np.complex128)
-
-    def _edge_height(self, i: int) -> int:
-        # sizes of the virtual zero blocks just outside the partition; the
-        # one-sided truncation uses 1-row borders there
-        return 1
 
     def slice_range(self, k: int, n: int) -> slice:
         """Scalar index range covered by block rows/cols ``k .. k+n-1``."""
@@ -147,6 +144,12 @@ def make_view(A, p: BlockPartition) -> BlockMatrixView:
     return BlockMatrixView(A, p)
 
 
+def _block_band(sizes) -> np.ndarray:
+    """Entry mask of the blocks ``(i, j)`` with ``|i - j| <= 1``."""
+    blk = np.repeat(np.arange(len(sizes)), sizes)
+    return np.abs(blk[:, None] - blk[None, :]) <= 1
+
+
 def split_tridiagonal(view: BlockMatrixView) -> tuple[np.ndarray, np.ndarray]:
     """Split ``A`` into its block-tridiagonal part ``B`` and remainder ``C``.
 
@@ -154,18 +157,9 @@ def split_tridiagonal(view: BlockMatrixView) -> tuple[np.ndarray, np.ndarray]:
     the entrywise complement, so ``B + C == A`` exactly (entries are copied,
     never recomputed).
     """
-    A = view.matrix
-    B = np.zeros_like(A)
-    o = view.offsets
-    N = view.block_count
-    for i in range(N):
-        j0, j1 = max(0, i - 1), min(N, i + 2)
-        B[o[i]:o[i + 1], o[j0]:o[j1]] = A[o[i]:o[i + 1], o[j0]:o[j1]]
-    C = A - B
-    # restore the exact-complement guarantee where B was copied verbatim
-    for i in range(N):
-        j0, j1 = max(0, i - 1), min(N, i + 2)
-        C[o[i]:o[i + 1], o[j0]:o[j1]] = 0.0
+    band = _block_band(view.partition.sizes)
+    B = np.where(band, view.matrix, 0.0)
+    C = np.where(band, 0.0, view.matrix)
     B.setflags(write=False)
     C.setflags(write=False)
     return B, C
@@ -187,14 +181,8 @@ def submatrix_tau(view: BlockMatrixView, n: int, k: int) -> np.ndarray:
     """
     _check_nk(view, n, k)
     s = view.slice_range(k, n)
-    sub = np.array(view.matrix[s, s], copy=True)
-    # zero everything outside the block band |i-j| <= 1 within the window
-    o = [x - view.offsets[k] for x in view.offsets[k:k + n + 1]]
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1:
-                sub[o[i]:o[i + 1], o[j]:o[j + 1]] = 0.0
-    return sub
+    band = _block_band(view.partition.sizes[k:k + n])
+    return np.where(band, view.matrix[s, s], 0.0)
 
 
 def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarray:
@@ -310,6 +298,14 @@ def detect_bandwidth(A) -> int:
     return int(np.max(np.abs(nz[:, 0] - nz[:, 1])))
 
 
+def _parse_size(text: str, directive) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise PartitionError(f"cannot parse partition {directive!r}: "
+                             f"{text.strip()!r} is not a block size") from None
+
+
 def resolve_partition(directive, A) -> BlockPartition:
     """Build a partition from a directive.
 
@@ -322,7 +318,7 @@ def resolve_partition(directive, A) -> BlockPartition:
     if isinstance(directive, str):
         d = directive.strip()
         if d.startswith("uniform:"):
-            m = int(d.split(":", 1)[1])
+            m = _parse_size(d.split(":", 1)[1], directive)
             if m < 1 or M % m != 0 or M // m < 2:
                 raise PartitionError(
                     f"uniform block size {m} does not split order {M} into N > 1 blocks"
@@ -333,7 +329,8 @@ def resolve_partition(directive, A) -> BlockPartition:
 
             w = max(1, detect_bandwidth(A))
             return banded_partition(M, w)
-        sizes = tuple(int(x) for x in d.replace(";", ",").split(",") if x.strip())
+        sizes = tuple(_parse_size(x, directive)
+                      for x in d.replace(";", ",").split(",") if x.strip())
     else:
         sizes = tuple(int(x) for x in directive)
     p = BlockPartition(sizes)

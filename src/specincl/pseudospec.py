@@ -40,6 +40,8 @@ __all__ = [
     "eig",
     "default_grid",
     "region_to_csv",
+    "region_doc",
+    "region_from_doc",
     "region_to_json",
     "region_from_json",
 ]
@@ -519,26 +521,35 @@ def _mask_from_rle(runs, shape) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def region_to_json(region: Region, params: dict | None = None) -> str:
-    """Self-describing JSON: grid metadata, run parameters, RLE mask."""
+def region_doc(region: Region) -> dict:
+    """JSON-ready grid metadata and RLE mask of a region (no smin field)."""
     g = region.grid
-    doc = {
+    return {
         "grid": {
             "re_min": g.re_min, "re_max": g.re_max,
             "im_min": g.im_min, "im_max": g.im_max,
             "nx": g.nx, "ny": g.ny,
         },
-        "level": region.level,
-        "params": params or {},
         "mask_rle": _mask_rle(region.mask),
     }
+
+
+def region_from_doc(doc: dict, level: float | None = None) -> Region:
+    """Inverse of ``region_doc``: a region from a document's grid and mask."""
+    g = doc["grid"]
+    grid = GridSpec(g["re_min"], g["re_max"], g["im_min"], g["im_max"],
+                    g["nx"], g["ny"])
+    mask = _mask_from_rle(doc["mask_rle"], (grid.ny, grid.nx))
+    return Region(grid, mask, None, level)
+
+
+def region_to_json(region: Region, params: dict | None = None) -> str:
+    """Self-describing JSON: grid metadata, run parameters, RLE mask."""
+    doc = {**region_doc(region), "level": region.level,
+           "params": params or {}}
     return json.dumps(doc, sort_keys=True)
 
 
 def region_from_json(text: str) -> Region:
     doc = json.loads(text)
-    g = doc["grid"]
-    grid = GridSpec(g["re_min"], g["re_max"], g["im_min"], g["im_max"],
-                    g["nx"], g["ny"])
-    mask = _mask_from_rle(doc["mask_rle"], (grid.ny, grid.nx))
-    return Region(grid, mask, None, doc.get("level"))
+    return region_from_doc(doc, doc.get("level"))

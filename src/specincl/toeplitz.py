@@ -18,7 +18,6 @@ from . import inclusion as inc
 from . import pseudospec as ps
 from .errors import DomainError
 from .matrixcore import BlockPartition, make_view
-from .penalty import eps_tau, eps_tau1
 
 __all__ = [
     "ToeplitzSpec",
@@ -370,21 +369,19 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
 
     # one shared grid large enough for every row
     views = {}
-    penalties = []
+    pads = []
     methods = []
     for M, n, w in schedule:
         A = build_toeplitz(spec, M)
         part = banded_partition(M, w)
         view = make_view(A, part)
         views[(M, w)] = view
-        banded = wiener_tail(spec, w) == 0.0
-        methods.append("tau" if banded else "tau1")
-        p = inc.penalty_params(view, n)
-        penalties.append(eps_tau(p) if banded else eps_tau1(p))
+        method = "tau" if wiener_tail(spec, w) == 0.0 else "tau1"
+        methods.append(method)
+        pads.append(inc.levels(inc.penalty_params(view, n), method, eps)[0])
     M_big = max(M for M, _, _ in schedule)
     A_big = build_toeplitz(spec, M_big)
-    grid = ps.default_grid(A_big, pad=eps + max(penalties),
-                           nx=grid_nodes, ny=grid_nodes)
+    grid = ps.default_grid(A_big, pad=max(pads), nx=grid_nodes, ny=grid_nodes)
 
     references: dict[int, ps.Region] = {}
 

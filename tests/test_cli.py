@@ -158,6 +158,60 @@ def test_include_matrix_file_input(tmp_path):
     assert (out / "tau_n2_eps0.1.json").exists()
 
 
+def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
+    # the tau set at n = 2 is the single union at eps + eps_2, so the grid
+    # is padded by that level (not by eps_1, which no term uses)
+    from specincl import inclusion as inc
+    from specincl.inclusion import MethodReport
+    from specincl.matrixcore import BlockPartition, make_view
+    from specincl.penalty import eps_tau
+    from specincl.pseudospec import default_grid
+    from specincl.toeplitz import laplacian
+
+    out = tmp_path / "o"
+    assert main([
+        "include", "--builtin", "laplacian", "--M", "12", "--method", "tau",
+        "--n", "2", "--eps", "0.05", "--grid", "48,48", "--no-timestamp",
+        "--out-dir", str(out),
+    ]) == 0
+    report = MethodReport.from_json((out / "tau_n2_eps0.05.json").read_text())
+    A = laplacian(12)
+    p = inc.penalty_params(make_view(A, BlockPartition((1,) * 12)), 2)
+    assert report.region.grid == default_grid(A, pad=0.05 + eps_tau(p),
+                                              nx=48, ny=48)
+
+
+@pytest.mark.parametrize("argv", [
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--eps", "0.1,x"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--grid", "4x,8"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--grid=-1,1,-1,1,a,8"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--partition", "4,x"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--partition", "uniform:two"],
+    ["include", "--input", "no-such-matrix.mtx", "--method", "tau",
+     "--n", "2"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1",
+     "--schedule", "24:2:x"],
+    ["converge", "--builtin", "jordan", "--eps", "small",
+     "--schedule", "24:2:1"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "SPECINCL_JOBS=four"],
+], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
+        "missing-input", "schedule", "converge-eps", "jobs-env"])
+def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
+    if argv[-1].startswith("SPECINCL_JOBS="):
+        monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("specincl: ") and err.count("\n") == 1
+    assert "numeric failure" not in err
+
+
 def test_include_bad_n(tmp_path):
     code = main([
         "include", "--builtin", "jordan", "--M", "6", "--method", "tau",

@@ -26,6 +26,15 @@ def scalar_view(A):
     return make_view(A, BlockPartition((1,) * A.shape[0]))
 
 
+def distinct(terms):
+    """Content-distinct (matrix, embedding) pairs of a family term."""
+    out = {}
+    for _, mat, embed in terms:
+        key = mat.tobytes() + (b"" if embed is None else embed.tobytes())
+        out.setdefault(key, (mat, embed))
+    return list(out.values())
+
+
 def masks_agree_off_boundary(region, analytic_dist, level, slack):
     """Masks may disagree only where the analytic field is within slack of
     the threshold."""
@@ -132,7 +141,7 @@ def test_pi_laplacian_three_term_union():
     t = 1j
 
     def corner_variants(n):
-        return [m for m, _, _ in inc._dedup(inc._pi_family(view, n, t))]
+        return [m for m, _ in distinct(inc.family(view, "pi", n, t)[0])]
 
     def lpq(n, p, q):
         m = laplacian(n).astype(complex)
@@ -184,7 +193,7 @@ def test_tau1_laplacian_edge_case_single_shape():
     N = 7
     view = scalar_view(laplacian(N))
     n = N - 1
-    groups = inc._dedup(inc._tau1_family(view, n))
+    groups = distinct(inc.family(view, "tau1", n)[0])
     assert len(groups) == 2
     grid = ps.GridSpec(-3.0, 3.0, -2.0, 2.0, 81, 55)
     eps = 0.05
@@ -195,18 +204,25 @@ def test_tau1_laplacian_edge_case_single_shape():
     assert np.array_equal(gamma.mask, single.mask)
 
 
-def test_tau1_membership_matches_region():
+@pytest.mark.parametrize("method", ["tau", "pi", "tau1"])
+def test_membership_matches_region(method):
     rng = np.random.default_rng(29)
     A = rand_complex(rng, (9, 9)) / 3
     view = scalar_view(A)
-    n, eps = 3, 0.1
+    n, eps, t = 3, 0.1, 1j
     p = inc.penalty_params(view, n)
-    grid = ps.default_grid(A, pad=eps + eps_tau1(p), nx=48, ny=48)
-    gamma, _ = inc.tau1_method(view, n, eps, grid=grid, outer=False)
+    grid = ps.default_grid(A, pad=max(inc.levels(p, method, eps)),
+                           nx=48, ny=48)
+    if method == "tau":
+        _, _, region = inc.sigma_tau(view, n, eps, grid=grid)
+    elif method == "pi":
+        region = inc.pi_method(view, n, t, eps, grid=grid)
+    else:
+        region, _ = inc.tau1_method(view, n, eps, grid=grid, outer=False)
     pts = grid.nodes().ravel()[::37]
-    member = inc.tau1_membership(view, n, eps, pts)
-    grid_member = gamma.values.ravel()[::37] <= gamma.level
-    assert np.array_equal(member, grid_member)
+    member = inc.membership(view, method, n, eps, pts, t=t)
+    assert np.array_equal(member, region.mask.ravel()[::37])
+    assert member.any() and not member.all()
 
 
 # ---------------------------------------------------------------------------
@@ -297,11 +313,12 @@ def test_eigenvalues_inside_all_regions(seed, order, sizes):
     N = view.block_count
     for n in range(1, N):
         for eps in (0.0, 0.1):
-            assert inc.sigma_tau_membership(view, n, eps, lams).all()
-            assert inc.tau1_membership(view, n, eps, lams).all()
+            assert inc.membership(view, "tau", n, eps, lams).all()
+            assert inc.membership(view, "tau1", n, eps, lams).all()
             if view.partition.uniform:
                 for t in (1, -1, 1j):
-                    assert inc.pi_membership(view, n, t, eps, lams).all()
+                    assert inc.membership(view, "pi", n, eps, lams,
+                                          t=t).all()
 
 
 def test_pseudospectrum_subset_of_methods_on_grid():

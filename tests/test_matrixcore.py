@@ -119,6 +119,31 @@ def test_split_exact_complement():
     assert np.array_equal(B + C, np.asarray(view.matrix))
 
 
+def test_split_and_tau_match_blockwise_copy():
+    # reference: copy block by block; bytes compared, so signed zeros count
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        sizes = tuple(int(s) for s in rng.integers(1, 4, rng.integers(2, 7)))
+        M = sum(sizes)
+        A = rand_complex(rng, (M, M))
+        A[rng.random((M, M)) < 0.3] = complex(-0.0, -0.0)
+        view = make_view(A, BlockPartition(sizes))
+        o, N = view.offsets, len(sizes)
+        B_ref = np.zeros((M, M), dtype=complex)
+        C_ref = np.array(view.matrix)
+        for i in range(N):
+            for j in range(max(0, i - 1), min(N, i + 2)):
+                B_ref[o[i]:o[i + 1], o[j]:o[j + 1]] = view.block(i, j)
+                C_ref[o[i]:o[i + 1], o[j]:o[j + 1]] = 0.0
+        B, C = split_tridiagonal(view)
+        assert B.tobytes() == B_ref.tobytes()
+        assert C.tobytes() == C_ref.tobytes()
+        for n in range(1, N + 1):
+            for k in range(N - n + 1):
+                s = view.slice_range(k, n)
+                assert submatrix_tau(view, n, k).tobytes() == B_ref[s, s].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # square truncations
 # ---------------------------------------------------------------------------
