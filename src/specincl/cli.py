@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -54,10 +55,13 @@ def _parse_complex(text: str) -> complex:
 
 def _parse_number(text: str, kind, option: str):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         raise UsageError(f"{option} expects {kind.__name__} values, "
                          f"got {text!r}") from None
+    if not math.isfinite(value):
+        raise UsageError(f"{option} expects finite values, got {text!r}")
+    return value
 
 
 def _parse_eps_list(text: str) -> list[float]:

@@ -286,9 +286,14 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
                                pad=max(radii) if radii else 0.0)
     nodes = grid.nodes()
     mask = np.zeros(nodes.shape, dtype=bool)
-    for i in range(N):
-        vals = ps.smin_grid(view.block(i, i), nodes, jobs=jobs)
-        mask |= vals <= radii[i]
+    # equal diagonal blocks share one sweep, at the largest of their radii
+    by_content: dict[bytes, list] = {}
+    for i, radius in enumerate(radii):
+        block = view.block(i, i)
+        entry = by_content.setdefault(block.tobytes(), [block, radius])
+        entry[1] = max(entry[1], radius)
+    for block, radius in by_content.values():
+        mask |= ps.smin_grid(block, nodes, jobs=jobs) <= radius
     return ps.Region(grid, mask)
 
 

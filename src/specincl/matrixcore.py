@@ -198,7 +198,7 @@ def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarra
             "periodised truncations need a uniform partition"
         )
     t = complex(t)
-    if abs(abs(t) - 1.0) > _UNIT_MODULUS_TOL:
+    if not abs(abs(t) - 1.0) <= _UNIT_MODULUS_TOL:  # false for NaN too
         raise DomainError(f"|t| must be 1 (within {_UNIT_MODULUS_TOL}), got |t|={abs(t)}")
     t = t / abs(t)
     _check_nk(view, n, k)

@@ -13,8 +13,10 @@ the output is identical for any worker count.
 from __future__ import annotations
 
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product, repeat
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -136,6 +138,9 @@ class GridSpec:
     ny: int = 256
 
     def __post_init__(self):
+        bounds = (self.re_min, self.re_max, self.im_min, self.im_max)
+        if not all(map(math.isfinite, bounds)):
+            raise DomainError("grid bounds must be finite")
         if not (self.re_min < self.re_max and self.im_min < self.im_max):
             raise DomainError("grid box must have positive extent")
         if self.nx < 2 or self.ny < 2:
@@ -366,112 +371,80 @@ def contour_extract(region: Region) -> list[np.ndarray]:
     bump = (np.max(np.abs(f)) + abs(level) + 1.0) * 1e-7
     f = np.where(np.abs(f - level) < bump, level - bump, f)
 
-    segments = _marching_squares(f, xs, ys, level)
-    return _chain_segments(segments)
+    return _chain_segments(_marching_squares(f, xs, ys, level))
 
 
-def _marching_squares(f, xs, ys, level):
+# (row, column) offsets of the cell corners a, b, c, d; edge e runs from
+# corner _FROM[e] to corner _TO[e]
+_DY, _DX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]]).T
+_B, _R, _T, _L = range(4)
+_FROM, _TO = np.array([[0, 1], [1, 2], [3, 2], [0, 3]]).T
+_NONE = (-1, -1)
+# edge pairs by case code (a=1, b=2, c=4, d=8), padded with -1; the saddles 5
+# and 10 list their pairs for a centre outside the set, and a centre inside
+# takes the pairs of the complementary code
+_CASE_PAIRS = np.array([
+    [_NONE, _NONE], [(_L, _B), _NONE], [(_B, _R), _NONE], [(_L, _R), _NONE],
+    [(_R, _T), _NONE], [(_B, _L), (_R, _T)], [(_B, _T), _NONE],
+    [(_L, _T), _NONE], [(_T, _L), _NONE], [(_B, _T), _NONE],
+    [(_B, _R), (_T, _L)], [(_R, _T), _NONE], [(_R, _L), _NONE],
+    [(_B, _R), _NONE], [(_L, _B), _NONE], [_NONE, _NONE],
+])
+
+
+def _marching_squares(f, xs, ys, level) -> np.ndarray:
+    """Boundary segments as a (k, 2, 2) array of (re, im) end points, cell
+    by cell in row-major order."""
     inside = f <= level
-    segs = []
-    ny, nx = f.shape
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            a = inside[iy, ix]
-            b = inside[iy, ix + 1]
-            c = inside[iy + 1, ix + 1]
-            d = inside[iy + 1, ix]
-            case = a * 1 + b * 2 + c * 4 + d * 8
-            if case in (0, 15):
-                continue
-            va, vb = f[iy, ix], f[iy, ix + 1]
-            vc, vd = f[iy + 1, ix + 1], f[iy + 1, ix]
-            x0, x1 = xs[ix], xs[ix + 1]
-            y0, y1 = ys[iy], ys[iy + 1]
-
-            def lerp(p, q, vp, vq):
-                t = 0.5 if vq == vp else (level - vp) / (vq - vp)
-                t = min(max(t, 0.0), 1.0)
-                return (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
-
-            pt = {
-                "bottom": lerp((x0, y0), (x1, y0), va, vb),
-                "right": lerp((x1, y0), (x1, y1), vb, vc),
-                "top": lerp((x0, y1), (x1, y1), vd, vc),
-                "left": lerp((x0, y0), (x0, y1), va, vd),
-            }
-            table = {
-                1: [("left", "bottom")],
-                2: [("bottom", "right")],
-                3: [("left", "right")],
-                4: [("right", "top")],
-                6: [("bottom", "top")],
-                7: [("left", "top")],
-                8: [("top", "left")],
-                9: [("bottom", "top")],
-                11: [("right", "top")],
-                12: [("right", "left")],
-                13: [("bottom", "right")],
-                14: [("left", "bottom")],
-            }
-            if case == 5:
-                center = (va + vb + vc + vd) / 4.0
-                pairs = ([("bottom", "right"), ("top", "left")]
-                         if center <= level
-                         else [("bottom", "left"), ("right", "top")])
-            elif case == 10:
-                center = (va + vb + vc + vd) / 4.0
-                pairs = ([("bottom", "left"), ("right", "top")]
-                         if center <= level
-                         else [("bottom", "right"), ("top", "left")])
-            else:
-                pairs = table[case]
-            for e1, e2 in pairs:
-                segs.append((pt[e1], pt[e2]))
-    return segs
+    case = (inside[:-1, :-1] * 1 + inside[:-1, 1:] * 2
+            + inside[1:, 1:] * 4 + inside[1:, :-1] * 8)
+    iy, ix = np.nonzero((case != 0) & (case != 15))
+    rows, cols = iy[:, None] + _DY, ix[:, None] + _DX
+    v = f[rows, cols]
+    corners = np.stack([xs[cols], ys[rows]], axis=2)
+    vp, vq = v[:, _FROM], v[:, _TO]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(np.where(vq == vp, 0.5, (level - vp) / (vq - vp)), 0.0, 1.0)
+    p, q = corners[:, _FROM], corners[:, _TO]
+    points = p + t[:, :, None] * (q - p)
+    code = case[iy, ix]
+    centre_in = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0 <= level
+    code = np.where(((code == 5) | (code == 10)) & centre_in, 15 - code, code)
+    pairs = _CASE_PAIRS[code].reshape(-1, 2)
+    cell = np.repeat(np.arange(len(code)), 2)
+    keep = pairs[:, 0] >= 0
+    return points[cell[keep, None], pairs[keep]]
 
 
-def _chain_segments(segments) -> list[np.ndarray]:
-    if not segments:
+def _chain_segments(segs: np.ndarray) -> list[np.ndarray]:
+    if not len(segs):
         return []
-    scale = max(
-        max(abs(p[0][0]), abs(p[0][1]), abs(p[1][0]), abs(p[1][1]))
-        for p in segments
-    ) + 1.0
-
-    def key(p):
-        return (round(p[0] / scale, 9), round(p[1] / scale, 9))
-
-    segments = [(p, q) for p, q in segments if key(p) != key(q)]
+    # vertices meet where their coordinates agree to 9 digits of the scale
+    keys = [(tuple(p), tuple(q)) for p, q in
+            np.round(segs / (np.abs(segs).max() + 1.0), 9).tolist()]
+    live = [i for i, (kp, kq) in enumerate(keys) if kp != kq]
     adj: dict[tuple, list[int]] = {}
-    for i, (p, q) in enumerate(segments):
-        adj.setdefault(key(p), []).append(i)
-        adj.setdefault(key(q), []).append(i)
+    for i in live:
+        for k in keys[i]:
+            adj.setdefault(k, []).append(i)
 
-    used = [False] * len(segments)
+    used = [False] * len(segs)
     loops = []
-    for start in range(len(segments)):
+    for start in live:
         if used[start]:
             continue
         used[start] = True
-        p, q = segments[start]
-        loop = [p, q]
-        cur = q
-        while True:
-            nxt = None
-            for i in adj.get(key(cur), ()):
-                if not used[i]:
-                    nxt = i
-                    break
+        loop = [segs[start, 0], segs[start, 1]]
+        first, cur = keys[start]
+        while cur != first:
+            nxt = next((i for i in adj[cur] if not used[i]), None)
             if nxt is None:
+                loop.append(loop[0])
                 break
             used[nxt] = True
-            a, b = segments[nxt]
-            cur = b if key(a) == key(cur) else a
-            loop.append(cur)
-            if key(cur) == key(loop[0]):
-                break
-        if key(loop[-1]) != key(loop[0]):
-            loop.append(loop[0])
+            end = 1 if keys[nxt][0] == cur else 0
+            cur = keys[nxt][end]
+            loop.append(segs[nxt, end])
         loops.append(np.array(loop, dtype=np.float64))
     return loops
 
@@ -482,43 +455,27 @@ def _chain_segments(segments) -> list[np.ndarray]:
 
 def region_to_csv(region: Region, path) -> None:
     """Node table ``re,im,smin,mask`` (smin column empty without a field)."""
-    xs, ys = region.grid.xs, region.grid.ys
+    xs = [repr(x) for x in region.grid.xs.tolist()]
+    ys = [repr(y) for y in region.grid.ys.tolist()]
+    vals = (repeat("") if region.values is None
+            else map(repr, map(float, region.values.flat)))
+    rows = map("{0[1]},{0[0]},{1},{2:d}\n".format,
+               product(ys, xs), vals, map(int, region.mask.flat))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("re,im,smin,mask\n")
-        for iy in range(region.grid.ny):
-            for ix in range(region.grid.nx):
-                v = ("" if region.values is None
-                     else repr(float(region.values[iy, ix])))
-                fh.write(f"{float(xs[ix])!r},{float(ys[iy])!r},{v},"
-                         f"{int(region.mask[iy, ix])}\n")
+        fh.writelines(rows)
 
 
 def _mask_rle(mask: np.ndarray) -> list[int]:
+    """Run lengths of the flattened mask, starting with a (maybe empty)
+    run of False."""
     flat = mask.ravel()
-    runs = []
-    current = False
-    count = 0
-    for v in flat:
-        if v == current:
-            count += 1
-        else:
-            runs.append(count)
-            current = bool(v)
-            count = 1
-    runs.append(count)
-    return runs
+    starts = np.flatnonzero(np.diff(flat, prepend=False))
+    return np.diff(starts, prepend=0, append=flat.size).tolist()
 
 
 def _mask_from_rle(runs, shape) -> np.ndarray:
-    flat = np.zeros(int(np.prod(shape)), dtype=bool)
-    pos = 0
-    val = False
-    for run in runs:
-        if val:
-            flat[pos:pos + run] = True
-        pos += run
-        val = not val
-    return flat.reshape(shape)
+    return np.repeat(np.arange(len(runs)) % 2 == 1, runs).reshape(shape)
 
 
 def region_doc(region: Region) -> dict:

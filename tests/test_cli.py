@@ -200,8 +200,23 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
      "--schedule", "24:2:1"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
      "--n", "2", "SPECINCL_JOBS=four"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--grid=-inf,1,-1,1,8,8"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--eps", "nan"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--eps", "0.1,inf"],
+    ["converge", "--builtin", "jordan", "--eps", "nan",
+     "--schedule", "24:2:1"],
+    ["converge", "--builtin", "jordan", "--eps=-inf",
+     "--schedule", "24:2:1"],
+    ["verify", "--eps", "nan", "--count", "1"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "pi",
+     "--n", "2", "--t", "nan"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
-        "missing-input", "schedule", "converge-eps", "jobs-env"])
+        "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
+        "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
+        "verify-eps-nan", "t-nan"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])

@@ -296,6 +296,30 @@ def test_gershgorin_block_scalar_partition_equals_classical():
     assert np.array_equal(classical.mask, blockwise.mask)
 
 
+def test_gershgorin_block_sweeps_each_distinct_block_once(monkeypatch):
+    # Jordan blocks of one order are equal, so the partition (3,3,3,2,1)
+    # has three distinct diagonal blocks; the mask matches block-by-block
+    calls = []
+    sweep = ps.smin_grid
+
+    def counting(E, lambdas, *args, **kwargs):
+        calls.append(np.shape(E))
+        return sweep(E, lambdas, *args, **kwargs)
+
+    view = make_view(jordan(12), BlockPartition((3, 3, 3, 2, 1)))
+    grid = ps.GridSpec(-2.5, 2.5, -2.5, 2.5, 41, 41)
+    monkeypatch.setattr(inc.ps, "smin_grid", counting)
+    region = inc.gershgorin_block(view, grid=grid)
+    monkeypatch.undo()
+    assert sorted(calls) == [(1, 1), (2, 2), (3, 3)]
+    blockwise = np.zeros((41, 41), dtype=bool)
+    for i in range(view.block_count):
+        radius = sum(ps.spectral_norm(view.block(i, j))
+                     for j in range(view.block_count) if j != i)
+        blockwise |= ps.smin_grid(view.block(i, i), grid.nodes()) <= radius
+    assert np.array_equal(region.mask, blockwise)
+
+
 # ---------------------------------------------------------------------------
 # containment (grid level; the full corpus runs in acceptance)
 # ---------------------------------------------------------------------------

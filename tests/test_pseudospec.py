@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -135,6 +136,8 @@ def test_grid_spec_validation():
         GridSpec(1.0, 0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         GridSpec(0.0, 1.0, 0.0, 1.0, nx=1)
+    with pytest.raises(DomainError):
+        GridSpec(-math.inf, 1.0, -1.0, 1.0, 8, 8)
     g = GridSpec(-1.0, 1.0, -2.0, 2.0, 5, 9)
     assert g.dx == pytest.approx(0.5)
     assert g.dy == pytest.approx(0.5)
@@ -323,6 +326,20 @@ def test_contour_annulus_two_loops():
     assert radii[1] == pytest.approx(a_plus, abs=2 * grid.cell_diag)
 
 
+@pytest.mark.parametrize("field", [[[0.0, 1.0], [1.0, 0.0]],
+                                   [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["case5", "case10"])
+@pytest.mark.parametrize("level,count", [(0.5, 1), (0.45, 2)])
+def test_contour_saddle_follows_centre(field, level, count):
+    # the centre average 0.5 decides a saddle cell: inside, the two
+    # diagonal nodes join into one loop; outside, each gets its own
+    f = np.array(field)
+    region = Region(GridSpec(0, 1, 0, 1, 2, 2), f <= level, f, level)
+    loops = contour_extract(region)
+    assert len(loops) == count
+    assert all(loop_is_closed(loop) for loop in loops)
+
+
 def test_contour_empty_region():
     grid = GridSpec(-1, 1, -1, 1, 11, 11)
     with pytest.raises(EmptyRegionError):
@@ -364,13 +381,29 @@ def test_region_from_points_rasterizes():
 # exports
 # ---------------------------------------------------------------------------
 
-def test_region_json_roundtrip():
-    grid = GridSpec(-2, 2, -2, 2, 31, 31)
-    disc = make_disc(grid, 0.3, 0.7)
-    text = region_to_json(disc, params={"eps": 0.7})
+def first_node_only(shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask[0, 0] = True
+    return mask
+
+
+@pytest.mark.parametrize("make_mask", [
+    lambda grid: make_disc(grid, 0.3, 0.7).mask,
+    lambda grid: np.ones((grid.ny, grid.nx), dtype=bool),
+    lambda grid: np.zeros((grid.ny, grid.nx), dtype=bool),
+    lambda grid: first_node_only((grid.ny, grid.nx)),
+    lambda grid: np.add.outer(np.arange(grid.ny), np.arange(grid.nx)) % 2 == 0,
+], ids=["disc", "all-true", "all-false", "first-node", "checkerboard"])
+def test_region_json_roundtrip(make_mask):
+    grid = GridSpec(-2, 2, -2, 2, 31, 29)
+    mask = make_mask(grid)
+    text = region_to_json(Region(grid, mask), params={"eps": 0.7})
     back = region_from_json(text)
     assert back.grid == grid
-    assert np.array_equal(back.mask, disc.mask)
+    assert np.array_equal(back.mask, mask)
+    runs = json.loads(text)["mask_rle"]
+    assert sum(runs) == mask.size
+    assert (runs[0] == 0) == bool(mask[0, 0])
 
 
 def test_region_csv(tmp_path):
@@ -383,3 +416,10 @@ def test_region_csv(tmp_path):
     assert len(lines) == 1 + 9
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and int(first[3]) == 1
+    # repr round-trips a float, so the smin column is the field exactly
+    rows = [line.split(",") for line in lines[1:]]
+    assert np.array_equal([float(r[2]) for r in rows], disc.values.ravel())
+    assert np.array_equal([int(r[3]) for r in rows], disc.mask.ravel())
+    region_to_csv(Region(grid, disc.mask), path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [r[2] for r in rows] == [""] * 9
