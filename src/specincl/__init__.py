@@ -44,6 +44,7 @@ from .pseudospec import (
     default_grid,
     eig,
     hausdorff,
+    level_mask,
     pseudospectrum,
     region_intersect,
     region_union,
@@ -55,6 +56,7 @@ from .inclusion import (
     gershgorin,
     gershgorin_block,
     membership,
+    method_mask,
     pi_method,
     run_method,
     sigma_tau,

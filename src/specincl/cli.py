@@ -204,6 +204,11 @@ def cmd_converge(args) -> int:
 
 def cmd_verify(args) -> int:
     eps_list = _parse_eps_list(args.eps)
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
+    if not 2 <= args.order_min <= args.order_max:
+        raise UsageError("orders need 2 <= --order-min <= --order-max, got "
+                         f"{args.order_min} and {args.order_max}")
     items = build_corpus(seed=args.seed, count=args.count,
                          orders=(args.order_min, args.order_max))
     scale = 0.5 if args.adversarial else 1.0

@@ -6,16 +6,16 @@ penalty.  The tau method has two terms (sigma and sigma_hat), the pi and
 tau1 methods one.  ``levels`` gives the thresholds, ``family`` the
 contributions of each term and ``min_field`` the pointwise minimum of their
 smallest singular values, at grid nodes or at any points.  The grid methods,
-the pointwise ``membership`` test and the corpus verifier are all built on
-these three.  Duplicate submatrices (ubiquitous for Toeplitz inputs) are
-detected by content and computed once.
+the mask-only ``method_mask``, the pointwise ``membership`` test and the
+corpus verifier are all built on these three.  Duplicate submatrices
+(ubiquitous for Toeplitz inputs) are detected by content and computed once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "family",
     "min_field",
     "membership",
+    "method_mask",
     "sigma_tau",
     "pi_method",
     "tau1_method",
@@ -170,11 +171,13 @@ def membership(view: BlockMatrixView, method: str, n: int, eps: float,
 
 
 def _term_regions(view: BlockMatrixView, method: str, n: int, eps: float,
-                  grid, cnorm_mode: str, jobs, t=None, outer: bool = False):
-    """Penalty inputs and one grid Region per term of a family method.
+                  grid, cnorm_mode: str, jobs, t=None, outer: bool = False,
+                  mask_only: bool = False):
+    """Penalty inputs, the ``family`` terms and one grid Region per term.
 
     Without a grid, the default one is padded by the largest level (by the
-    sandwich level when ``outer``).
+    sandwich level when ``outer``).  With ``mask_only`` each term's mask
+    comes from ``level_mask`` and its Region carries no field.
     """
     _check_method_n(view, n)
     if eps < 0:
@@ -184,13 +187,39 @@ def _term_regions(view: BlockMatrixView, method: str, n: int, eps: float,
     if grid is None:
         pad = tau1_outer_level(p, eps) if outer else max(lvls)
         grid = ps.default_grid(view.matrix, pad=pad)
-    nodes = grid.nodes()
+    terms = family(view, method, n, t)
+    nodes = None if mask_only else grid.nodes()
     cache: dict = {}
     regions = []
-    for terms, level in zip(family(view, method, n, t), lvls):
-        vals = min_field(terms, nodes, jobs, cache)
-        regions.append(ps.Region(grid, vals <= level, vals, level))
-    return p, regions
+    for contribs, level in zip(terms, lvls):
+        if mask_only:
+            slack = ps.smin_slack([mat for _, mat, _ in contribs], grid)
+            mask = ps.level_mask(partial(min_field, contribs, jobs=jobs),
+                                 grid, level, slack)
+            regions.append(ps.Region(grid, mask, None, level))
+        else:
+            vals = min_field(contribs, nodes, jobs, cache)
+            regions.append(ps.Region(grid, vals <= level, vals, level))
+    return p, terms, regions
+
+
+def _outer_default(view: BlockMatrixView, outer: bool | None) -> bool:
+    return view.order <= _OUTER_AUTO_MAX_ORDER if outer is None else outer
+
+
+def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
+                grid: ps.GridSpec | None = None, t: complex | None = None,
+                cnorm_mode: str = "auto", jobs: int | None = None) -> ps.Region:
+    """Mask-only inclusion set of a family method at one eps.
+
+    The intersection of the term masks, each from ``level_mask`` over the
+    term's ``min_field``: the same mask as the full-sweep method (``Sigma``
+    of ``sigma_tau``, ``pi_method``, ``Gamma`` of ``tau1_method``) from far
+    fewer smin evaluations, with ``values=None``.
+    """
+    _, _, regions = _term_regions(view, method, n, eps, grid, cnorm_mode,
+                                  jobs, t=t, mask_only=True)
+    return reduce(ps.region_intersect, regions)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +236,7 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     union at level ``eps + eps_{n-2}`` for n > 2 (else None), and their
     intersection (== sigma for n <= 2).
     """
-    _, regions = _term_regions(view, "tau", n, eps, grid, cnorm_mode, jobs)
+    _, _, regions = _term_regions(view, "tau", n, eps, grid, cnorm_mode, jobs)
     if len(regions) == 1:
         return regions[0], None, regions[0]
     sigma, sigma_hat = regions
@@ -218,8 +247,8 @@ def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
-    _, [region] = _term_regions(view, "pi", n, eps, grid, cnorm_mode, jobs,
-                                t=t)
+    _, _, [region] = _term_regions(view, "pi", n, eps, grid, cnorm_mode,
+                                   jobs, t=t)
     return region
 
 
@@ -233,10 +262,9 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     is computed only when ``outer`` is True, or by default for orders
     <= 512; pass ``outer=False`` to skip it.
     """
-    if outer is None:
-        outer = view.order <= _OUTER_AUTO_MAX_ORDER
-    p, [gamma] = _term_regions(view, "tau1", n, eps, grid, cnorm_mode, jobs,
-                               outer=outer)
+    outer = _outer_default(view, outer)
+    p, _, [gamma] = _term_regions(view, "tau1", n, eps, grid, cnorm_mode,
+                                  jobs, outer=outer)
     outer_region = None
     if outer:
         outer_region = ps.pseudospectrum(view.matrix, tau1_outer_level(p, eps),
@@ -356,18 +384,16 @@ def run_method(view: BlockMatrixView, method: str, n: int | None = None,
     if method in ("tau", "pi", "tau1"):
         if n is None:
             raise DomainError(f"method {method!r} needs n")
-        if method == "tau":
-            region = sigma_tau(view, n, eps, grid, mode, jobs)[2]
-        elif method == "pi":
-            region = pi_method(view, n, t, eps, grid, mode, jobs)
-        else:
-            region = tau1_method(view, n, eps, grid, mode, jobs,
-                                 outer=outer)[0]
+        # the sandwich set is not part of the report; ``outer`` only sizes
+        # the default grid, as in ``tau1_method``
+        p, terms, regions = _term_regions(
+            view, method, n, eps, grid, mode, jobs, t=t,
+            outer=method == "tau1" and _outer_default(view, outer))
         t = complex(t) if method == "pi" else None
-        p = penalty_params(view, n, mode)
-        descs = tuple(d for d, _, _ in family(view, method, n, t)[0])
+        descs = tuple(d for d, _, _ in terms[0])
         return MethodReport(method, n, t, eps, levels(p, method, 0.0)[0],
-                            p.c_norm, mode, descs, region)
+                            p.c_norm, mode, descs,
+                            reduce(ps.region_intersect, regions))
     if method == "gersh":
         region, discs = gershgorin(view.matrix, grid)
         descs = tuple(("gersh", 1, k) for k in range(len(discs)))

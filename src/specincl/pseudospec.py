@@ -2,7 +2,9 @@
 
 A Region is a boolean mask over a rectangular grid of complex nodes,
 optionally carrying the field of smallest singular values it was thresholded
-from, so that one sweep serves every epsilon level.
+from, so that one sweep serves every epsilon level.  ``level_mask`` gives the
+mask alone at one level from far fewer nodes, certified by the Lipschitz
+continuity of smin.
 
 All grid sweeps run through one batched-SVD kernel; evaluation is
 data-parallel over nodes and a thread pool can be attached via ``jobs``
@@ -31,6 +33,8 @@ __all__ = [
     "smin_shifted",
     "smin_grid",
     "pseudospectrum",
+    "smin_slack",
+    "level_mask",
     "rethreshold",
     "region_union",
     "region_intersect",
@@ -224,6 +228,118 @@ def pseudospectrum(E, eps: float, grid: GridSpec, embed=None,
     return Region(grid, vals <= eps, vals, float(eps))
 
 
+# constant c of the singular-value error bound in ``smin_slack``
+_SLACK_C = 4
+# relative widening of node distances in ``level_mask``; covers the rounding
+# of its own margin arithmetic
+_DIST_WIDEN = 1.0 + 2.0 ** -30
+
+
+def smin_slack(matrices, grid: GridSpec) -> float:
+    """Rounding allowance of ``smin_grid`` values of ``matrices`` on ``grid``.
+
+    Let f(z) = smin(E - z I) (or ``E - z I_plus``) be the exact value and
+    f~(z) the one ``smin_grid`` computes.  Forming the shift rounds each
+    diagonal entry, a perturbation of 2-norm at most u (||E||_2 + |z|),
+    u = 2^-53.  The SVD reduces E - zI to bidiagonal form by 2n Householder
+    reflections, which is backward stable: the singular values it returns
+    are those of a matrix within c m n u ||E - zI||_2 of its input, m x n
+    being the shape of E (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, sections 19.3 and 20.1; the bidiagonal singular
+    values are then computed to high relative accuracy).  By Weyl's
+    inequality a singular value moves no more than the 2-norm of the
+    perturbation, so
+        |f~(z) - f(z)| <= delta = (c m n + 1) u (||E||_F + R),
+    with ||E||_2 <= ||E||_F and R >= |z| the largest modulus of the grid.
+    f is 1-Lipschitz, so any two computed values obey
+        |f~(a) - f~(b)| <= |a - b| + 2 delta.
+    ``level_mask`` measures |a - b| from index offsets times the spacing.
+    ``linspace`` rounds each stored coordinate once in its product and
+    once in its sum, so a stored node is within 4 u R of its ideal position
+    on each axis, and the measured distance is off by at most 8 u R.  The
+    allowance returned is 2 delta + 8 u R.  A pointwise minimum of several
+    such fields obeys the same bound with the largest allowance of its
+    matrices.
+    """
+    radius = math.hypot(max(abs(grid.re_min), abs(grid.re_max)),
+                        max(abs(grid.im_min), abs(grid.im_max)))
+    u = np.finfo(np.float64).eps / 2
+    delta = max((_SLACK_C * E.shape[0] * E.shape[1] + 1) * u
+                * (float(np.linalg.norm(E)) + radius)
+                for E in map(np.asarray, matrices))
+    return 2.0 * delta + 8.0 * u * radius
+
+
+def _lattice(count: int, stride: int) -> np.ndarray:
+    """Every ``stride``-th index below ``count``, and the last one."""
+    return np.union1d(np.arange(0, count, stride), [count - 1])
+
+
+def _around(lattice: np.ndarray, idx: np.ndarray):
+    """The lattice indices just below and just above each index."""
+    below = lattice[np.searchsorted(lattice, idx, "right") - 1]
+    above = lattice[np.searchsorted(lattice, idx, "left")]
+    return below, above
+
+
+def level_mask(field, grid: GridSpec, level: float,
+               slack: float) -> np.ndarray:
+    """``field(grid.nodes()) <= level``, from the field at as few nodes as
+    certify it.
+
+    ``field(points)`` maps a 1-D array of grid nodes to their values.  Any
+    two computed values must obey ``|f(a) - f(b)| <= |a - b| + slack``, with
+    |a - b| measured from the nodes' index offsets: the exact field is
+    1-Lipschitz in z, and ``slack`` allows for rounding (``smin_slack``
+    gives it for smin fields and their pointwise minima).
+
+    The field is evaluated on the lattice of every 2^k-th node (and the last
+    row and column); then the stride is halved down to 1.  An evaluated node
+    with value v has margin ``|v - level| - slack``.  A new node at distance
+    d from a node of the coarser lattice whose margin m exceeds d is decided
+    without evaluation: its value lies on that node's side of the level,
+    strictly, and it passes on the margin m - d.  The nodes that no
+    neighbour decides go to ``field`` in one call per stride.  A node whose
+    value ties with the level is never decided by a neighbour, so the mask
+    equals the full sweep bit for bit.
+    """
+    nodes = grid.nodes()
+    inside = np.zeros(nodes.shape, dtype=bool)
+    margin = np.zeros(nodes.shape)
+
+    def evaluate(iy, ix):
+        if iy.size:
+            vals = np.asarray(field(nodes[iy, ix]), dtype=np.float64)
+            inside[iy, ix] = vals <= level
+            margin[iy, ix] = np.abs(vals - level) - slack
+
+    ny, nx = nodes.shape
+    stride = 1 << max(0, (min(ny, nx) - 1).bit_length() - 3)
+    ly, lx = _lattice(ny, stride), _lattice(nx, stride)
+    evaluate(*(a.ravel() for a in np.meshgrid(ly, lx, indexing="ij")))
+    while stride > 1:
+        stride //= 2
+        fy, fx = _lattice(ny, stride), _lattice(nx, stride)
+        iy, ix = (a.ravel() for a in np.meshgrid(fy, fx, indexing="ij"))
+        new = ~(np.isin(iy, ly) & np.isin(ix, lx))
+        iy, ix = iy[new], ix[new]
+        best = np.full(iy.shape, -np.inf)
+        side = np.zeros(iy.shape, dtype=bool)
+        for cy in _around(ly, iy):
+            for cx in _around(lx, ix):
+                dist = np.hypot((iy - cy) * grid.dy, (ix - cx) * grid.dx)
+                m = margin[cy, cx] - dist * _DIST_WIDEN
+                better = m > best
+                best[better] = m[better]
+                side[better] = inside[cy, cx][better]
+        done = best > 0
+        margin[iy[done], ix[done]] = best[done]
+        inside[iy[done], ix[done]] = side[done]
+        evaluate(iy[~done], ix[~done])
+        ly, lx = fy, fx
+    return inside
+
+
 def rethreshold(region: Region, eps: float) -> Region:
     """New region at a different level, reusing the stored smin field."""
     if region.values is None:
@@ -323,6 +439,8 @@ def eig(E) -> np.ndarray:
 def default_grid(A, pad: float = 0.0, nx: int = 256, ny: int = 256) -> GridSpec:
     """Bounding box from the classical Gershgorin discs, inflated by ``pad``
     plus two grid cells, so the target sets stay interior to the grid."""
+    if nx < 2 or ny < 2:
+        raise DomainError("grid needs at least 2 nodes per axis")
     A = np.asarray(A, dtype=np.complex128)
     d = np.diag(A)
     radii = np.abs(A).sum(axis=1) - np.abs(d)

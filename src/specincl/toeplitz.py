@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -352,12 +353,17 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
 
     Each schedule row (M, n, w) builds the order-M Toeplitz matrix with the
     width-w block partition and compares the inclusion set against the
-    reference set on a shared grid: the grid smin sweep of the full matrix
-    for eps > 0, the rasterized eigenvalues for eps = 0 (Hermitian symbols
-    only).  Banded symbols (within w) use the square-truncation method,
-    symbols with a tail use the rectangular one.  The monotonicity report
-    checks non-strict decrease (2-cell slack) between consecutive rows from
-    n >= 4 on.
+    reference set on a shared grid: the eps-pseudospectrum of the full
+    matrix for eps > 0, the rasterized eigenvalues for eps = 0 (Hermitian
+    symbols only).  Banded symbols (within w) use the square-truncation
+    method, symbols with a tail use the rectangular one.  The monotonicity
+    report checks non-strict decrease (2-cell slack) between consecutive
+    rows from n >= 4 on.
+
+    ``hausdorff`` reads masks only, and a study has one eps, so both sets
+    are certified mask-only regions (``method_mask``, and ``level_mask``
+    over the smin field of the full matrix): the masks of the full sweeps,
+    bit for bit, without a field that could serve other eps levels.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
@@ -389,19 +395,17 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
         if M not in references:
             A = build_toeplitz(spec, M)
             if eps > 0:
-                references[M] = ps.pseudospectrum(A, eps, grid, jobs=jobs)
+                mask = ps.level_mask(partial(ps.smin_grid, A, jobs=jobs),
+                                     grid, eps, ps.smin_slack([A], grid))
+                references[M] = ps.Region(grid, mask, None, float(eps))
             else:
                 references[M] = ps.region_from_points(grid, ps.eig(A))
         return references[M]
 
     rows = []
     for (M, n, w), method in zip(schedule, methods):
-        view = views[(M, w)]
-        if method == "tau":
-            _, _, region = inc.sigma_tau(view, n, eps, grid=grid, jobs=jobs)
-        else:
-            region, _ = inc.tau1_method(view, n, eps, grid=grid, jobs=jobs,
-                                        outer=False)
+        region = inc.method_mask(views[(M, w)], method, n, eps, grid=grid,
+                                 jobs=jobs)
         d = ps.hausdorff(region, reference(M))
         rows.append(StudyRow(M, n, w, eps, method, d, grid.cell_diag))
 

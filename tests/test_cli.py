@@ -213,10 +213,18 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["verify", "--eps", "nan", "--count", "1"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "pi",
      "--n", "2", "--t", "nan"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--grid", "1,1"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1",
+     "--schedule", "24:2:1", "--grid-nodes", "1"],
+    ["verify", "--count", "1", "--order-min", "5", "--order-max", "3"],
+    ["verify", "--count", "1", "--order-min", "-3", "--order-max", "6"],
+    ["verify", "--count", "0"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
-        "verify-eps-nan", "t-nan"])
+        "verify-eps-nan", "t-nan", "grid-one-node", "converge-grid-one-node",
+        "verify-orders-reversed", "verify-order-negative", "verify-count-0"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])

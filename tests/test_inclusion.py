@@ -225,6 +225,55 @@ def test_membership_matches_region(method):
     assert member.any() and not member.all()
 
 
+def full_sweep_region(view, method, n, eps, grid, t):
+    if method == "tau":
+        return inc.sigma_tau(view, n, eps, grid=grid)[2]
+    if method == "pi":
+        return inc.pi_method(view, n, t, eps, grid=grid)
+    return inc.tau1_method(view, n, eps, grid=grid, outer=False)[0]
+
+
+@pytest.mark.parametrize("method, n", [("tau", 2), ("tau", 4), ("pi", 3),
+                                       ("tau1", 3)])
+def test_method_mask_equals_full_sweep(method, n):
+    rng = np.random.default_rng(31)
+    A = rand_complex(rng, (12, 12)) / 3
+    A[np.abs(np.subtract.outer(np.arange(12), np.arange(12))) > 4] = 0
+    t = 1j
+    for view in (scalar_view(A), make_view(A, BlockPartition((2,) * 6))):
+        for eps in (0.0, 0.2):
+            p = inc.penalty_params(view, n)
+            grid = ps.default_grid(A, pad=max(inc.levels(p, method, eps)),
+                                   nx=61, ny=53)
+            full = full_sweep_region(view, method, n, eps, grid, t)
+            region = inc.method_mask(view, method, n, eps, grid=grid, t=t)
+            assert region.values is None and region.grid == grid
+            assert np.array_equal(region.mask, full.mask)
+            assert full.mask.any() and not full.mask.all()
+
+
+def test_method_mask_default_grid():
+    view = scalar_view(jordan(10))
+    full = inc.sigma_tau(view, 4, 0.1)[2]
+    region = inc.method_mask(view, "tau", 4, 0.1)
+    assert region.grid == full.grid
+    assert np.array_equal(region.mask, full.mask)
+
+
+def test_run_method_builds_each_family_once(monkeypatch):
+    view = scalar_view(laplacian(8))
+    grid = ps.GridSpec(-3, 3, -3, 3, 21, 21)
+    calls = {"family": 0, "penalty_params": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(inc, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(inc, name, counted)
+    for method in ("tau", "pi", "tau1"):
+        inc.run_method(view, method, n=3, t=1.0, eps=0.1, grid=grid)
+    assert calls == {"family": 3, "penalty_params": 3}
+
+
 # ---------------------------------------------------------------------------
 # Gershgorin baselines
 # ---------------------------------------------------------------------------

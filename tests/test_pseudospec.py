@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from specincl import inclusion as inc
 from specincl.errors import DomainError, EmptyRegionError, GridMismatch
 from specincl.matrixcore import BlockPartition, embedding_selector, make_view, submatrix_tau1
 from specincl.pseudospec import (
@@ -14,6 +15,7 @@ from specincl.pseudospec import (
     default_grid,
     eig,
     hausdorff,
+    level_mask,
     pseudospectrum,
     region_from_json,
     region_from_points,
@@ -25,6 +27,7 @@ from specincl.pseudospec import (
     smin,
     smin_grid,
     smin_shifted,
+    smin_slack,
 )
 from specincl.toeplitz import jordan, jordan_alpha, laplacian
 
@@ -205,6 +208,109 @@ def test_pseudospectrum_jobs_deterministic():
     threaded = pseudospectrum(E, 0.3, grid, jobs=2)
     assert np.array_equal(serial.values, threaded.values)
     assert np.array_equal(serial.mask, threaded.mask)
+
+
+# ---------------------------------------------------------------------------
+# certified level masks
+# ---------------------------------------------------------------------------
+
+class CountingField:
+    """A field that keeps the nodes it is asked for."""
+
+    def __init__(self, field):
+        self.field, self.seen = field, []
+
+    def __call__(self, points):
+        self.seen.append(points)
+        return self.field(points)
+
+    @property
+    def nodes(self):
+        return sum(p.size for p in self.seen)
+
+
+def banded_random(order, width, seed):
+    rng = np.random.default_rng(seed)
+    A = np.zeros((order, order), dtype=complex)
+    for k in range(-width, width + 1):
+        A += np.diag(rand_complex(rng, order - abs(k)), k)
+    return A
+
+
+def smin_case(A):
+    return [A], lambda pts: smin_grid(A, pts)
+
+
+def tau1_case():
+    # the rectangular truncations of a Jordan block, each with its
+    # embedding_selector, as the tau1 method sweeps them
+    view = make_view(jordan(10), BlockPartition((1,) * 10))
+    terms = inc.family(view, "tau1", 3)[0]
+    assert all(embed is not None for _, _, embed in terms)
+    return [m for _, m, _ in terms], lambda pts: inc.min_field(terms, pts)
+
+
+@pytest.mark.parametrize("case, levels", [
+    (lambda: smin_case(jordan(12)), (0.05, 0.3, 0.8)),
+    (lambda: smin_case(laplacian(10)), (0.1, 0.5)),
+    (lambda: smin_case(banded_random(16, 2, seed=11)), (0.2, 1.0)),
+    (tau1_case, (0.6, 0.9)),
+], ids=["jordan", "laplacian", "banded-random", "tau1-family"])
+def test_level_mask_equals_full_sweep(case, levels):
+    matrices, field = case()
+    grid = GridSpec(-2.6, 2.4, -2.3, 2.5, 97, 83)
+    full = field(grid.nodes())
+    for level in levels:
+        counted = CountingField(field)
+        mask = level_mask(counted, grid, level, smin_slack(matrices, grid))
+        assert np.array_equal(mask, full <= level)
+        assert 0 < mask.sum() < mask.size
+        assert counted.nodes < mask.size / 2
+
+
+def test_level_mask_ties_are_evaluated():
+    # an interior pi-truncation of a Jordan block is a cyclic shift, whose
+    # smin at z = 0 is exactly 1.0; 2 sin(pi/6) is one ulp below 1.0
+    view = make_view(jordan(12), BlockPartition((1,) * 12))
+    shift = inc.family(view, "pi", 3, t=1.0)[0][4][1]
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 65, 65)
+    centre = (32, 32)
+    assert grid.nodes()[centre] == 0
+    full = smin_grid(shift, grid.nodes())
+    assert full[centre] == 1.0
+    below = 2.0 * math.sin(math.pi / 6)
+    assert below < 1.0
+    slack = smin_slack([shift], grid)
+    for level in (below, 1.0):
+        counted = CountingField(lambda pts: smin_grid(shift, pts))
+        mask = level_mask(counted, grid, level, slack)
+        assert np.array_equal(mask, full <= level)
+        assert 0 in np.concatenate(counted.seen)
+        assert counted.nodes < mask.size
+        # smin < 1 at the centre's neighbours, so at 2 sin(pi/6) the centre
+        # is a one-node hole in the set
+        assert mask[centre] == (level == 1.0)
+        assert mask[31:34, 31:34].sum() == 8 + (level == 1.0)
+
+
+def test_level_mask_small_and_uniform_grids():
+    field = lambda pts: np.abs(pts - 0.3)
+    for grid in (GridSpec(-1, 1, -1, 1, 2, 2), GridSpec(-1, 1, -1, 1, 3, 7),
+                 GridSpec(-1, 1, -1, 1, 256, 256)):
+        full = field(grid.nodes())
+        for level in (0.0, 0.5, 5.0):
+            mask = level_mask(field, grid, level, 1e-12)
+            assert np.array_equal(mask, full <= level)
+
+
+def test_smin_slack_scales_with_norm_and_grid():
+    grid = GridSpec(-1, 1, -1, 1, 9, 9)
+    J = jordan(8)
+    small = smin_slack([J], grid)
+    assert 0 < small < 1e-11
+    assert smin_slack([100 * J], grid) > 50 * small
+    assert smin_slack([J], GridSpec(-1e3, 1e3, -1, 1, 9, 9)) > 50 * small
+    assert smin_slack([J, jordan(2)], grid) == small
 
 
 # ---------------------------------------------------------------------------

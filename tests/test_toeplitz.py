@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from specincl import inclusion as inc
+from specincl import pseudospec as ps
 from specincl.errors import DomainError
 from specincl.matrixcore import make_view, split_tridiagonal
 from specincl.penalty import solve_theta
@@ -278,6 +280,45 @@ def test_convergence_study_wiener_tau1_route():
                                grid_nodes=64)
     assert all(r.method == "tau1" for r in result.rows)
     assert all(np.isfinite(r.d_h) for r in result.rows)
+
+
+def full_sweep_rows(spec, eps, schedule, grid_nodes):
+    """Study rows from the full-field methods and reference pseudospectra,
+    on the grid ``convergence_study`` builds."""
+    plan = []
+    for M, n, w in schedule:
+        view = make_view(build_toeplitz(spec, M), banded_partition(M, w))
+        method = "tau" if wiener_tail(spec, w) == 0.0 else "tau1"
+        plan.append((M, n, w, view, method))
+    pad = max(inc.levels(inc.penalty_params(view, n), method, eps)[0]
+              for _, n, _, view, method in plan)
+    A_big = build_toeplitz(spec, max(M for M, _, _ in schedule))
+    grid = ps.default_grid(A_big, pad=pad, nx=grid_nodes, ny=grid_nodes)
+    rows = []
+    for M, n, w, view, method in plan:
+        if method == "tau":
+            region = inc.sigma_tau(view, n, eps, grid=grid)[2]
+        else:
+            region = inc.tau1_method(view, n, eps, grid=grid, outer=False)[0]
+        A = build_toeplitz(spec, M)
+        ref = (ps.pseudospectrum(A, eps, grid) if eps > 0
+               else ps.region_from_points(grid, eig(A)))
+        rows.append((M, n, w, eps, method, ps.hausdorff(region, ref),
+                     grid.cell_diag))
+    return rows
+
+
+@pytest.mark.parametrize("spec, eps, schedule", [
+    (jordan_symbol(), 0.15, [(32, n, 1) for n in (2, 4, 8)]),
+    (laplacian_symbol(), 0.0, [(24, 2, 1), (32, 4, 1)]),
+    (toeplitz_spec({j: 2.0 ** (-abs(j)) for j in range(-5, 6)}), 0.3,
+     [(24, 2, 2), (24, 4, 2)]),
+], ids=["jordan-tau", "laplacian-eps0", "wiener-tau1"])
+def test_convergence_study_rows_equal_full_sweeps(spec, eps, schedule):
+    result = convergence_study(spec, eps, schedule, grid_nodes=72)
+    rows = [(r.M, r.n, r.w, r.eps, r.method, r.d_h, r.cell)
+            for r in result.rows]
+    assert rows == full_sweep_rows(spec, eps, schedule, 72)
 
 
 def test_convergence_study_rejects_eps0_nonhermitian():
