@@ -88,12 +88,15 @@ def _parse_grid(text, A, pad, default_nodes=256):
 
 
 def _jobs_default(value) -> int:
-    if value is not None:
-        return int(value)
-    env = os.environ.get("SPECINCL_JOBS")
-    if env:
-        return _parse_number(env, int, "SPECINCL_JOBS")
-    return os.cpu_count() or 1
+    option = "--jobs"
+    if value is None:
+        env = os.environ.get("SPECINCL_JOBS")
+        if not env:
+            return ps.usable_cpus()
+        option, value = "SPECINCL_JOBS", _parse_number(env, int, "SPECINCL_JOBS")
+    if value < 1:
+        raise UsageError(f"{option} must be at least 1, got {value}")
+    return value
 
 
 def _load_input(args) -> np.ndarray:
@@ -115,6 +118,7 @@ def _load_input(args) -> np.ndarray:
 
 
 def cmd_include(args) -> int:
+    jobs = _jobs_default(args.jobs)
     A = _load_input(args)
     view = make_view(A, resolve_partition(args.partition, A))
     N = view.block_count
@@ -146,7 +150,6 @@ def cmd_include(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lams = ps.eig(A) if A.shape[0] <= 2000 else None
-    jobs = _jobs_default(args.jobs)
 
     for method in methods:
         for eps in eps_list:

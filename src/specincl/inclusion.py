@@ -142,18 +142,20 @@ def min_field(contributions, points, jobs: int | None = None,
               cache: dict | None = None) -> np.ndarray:
     """Pointwise minimum of smin over the content-distinct contributions.
 
-    ``cache`` maps content keys to fields already evaluated at the same
-    points; pass one dict to several calls to share their sweeps.
+    The contributions not yet in ``cache`` go to the kernel in one
+    ``smin_fields`` call, which stacks those of one shape.  ``cache`` maps
+    content keys to fields already evaluated at the same points; pass one
+    dict to several calls to share their sweeps.
     """
     cache = {} if cache is None else cache
-    fields = {}
+    keys, missing = {}, {}
     for _, mat, embed in contributions:
         key = mat.tobytes() + (b"" if embed is None else b"|" + embed.tobytes())
-        if key not in fields:
-            if key not in cache:
-                cache[key] = ps.smin_grid(mat, points, embed=embed, jobs=jobs)
-            fields[key] = cache[key]
-    return reduce(np.minimum, fields.values())
+        keys[key] = None
+        if key not in cache:
+            missing[key] = (mat, embed)
+    cache.update(zip(missing, ps.smin_fields(missing.values(), points, jobs)))
+    return reduce(np.minimum, (cache[key] for key in keys))
 
 
 def membership(view: BlockMatrixView, method: str, n: int, eps: float,

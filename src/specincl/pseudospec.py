@@ -6,18 +6,26 @@ from, so that one sweep serves every epsilon level.  ``level_mask`` gives the
 mask alone at one level from far fewer nodes, certified by the Lipschitz
 continuity of smin.
 
-All grid sweeps run through one batched-SVD kernel; evaluation is
-data-parallel over nodes and a thread pool can be attached via ``jobs``
-(LAPACK releases the GIL).  Results are written to disjoint node slots, so
-the output is identical for any worker count.
+All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
+the shifted copies of every matrix of one shape, over (matrix x node), and
+cuts the stack into blocks of at most about 4 MiB of complex entries.  A
+call with ``jobs`` > 1 forms at least that many blocks when each still
+carries enough SVD work to repay a thread hand-off, and runs them on a
+thread pool of at most ``jobs`` workers, never more than the usable CPUs
+(LAPACK releases the GIL), so at most ``jobs`` blocks are in memory at once.
+Each block writes its own result slots, and the batched SVD returns the same
+bits however a batch is split or stacked, so the output is identical for any
+worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import product, repeat
 
 import numpy as np
@@ -31,7 +39,9 @@ __all__ = [
     "smin",
     "spectral_norm",
     "smin_shifted",
+    "smin_fields",
     "smin_grid",
+    "usable_cpus",
     "pseudospectrum",
     "smin_slack",
     "level_mask",
@@ -52,8 +62,14 @@ __all__ = [
     "region_from_json",
 ]
 
-# batched shifts are processed in chunks of at most this many complex entries
-_CHUNK_ENTRIES = 4_000_000
+# largest block of stacked shifted copies (and their embedded shifts), in
+# bytes of complex entries
+_BLOCK_BYTES = 4 << 20
+# least SVD work of a block handed to a worker thread, in real flops.  On 2
+# vCPU with OpenBLAS 0.3.31 a two-thread pool costs about 0.7 ms to start,
+# and the batched SVD runs at up to 3 Gflop/s (order 48 and up; far slower
+# below), so such a block takes over 1 ms
+_MIN_BLOCK_FLOPS = 4e6
 
 
 def smin(E) -> float:
@@ -95,39 +111,118 @@ def smin_shifted(E, lam: complex, embed=None) -> float:
     return smin(shifted)
 
 
+def usable_cpus() -> int:
+    """Number of CPUs this process may run on; no sweep uses more threads."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _workers(jobs: int | None) -> int:
+    """Worker threads a sweep may use: ``jobs`` capped at ``usable_cpus``."""
+    if jobs is None:
+        return 1
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    return min(jobs, usable_cpus())
+
+
+def _svd_flops(rows: int, cols: int) -> float:
+    """Real flops of one singular-values-only complex SVD (rows >= cols):
+    the bidiagonalisation count ``4 m n^2 - 4 n^3 / 3``, times 4 for complex
+    arithmetic."""
+    return 4.0 * (4.0 * rows * cols ** 2 - 4.0 * cols ** 3 / 3.0)
+
+
+def _blocks(units: int, rows: int, cols: int, embedded: bool,
+            workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` spans of ``units`` stacked shifted copies
+    of rows x cols matrices, one span per block.
+
+    A block holds at most ``_BLOCK_BYTES`` of copies (twice the entries with
+    an embedding, whose scaled copy is formed beside them).  There are at
+    least ``workers`` blocks when each still gets ``_MIN_BLOCK_FLOPS``.
+    """
+    per_unit = 16 * rows * cols * (2 if embedded else 1)
+    cap = max(1, _BLOCK_BYTES // per_unit)
+    worth = int(units * _svd_flops(rows, cols) // _MIN_BLOCK_FLOPS)
+    count = min(units, max(-(-units // cap), min(workers, worth)))
+    edges = [units * k // count for k in range(count + 1)] if count else []
+    return list(zip(edges, edges[1:]))
+
+
+def _sweep_block(stack, embeds, shifts, out, start: int, stop: int) -> None:
+    """smin of stacked units ``start:stop``; unit u is matrix
+    ``u // len(shifts)`` shifted by ``shifts[u % len(shifts)]``."""
+    which, node = np.divmod(np.arange(start, stop), len(shifts))
+    batch = stack[which]
+    shift = shifts[node]
+    if embeds is None:
+        idx = np.arange(batch.shape[1])
+        batch[:, idx, idx] -= shift[:, None]
+    else:
+        scaled = embeds[which]
+        np.multiply(shift[:, None, None], scaled, out=scaled)
+        batch -= scaled
+    out[start:stop] = np.linalg.svd(batch, compute_uv=False)[:, -1]
+
+
+def smin_fields(items, lambdas, jobs: int | None = None) -> list[np.ndarray]:
+    """``smin(E - lam*I)`` (``smin(E - lam*embed)`` where an embedding is
+    given) of every ``(E, embed)`` item over the same array of shifts.
+
+    Returns one array of the shape of ``lambdas`` per item, in item order.
+    Items of one shape, with or without an embedding, are stacked over
+    (item x shift) and swept in blocks of at most about 4 MiB of complex
+    entries, in one batched LAPACK SVD per block.  With ``jobs`` > 1 the
+    blocks run on at most ``jobs`` threads, never more than ``usable_cpus``;
+    a call forms at least that many blocks when the work allows, and stays
+    on the calling thread when no two blocks would repay the hand-off.
+    """
+    items = list(items)
+    lam = np.asarray(lambdas, dtype=np.complex128)
+    shifts = lam.ravel()
+    workers = _workers(jobs)
+    groups: dict[tuple, list[int]] = {}
+    for i, (E, embed) in enumerate(items):
+        rows, cols = np.shape(E)
+        if embed is None and rows != cols:
+            raise DomainError("rectangular matrices need an explicit embedding")
+        groups.setdefault((rows, cols, embed is None), []).append(i)
+
+    fields: list = [None] * len(items)
+    tasks, flops = [], 0.0
+    for (rows, cols, square), members in groups.items():
+        stack = np.stack([items[i][0] for i in members], dtype=np.complex128)
+        embeds = None if square else np.stack(
+            [items[i][1] for i in members], dtype=np.complex128)
+        out = np.empty((len(members), shifts.size))
+        for k, i in enumerate(members):
+            fields[i] = out[k].reshape(lam.shape)
+        flat = out.reshape(-1)
+        for start, stop in _blocks(flat.size, rows, cols, not square, workers):
+            tasks.append(partial(_sweep_block, stack, embeds, shifts, flat,
+                                 start, stop))
+        flops += flat.size * _svd_flops(rows, cols)
+    workers = min(workers, len(tasks), int(flops // _MIN_BLOCK_FLOPS))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for done in [pool.submit(task) for task in tasks]:
+                done.result()
+    else:
+        for task in tasks:
+            task()
+    return fields
+
+
 def smin_grid(E, lambdas, embed=None, jobs: int | None = None) -> np.ndarray:
     """Vectorized ``smin(E - lam*I)`` over an array of shifts.
 
-    Returns an array of the same shape as ``lambdas``.  The kernel batches
-    the shifted copies and calls the LAPACK SVD once per chunk.
+    Returns an array of the same shape as ``lambdas``: the one-matrix case
+    of ``smin_fields``, swept in blocks of at most about 4 MiB of complex
+    entries, on up to ``jobs`` threads (capped at ``usable_cpus``).
     """
-    E = np.asarray(E, dtype=np.complex128)
-    lam = np.asarray(lambdas, dtype=np.complex128)
-    flat = lam.ravel()
-    out = np.empty(flat.shape, dtype=np.float64)
-    rows, cols = E.shape
-    if embed is None and rows != cols:
-        raise DomainError("rectangular matrices need an explicit embedding")
-    chunk = max(1, _CHUNK_ENTRIES // (rows * cols))
-
-    def run(start: int, stop: int) -> None:
-        piece = flat[start:stop]
-        batch = np.broadcast_to(E, (len(piece), rows, cols)).copy()
-        if embed is None:
-            idx = np.arange(rows)
-            batch[:, idx, idx] -= piece[:, None]
-        else:
-            batch -= piece[:, None, None] * embed[None, :, :]
-        out[start:stop] = np.linalg.svd(batch, compute_uv=False)[:, -1]
-
-    spans = [(s, min(s + chunk, len(flat))) for s in range(0, len(flat), chunk)]
-    if jobs and jobs > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(lambda se: run(*se), spans))
-    else:
-        for s, e in spans:
-            run(s, e)
-    return out.reshape(lam.shape)
+    return smin_fields([(E, embed)], lambdas, jobs)[0]
 
 
 @dataclass(frozen=True)

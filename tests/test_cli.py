@@ -158,6 +158,38 @@ def test_include_matrix_file_input(tmp_path):
     assert (out / "tau_n2_eps0.1.json").exists()
 
 
+def _outputs(out):
+    return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file()}
+
+
+def test_artifacts_independent_of_jobs(tmp_path):
+    # a seeded banded matrix (band width 2, no two contributions equal) and
+    # a short convergence study, each written at --jobs 1 and --jobs 2
+    rng = np.random.default_rng(23)
+    A = sum(np.diag(rng.standard_normal(24 - abs(k))
+                    + 1j * rng.standard_normal(24 - abs(k)), k)
+            for k in range(-2, 3))
+    path = tmp_path / "banded.mtx"
+    write_matrix_market(path, A)
+    runs = [
+        ["include", "--input", str(path), "--partition", "auto-band",
+         "--method", "all", "--n", "4", "--t", "1", "--eps", "0,0.1",
+         "--grid", "32,32", "--no-timestamp"],
+        ["include", "--input", str(path), "--partition", "auto-band",
+         "--method", "block-gersh", "--grid", "32,32", "--no-timestamp"],
+        ["converge", "--builtin", "jordan", "--eps", "0.15",
+         "--schedule", "48:2:1,48:4:1", "--grid-nodes", "32"],
+    ]
+    for i, argv in enumerate(runs):
+        outs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"run{i}_jobs{jobs}"
+            assert main(argv + ["--jobs", jobs, "--out-dir", str(out)]) == 0
+            outs.append(_outputs(out))
+        assert outs[0] and outs[0] == outs[1]
+
+
 def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     # the tau set at n = 2 is the single union at eps + eps_2, so the grid
     # is padded by that level (not by eps_1, which no term uses)
@@ -220,11 +252,18 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["verify", "--count", "1", "--order-min", "5", "--order-max", "3"],
     ["verify", "--count", "1", "--order-min", "-3", "--order-max", "6"],
     ["verify", "--count", "0"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--jobs", "0"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1",
+     "--schedule", "24:2:1", "--jobs", "-4"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "SPECINCL_JOBS=0"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
         "verify-eps-nan", "t-nan", "grid-one-node", "converge-grid-one-node",
-        "verify-orders-reversed", "verify-order-negative", "verify-count-0"])
+        "verify-orders-reversed", "verify-order-negative", "verify-count-0",
+        "jobs-0", "converge-jobs-negative", "jobs-env-0"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from specincl import inclusion as inc
+from specincl import pseudospec as ps
 from specincl.errors import DomainError, EmptyRegionError, GridMismatch
 from specincl.matrixcore import BlockPartition, embedding_selector, make_view, submatrix_tau1
 from specincl.pseudospec import (
@@ -208,6 +209,76 @@ def test_pseudospectrum_jobs_deterministic():
     threaded = pseudospectrum(E, 0.3, grid, jobs=2)
     assert np.array_equal(serial.values, threaded.values)
     assert np.array_equal(serial.mask, threaded.mask)
+
+
+def _smin_one_at_a_time(E, embed, points):
+    """Reference field: one ``smin`` call per shift."""
+    return np.array([smin_shifted(E, lam, embed) for lam in points])
+
+
+def _kernel_contributions(rng):
+    """Square blocks of orders 1, 3, 12 and 48 plus the tau and tau1
+    families of a banded matrix: mixed square orders, and rectangular
+    shapes with embeddings (the edge truncations are shorter)."""
+    A = np.triu(np.tril(rand_complex(rng, (9, 9)), 1), -1)
+    view = make_view(A, BlockPartition((1,) * 9))
+    singles = [(("block", m, 0), rand_complex(rng, (m, m)), None)
+               for m in (1, 3, 12, 48)]
+    return (singles + inc.family(view, "tau", 3)[0]
+            + inc.family(view, "tau1", 3)[0])
+
+
+# node counts on either side of the block edges of the 12 x 12 matrices
+@pytest.mark.parametrize("count", [1, 6, 7, 14, 15])
+def test_kernel_jobs_invariant(monkeypatch, count):
+    # seven 12 x 12 copies per block, and no work floor: every call splits
+    # into many blocks and threads whenever jobs > 1
+    monkeypatch.setattr(ps, "_BLOCK_BYTES", 16 * 12 * 12 * 7)
+    monkeypatch.setattr(ps, "_MIN_BLOCK_FLOPS", 1.0)
+    monkeypatch.setattr(ps, "usable_cpus", lambda: 3)
+    blocks = []
+    sweep = ps._sweep_block
+
+    def counted(*args):
+        blocks.append(args[-2:])
+        sweep(*args)
+
+    monkeypatch.setattr(ps, "_sweep_block", counted)
+    rng = np.random.default_rng(count)
+    points = rand_complex(rng, count)
+    contribs = _kernel_contributions(rng)
+    refs = [_smin_one_at_a_time(E, embed, points) for _, E, embed in contribs]
+    for jobs in (1, 2, 3):
+        for (_, E, embed), ref in zip(contribs, refs):
+            assert np.array_equal(smin_grid(E, points, embed, jobs=jobs), ref)
+        blocks.clear()
+        field = inc.min_field(contribs, points, jobs=jobs)
+        assert np.array_equal(field, np.minimum.reduce(refs))
+        assert len(blocks) > 1
+
+
+def test_kernel_block_plan(monkeypatch):
+    # 48 x 48 copies: 113 fit in a block, so 226 nodes end on a block edge
+    cap = ps._BLOCK_BYTES // (16 * 48 * 48)
+    assert ps._blocks(2 * cap, 48, 48, False, 1) == [(0, cap), (cap, 2 * cap)]
+    spans = ps._blocks(2 * cap + 1, 48, 48, False, 1)
+    assert len(spans) == 3 and max(e - s for s, e in spans) <= cap
+    # enough work: at least one block per worker, covering every unit once
+    spans = ps._blocks(1600 * 13, 12, 12, False, 2)
+    assert len(spans) >= 2 and spans[0][0] == 0 and spans[-1][1] == 1600 * 13
+    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    # a block with an embedding holds its scaled copy too
+    spans = ps._blocks(4 * cap, 48, 48, True, 1)
+    assert max(e - s for s, e in spans) <= ps._BLOCK_BYTES // (32 * 48 * 48)
+    # too little work to repay a thread: one block, whatever jobs is
+    assert ps._blocks(12, 12, 12, False, 2) == [(0, 12)]
+    assert ps._blocks(0, 12, 12, False, 2) == []
+    # workers never exceed the usable CPUs; jobs < 1 is an error
+    monkeypatch.setattr(ps, "usable_cpus", lambda: 2)
+    assert ps._workers(10_000) == 2
+    assert ps._workers(None) == 1 and ps._workers(1) == 1
+    with pytest.raises(DomainError):
+        ps._workers(0)
 
 
 # ---------------------------------------------------------------------------
