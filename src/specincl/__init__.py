@@ -43,6 +43,7 @@ from .pseudospec import (
     covers_points,
     default_grid,
     eig,
+    fill_corners,
     hausdorff,
     level_mask,
     pseudospectrum,
@@ -57,6 +58,7 @@ from .inclusion import (
     gershgorin_block,
     membership,
     method_mask,
+    method_reports,
     pi_method,
     run_method,
     sigma_tau,

@@ -152,10 +152,11 @@ def cmd_include(args) -> int:
     lams = ps.eig(A) if A.shape[0] <= 2000 else None
 
     for method in methods:
-        for eps in eps_list:
-            report = inc.run_method(view, method, n=args.n, t=t, eps=eps,
-                                    grid=grid, cnorm_mode=args.cnorm_mode,
-                                    jobs=jobs)
+        # one sweep per method serves the whole eps list
+        reports = inc.method_reports(view, method, eps_list, n=args.n, t=t,
+                                     grid=grid, cnorm_mode=args.cnorm_mode,
+                                     jobs=jobs)
+        for eps, report in zip(eps_list, reports):
             stem = f"{method}_n{args.n or 0}_eps{eps:g}"
             (out_dir / f"{stem}.json").write_text(report.to_json() + "\n",
                                                   encoding="ascii")

@@ -9,6 +9,11 @@ smallest singular values, at grid nodes or at any points.  The grid methods,
 the mask-only ``method_mask``, the pointwise ``membership`` test and the
 corpus verifier are all built on these three.  Duplicate submatrices
 (ubiquitous for Toeplitz inputs) are detected by content and computed once.
+
+Every grid method makes one certified ``level_mask`` sweep over the fields
+of all its terms at all its eps levels, so each (contribution, node) pair is
+evaluated at most once, and only near the level curves.  Its regions carry
+the band field, completed by ``fill_corners`` where they are contoured.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ __all__ = [
     "gershgorin",
     "gershgorin_block",
     "tau1_outer_level",
+    "method_reports",
     "run_method",
 ]
 
@@ -138,6 +144,10 @@ def family(view: BlockMatrixView, method: str, n: int,
     raise DomainError(f"unknown family method {method!r}")
 
 
+def _content_key(mat, embed) -> bytes:
+    return mat.tobytes() + (b"" if embed is None else b"|" + embed.tobytes())
+
+
 def min_field(contributions, points, jobs: int | None = None,
               cache: dict | None = None) -> np.ndarray:
     """Pointwise minimum of smin over the content-distinct contributions.
@@ -150,12 +160,39 @@ def min_field(contributions, points, jobs: int | None = None,
     cache = {} if cache is None else cache
     keys, missing = {}, {}
     for _, mat, embed in contributions:
-        key = mat.tobytes() + (b"" if embed is None else b"|" + embed.tobytes())
+        key = _content_key(mat, embed)
         keys[key] = None
         if key not in cache:
             missing[key] = (mat, embed)
     cache.update(zip(missing, ps.smin_fields(missing.values(), points, jobs)))
     return reduce(np.minimum, (cache[key] for key in keys))
+
+
+def _term_fields(terms, points, want=None, jobs: int | None = None):
+    """``min_field`` of each term at the points, stacked along the first
+    axis.
+
+    With ``want``, a boolean array with one row per term, a term is
+    evaluated at its wanted points, and also where the contributions
+    evaluated there for other terms cover it; it is NaN elsewhere.  A
+    contribution shared by terms is evaluated once per point.
+    """
+    points = np.asarray(points)
+    out = np.full((len(terms), points.size), np.nan)
+    if want is None:
+        want = np.ones(out.shape, dtype=bool)
+    keys = [{_content_key(mat, embed) for _, mat, embed in contribs}
+            for contribs in terms]
+    patterns, group = np.unique(want, axis=1, return_inverse=True)
+    for g, pattern in enumerate(patterns.T):
+        cols = np.flatnonzero(group.ravel() == g)
+        cache: dict = {}
+        for i in np.flatnonzero(pattern):
+            out[i, cols] = min_field(terms[i], points[cols], jobs, cache)
+        for i in np.flatnonzero(~pattern):
+            if keys[i] <= cache.keys():
+                out[i, cols] = reduce(np.minimum, (cache[k] for k in keys[i]))
+    return out
 
 
 def membership(view: BlockMatrixView, method: str, n: int, eps: float,
@@ -165,48 +202,37 @@ def membership(view: BlockMatrixView, method: str, n: int, eps: float,
     _check_method_n(view, n)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     lvls = levels(penalty_params(view, n, cnorm_mode), method, eps)
-    cache: dict = {}
-    inside = np.ones(pts.shape, dtype=bool)
-    for terms, level in zip(family(view, method, n, t), lvls):
-        inside &= min_field(terms, pts, cache=cache) <= level
-    return inside
+    fields = _term_fields(family(view, method, n, t), pts)
+    return np.all(fields <= np.array(lvls)[:, None], axis=0)
 
 
-def _term_regions(view: BlockMatrixView, method: str, n: int, eps: float,
-                  grid, cnorm_mode: str, jobs, t=None, outer: bool = False,
-                  mask_only: bool = False):
-    """Penalty inputs, the ``family`` terms and one grid Region per term.
+def _term_regions(view: BlockMatrixView, method: str, n: int, eps_list,
+                  grid, cnorm_mode: str, jobs, t=None, outer: bool = False):
+    """One certified sweep of a family method at every eps of ``eps_list``.
 
-    Without a grid, the default one is padded by the largest level (by the
-    sandwich level when ``outer``).  With ``mask_only`` each term's mask
-    comes from ``level_mask`` and its Region carries no field.
+    Returns the penalty inputs, the ``family`` terms, the grid, for each eps
+    the list of term Regions (band fields, not completed at the contour
+    corners) and the stacked field of the terms.  Without a grid, the
+    default one is padded by the largest level (by the sandwich level when
+    ``outer``).
     """
     _check_method_n(view, n)
-    if eps < 0:
+    if min(eps_list) < 0:
         raise DomainError("eps must be nonnegative")
     p = penalty_params(view, n, cnorm_mode)
-    lvls = levels(p, method, eps)
+    lvls = np.array([levels(p, method, eps) for eps in eps_list]).T
     if grid is None:
-        pad = tau1_outer_level(p, eps) if outer else max(lvls)
+        pad = (tau1_outer_level(p, max(eps_list)) if outer
+               else float(lvls.max()))
         grid = ps.default_grid(view.matrix, pad=pad)
     terms = family(view, method, n, t)
-    nodes = None if mask_only else grid.nodes()
-    cache: dict = {}
-    regions = []
-    for contribs, level in zip(terms, lvls):
-        if mask_only:
-            slack = ps.smin_slack([mat for _, mat, _ in contribs], grid)
-            mask = ps.level_mask(partial(min_field, contribs, jobs=jobs),
-                                 grid, level, slack)
-            regions.append(ps.Region(grid, mask, None, level))
-        else:
-            vals = min_field(contribs, nodes, jobs, cache)
-            regions.append(ps.Region(grid, vals <= level, vals, level))
-    return p, terms, regions
-
-
-def _outer_default(view: BlockMatrixView, outer: bool | None) -> bool:
-    return view.order <= _OUTER_AUTO_MAX_ORDER if outer is None else outer
+    field = partial(_term_fields, terms, jobs=jobs)
+    slack = ps.smin_slack([mat for contribs in terms
+                           for _, mat, _ in contribs], grid)
+    masks, band = ps.level_mask(field, grid, lvls, slack)
+    regions = [[ps.Region(grid, masks[i, j], band[i], lvls[i, j])
+                for i in range(len(terms))] for j in range(len(eps_list))]
+    return p, terms, grid, regions, field
 
 
 def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
@@ -214,19 +240,25 @@ def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
                 cnorm_mode: str = "auto", jobs: int | None = None) -> ps.Region:
     """Mask-only inclusion set of a family method at one eps.
 
-    The intersection of the term masks, each from ``level_mask`` over the
-    term's ``min_field``: the same mask as the full-sweep method (``Sigma``
-    of ``sigma_tau``, ``pi_method``, ``Gamma`` of ``tau1_method``) from far
-    fewer smin evaluations, with ``values=None``.
+    The intersection of the term masks of the certified sweep, with no
+    contour pass and ``values=None``: the mask of ``Sigma`` of
+    ``sigma_tau``, ``pi_method`` or ``Gamma`` of ``tau1_method``.
     """
-    _, _, regions = _term_regions(view, method, n, eps, grid, cnorm_mode,
-                                  jobs, t=t, mask_only=True)
-    return reduce(ps.region_intersect, regions)
+    _, _, _, [regions], _ = _term_regions(view, method, n, [eps], grid,
+                                          cnorm_mode, jobs, t=t)
+    region = reduce(ps.region_intersect, regions)
+    return ps.Region(region.grid, region.mask, None, region.level)
 
 
 # ---------------------------------------------------------------------------
 # grid methods
 # ---------------------------------------------------------------------------
+
+def _intersection(field):
+    """Field of a method's set, the intersection of its terms: the
+    pointwise maximum of the term fields."""
+    return lambda points: field(points).max(axis=0)
+
 
 def sigma_tau(view: BlockMatrixView, n: int, eps: float,
               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
@@ -238,20 +270,25 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     union at level ``eps + eps_{n-2}`` for n > 2 (else None), and their
     intersection (== sigma for n <= 2).
     """
-    _, _, regions = _term_regions(view, "tau", n, eps, grid, cnorm_mode, jobs)
+    _, terms, _, [regions], field = _term_regions(view, "tau", n, [eps],
+                                                  grid, cnorm_mode, jobs)
+    regions = [ps.fill_corners([r], partial(min_field, contribs, jobs=jobs))[0]
+               for r, contribs in zip(regions, terms)]
     if len(regions) == 1:
         return regions[0], None, regions[0]
     sigma, sigma_hat = regions
-    return sigma, sigma_hat, ps.region_intersect(sigma, sigma_hat)
+    [both] = ps.fill_corners([ps.region_intersect(sigma, sigma_hat)],
+                             _intersection(field))
+    return sigma, sigma_hat, both
 
 
 def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
-    _, _, [region] = _term_regions(view, "pi", n, eps, grid, cnorm_mode,
-                                   jobs, t=t)
-    return region
+    _, _, _, [regions], field = _term_regions(view, "pi", n, [eps], grid,
+                                              cnorm_mode, jobs, t=t)
+    return ps.fill_corners(regions, _intersection(field))[0]
 
 
 def tau1_method(view: BlockMatrixView, n: int, eps: float,
@@ -260,17 +297,24 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     """Rectangular-truncation inclusion set and its sandwich companion.
 
     Returns ``(Gamma, outer_region)``.  The sandwich set
-    ``Spec_{eps + eps''_n + 2||C||}(A)`` costs a full-matrix grid sweep, so it
-    is computed only when ``outer`` is True, or by default for orders
+    ``Spec_{eps + eps''_n + 2||C||}(A)`` is a certified sweep of the full
+    matrix, made only when ``outer`` is True, or by default for orders
     <= 512; pass ``outer=False`` to skip it.
     """
-    outer = _outer_default(view, outer)
-    p, _, [gamma] = _term_regions(view, "tau1", n, eps, grid, cnorm_mode,
-                                  jobs, outer=outer)
+    if outer is None:
+        outer = view.order <= _OUTER_AUTO_MAX_ORDER
+    p, _, grid, [regions], field = _term_regions(
+        view, "tau1", n, [eps], grid, cnorm_mode, jobs, outer=outer)
+    [gamma] = ps.fill_corners(regions, _intersection(field))
     outer_region = None
     if outer:
-        outer_region = ps.pseudospectrum(view.matrix, tau1_outer_level(p, eps),
-                                         gamma.grid, jobs=jobs)
+        A = view.matrix
+        whole = partial(ps.smin_grid, A, jobs=jobs)
+        level = tau1_outer_level(p, eps)
+        [mask], band = ps.level_mask(whole, grid, [level],
+                                     ps.smin_slack([A], grid))
+        [outer_region] = ps.fill_corners(
+            [ps.Region(grid, mask, band, level)], whole)
     return gamma, outer_region
 
 
@@ -376,35 +420,45 @@ class MethodReport:
         )
 
 
-def run_method(view: BlockMatrixView, method: str, n: int | None = None,
-               t: complex | None = None, eps: float = 0.0,
-               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
-               jobs: int | None = None,
-               outer: bool | None = False) -> MethodReport:
-    """Uniform front end over the five methods, producing a MethodReport."""
+def method_reports(view: BlockMatrixView, method: str, eps_list,
+                   n: int | None = None, t: complex | None = None,
+                   grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
+                   jobs: int | None = None) -> list[MethodReport]:
+    """One MethodReport per eps of ``eps_list``, from one pass of the method:
+    a family method sweeps once for every eps, and a Gershgorin baseline,
+    which has no eps, is computed once."""
     mode = _resolve_cnorm_mode(view, cnorm_mode)
     if method in ("tau", "pi", "tau1"):
         if n is None:
             raise DomainError(f"method {method!r} needs n")
-        # the sandwich set is not part of the report; ``outer`` only sizes
-        # the default grid, as in ``tau1_method``
-        p, terms, regions = _term_regions(
-            view, method, n, eps, grid, mode, jobs, t=t,
-            outer=method == "tau1" and _outer_default(view, outer))
+        p, terms, _, per_eps, field = _term_regions(
+            view, method, n, eps_list, grid, mode, jobs, t=t)
+        regions = ps.fill_corners(
+            [reduce(ps.region_intersect, regions) for regions in per_eps],
+            _intersection(field))
         t = complex(t) if method == "pi" else None
         descs = tuple(d for d, _, _ in terms[0])
-        return MethodReport(method, n, t, eps, levels(p, method, 0.0)[0],
-                            p.c_norm, mode, descs,
-                            reduce(ps.region_intersect, regions))
+        penalty = levels(p, method, 0.0)[0]
+        return [MethodReport(method, n, t, eps, penalty, p.c_norm, mode, descs,
+                             region)
+                for eps, region in zip(eps_list, regions)]
     if method == "gersh":
         region, discs = gershgorin(view.matrix, grid)
         descs = tuple(("gersh", 1, k) for k in range(len(discs)))
-        return MethodReport("gersh", None, None, eps, 0.0, 0.0, mode, descs,
-                            region)
-    if method == "block-gersh":
+    elif method == "block-gersh":
         region = gershgorin_block(view, grid, jobs)
         descs = tuple(("block-gersh", 1, k)
                       for k in range(view.block_count))
-        return MethodReport("block-gersh", None, None, eps, 0.0, 0.0, mode,
-                            descs, region)
-    raise DomainError(f"unknown method {method!r}")
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    return [MethodReport(method, None, None, eps, 0.0, 0.0, mode, descs,
+                         region) for eps in eps_list]
+
+
+def run_method(view: BlockMatrixView, method: str, n: int | None = None,
+               t: complex | None = None, eps: float = 0.0,
+               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
+               jobs: int | None = None) -> MethodReport:
+    """Uniform front end over the five methods, producing a MethodReport."""
+    return method_reports(view, method, [eps], n, t, grid, cnorm_mode,
+                          jobs)[0]

@@ -2,9 +2,11 @@
 
 A Region is a boolean mask over a rectangular grid of complex nodes,
 optionally carrying the field of smallest singular values it was thresholded
-from, so that one sweep serves every epsilon level.  ``level_mask`` gives the
-mask alone at one level from far fewer nodes, certified by the Lipschitz
-continuity of smin.
+from.  ``pseudospectrum`` sweeps every node.  ``level_mask`` gives the masks
+at several levels at once from far fewer nodes, certified by the Lipschitz
+continuity of smin, together with a band field: the values where they were
+evaluated, NaN elsewhere.  ``fill_corners`` completes a band field at the
+nodes ``contour_extract`` reads.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over (matrix x node), and
@@ -45,6 +47,7 @@ __all__ = [
     "pseudospectrum",
     "smin_slack",
     "level_mask",
+    "fill_corners",
     "rethreshold",
     "region_union",
     "region_intersect",
@@ -275,7 +278,8 @@ class Region:
     """Discretized subset of the complex plane on a fixed grid.
 
     ``mask[iy, ix]`` marks node ``xs[ix] + 1j*ys[iy]``.  ``values`` holds the
-    smin field the mask was thresholded from (at ``level``), when available.
+    smin field the mask was thresholded from (at ``level``), when available;
+    a band field from ``level_mask`` is NaN where it was not evaluated.
     """
 
     grid: GridSpec
@@ -313,7 +317,8 @@ def pseudospectrum(E, eps: float, grid: GridSpec, embed=None,
     """Closed eps-pseudospectrum of E on a grid.
 
     Marks the nodes where ``smin(E - lam*I) <= eps`` (with the rectangular
-    embedding when given) and keeps the full smin field for rethresholding.
+    embedding when given) from a sweep of every node, and keeps the full
+    smin field for rethresholding.
     """
     if eps < 0:
         raise DomainError("eps must be nonnegative")
@@ -328,6 +333,12 @@ _SLACK_C = 4
 # relative widening of node distances in ``level_mask``; covers the rounding
 # of its own margin arithmetic
 _DIST_WIDEN = 1.0 + 2.0 ** -30
+
+
+def _nudge(level: float) -> float:
+    """Offset by which ``contour_extract`` moves values within it of the
+    level inside, so that no contour vertex sits on a grid node."""
+    return (abs(level) + 1.0) * 1e-7
 
 
 def smin_slack(matrices, grid: GridSpec) -> float:
@@ -377,68 +388,131 @@ def _around(lattice: np.ndarray, idx: np.ndarray):
     return below, above
 
 
-def level_mask(field, grid: GridSpec, level: float,
-               slack: float) -> np.ndarray:
-    """``field(grid.nodes()) <= level``, from the field at as few nodes as
-    certify it.
+def level_mask(field, grid: GridSpec, levels, slack: float):
+    """Masks ``field(grid.nodes()) <= level`` at every level, from the field
+    at as few nodes as certify them all.
 
-    ``field(points)`` maps a 1-D array of grid nodes to their values.  Any
-    two computed values must obey ``|f(a) - f(b)| <= |a - b| + slack``, with
-    |a - b| measured from the nodes' index offsets: the exact field is
-    1-Lipschitz in z, and ``slack`` allows for rounding (``smin_slack``
-    gives it for smin fields and their pointwise minima).
+    ``field(points)`` maps a 1-D array of k grid nodes to their values, an
+    array of shape (k,), and ``levels`` is a 1-D sequence of levels.  A field
+    of F components takes levels of shape (F, L), one row per component, and
+    is called as ``field(points, want)``, ``want`` being an (F, k) boolean
+    array of the values needed; it returns shape (F, k), NaN where it
+    evaluated nothing.  Any two computed values of one component must obey
+    ``|f(a) - f(b)| <= |a - b| + slack``, with |a - b| measured from the
+    nodes' index offsets: the exact field is 1-Lipschitz in z, and ``slack``
+    allows for rounding (``smin_slack`` gives it for smin fields and their
+    pointwise minima).
+
+    Returns ``(masks, band)``: the masks, of shape ``levels.shape + (ny,
+    nx)``, and the band field, of shape ``levels.shape[:-1] + (ny, nx)``,
+    which holds the values where the field was evaluated and NaN elsewhere.
 
     The field is evaluated on the lattice of every 2^k-th node (and the last
-    row and column); then the stride is halved down to 1.  An evaluated node
-    with value v has margin ``|v - level| - slack``.  A new node at distance
-    d from a node of the coarser lattice whose margin m exceeds d is decided
-    without evaluation: its value lies on that node's side of the level,
-    strictly, and it passes on the margin m - d.  The nodes that no
-    neighbour decides go to ``field`` in one call per stride.  A node whose
-    value ties with the level is never decided by a neighbour, so the mask
-    equals the full sweep bit for bit.
+    row and column); then the stride is halved down to 1.  An evaluated
+    value v of a component has margin ``min |v - level| - slack - w`` over
+    the component's levels, w being the largest ``contour_extract`` nudge
+    of all levels.  A component of a new node at distance d from a node of
+    the coarser lattice whose margin m for it exceeds d is decided without
+    evaluation: its value lies on that node's side of each level, farther
+    than w from it, and it passes on the margin m - d.  The values that no
+    neighbour decides go to ``field`` in one call per stride.  A value that
+    ties with a level is never decided by a neighbour, so every mask equals
+    the full sweep bit for bit, and every value the nudge would move is in
+    the band.
     """
     nodes = grid.nodes()
-    inside = np.zeros(nodes.shape, dtype=bool)
-    margin = np.zeros(nodes.shape)
+    lv = np.asarray(levels, dtype=np.float64)
+    comps = lv.reshape(-1, lv.shape[-1])
+    slack = slack + _nudge(float(np.abs(lv).max()))
+    inside = np.zeros(comps.shape + nodes.shape, dtype=bool)
+    band = np.full(comps.shape[:1] + nodes.shape, np.nan)
+    margin = np.full(band.shape, -np.inf)
 
-    def evaluate(iy, ix):
-        if iy.size:
-            vals = np.asarray(field(nodes[iy, ix]), dtype=np.float64)
-            inside[iy, ix] = vals <= level
-            margin[iy, ix] = np.abs(vals - level) - slack
+    def evaluate(iy, ix, want):
+        cols = want.any(axis=0)
+        if not cols.any():
+            return
+        iy, ix, want = iy[cols], ix[cols], want[:, cols]
+        pts = nodes[iy, ix]
+        vals = field(pts) if lv.ndim == 1 else field(pts, want)
+        vals = np.asarray(vals, dtype=np.float64).reshape(len(comps), -1)
+        fs, js = np.nonzero(~np.isnan(vals))
+        v, y, x = vals[fs, js], iy[js], ix[js]
+        band[fs, y, x] = v
+        inside[fs, :, y, x] = v[:, None] <= comps[fs]
+        margin[fs, y, x] = np.abs(v[:, None] - comps[fs]).min(axis=1) - slack
 
     ny, nx = nodes.shape
     stride = 1 << max(0, (min(ny, nx) - 1).bit_length() - 3)
     ly, lx = _lattice(ny, stride), _lattice(nx, stride)
-    evaluate(*(a.ravel() for a in np.meshgrid(ly, lx, indexing="ij")))
+    iy, ix = (a.ravel() for a in np.meshgrid(ly, lx, indexing="ij"))
+    evaluate(iy, ix, np.ones((len(comps), iy.size), dtype=bool))
     while stride > 1:
         stride //= 2
         fy, fx = _lattice(ny, stride), _lattice(nx, stride)
         iy, ix = (a.ravel() for a in np.meshgrid(fy, fx, indexing="ij"))
         new = ~(np.isin(iy, ly) & np.isin(ix, lx))
         iy, ix = iy[new], ix[new]
-        best = np.full(iy.shape, -np.inf)
-        side = np.zeros(iy.shape, dtype=bool)
+        best = np.full((len(comps), iy.size), -np.inf)
+        by, bx = np.broadcast_to(iy, best.shape), np.broadcast_to(ix, best.shape)
         for cy in _around(ly, iy):
             for cx in _around(lx, ix):
                 dist = np.hypot((iy - cy) * grid.dy, (ix - cx) * grid.dx)
-                m = margin[cy, cx] - dist * _DIST_WIDEN
+                m = margin[:, cy, cx] - dist * _DIST_WIDEN
                 better = m > best
-                best[better] = m[better]
-                side[better] = inside[cy, cx][better]
+                best = np.where(better, m, best)
+                by, bx = np.where(better, cy, by), np.where(better, cx, bx)
         done = best > 0
-        margin[iy[done], ix[done]] = best[done]
-        inside[iy[done], ix[done]] = side[done]
-        evaluate(iy[~done], ix[~done])
+        fs, js = np.nonzero(done)
+        margin[fs, iy[js], ix[js]] = best[fs, js]
+        inside[fs, :, iy[js], ix[js]] = inside[fs, :, by[fs, js], bx[fs, js]]
+        evaluate(iy, ix, ~done)
         ly, lx = fy, fx
-    return inside
+    return (inside.reshape(lv.shape + nodes.shape),
+            band.reshape(lv.shape[:-1] + nodes.shape))
+
+
+def fill_corners(regions, field) -> list:
+    """The regions with their shared band field evaluated at every unknown
+    corner of their boundary cells: the cells whose corners are not all on
+    one side of the mask, or of the mask ``contour_extract`` nudges (those
+    are the only values it reads).
+
+    ``regions`` lie on one grid and carry one field (the same values, NaN
+    where unknown), such as the regions of one ``level_mask`` component at
+    its levels; ``field(points)`` evaluates it.  Regions without a field or
+    a level, whose contours follow the mask, are returned as they are.  The
+    band must hold every value within the nudge of a level (``level_mask``
+    bands do).
+    """
+    regions = list(regions)
+    live = [i for i, r in enumerate(regions)
+            if r.values is not None and r.level is not None]
+    if not live:
+        return regions
+    first = regions[live[0]]
+    need = np.zeros(first.mask.shape, dtype=bool)
+    for i in live:
+        need |= (_contour_corners(np.pad(regions[i].mask, 1))
+                 | _contour_corners(_contour_input(regions[i])[0]))
+    need &= np.isnan(first.values)
+    if not need.any():
+        return regions
+    vals = first.values.copy()
+    vals[need] = field(first.grid.nodes()[need])
+    for i in live:
+        r = regions[i]
+        regions[i] = Region(r.grid, r.mask, vals, r.level)
+    return regions
 
 
 def rethreshold(region: Region, eps: float) -> Region:
     """New region at a different level, reusing the stored smin field."""
     if region.values is None:
         raise DomainError("region carries no smin field to rethreshold")
+    if np.isnan(region.values).any():
+        raise DomainError("region's smin field is known only near its level; "
+                          "sweep again to rethreshold")
     return Region(region.grid, region.values <= eps, region.values, float(eps))
 
 
@@ -448,7 +522,8 @@ def _check_same_grid(a: Region, b: Region) -> None:
 
 
 def region_union(regions) -> Region:
-    """Pointwise OR; smin fields combine by pointwise min."""
+    """Pointwise OR; smin fields combine by pointwise min (NaN, unknown,
+    where any is unknown)."""
     regions = list(regions)
     if not regions:
         raise DomainError("union of no regions")
@@ -469,7 +544,8 @@ def region_union(regions) -> Region:
 
 
 def region_intersect(a: Region, b: Region) -> Region:
-    """Pointwise AND; smin fields combine by pointwise max."""
+    """Pointwise AND; smin fields combine by pointwise max (NaN, unknown,
+    where either is unknown)."""
     _check_same_grid(a, b)
     vals = None
     if a.values is not None and b.values is not None:
@@ -561,30 +637,55 @@ def contour_extract(region: Region) -> list[np.ndarray]:
     """Closed boundary polylines of the mask.
 
     Runs marching squares on the smin field at the region's level when both
-    are available (sub-cell accurate), otherwise on the 0/1 mask.  The field
-    is padded with an exterior value so every contour closes.  Returns a list
-    of (k, 2) float arrays of (re, im) vertices; first vertex == last.
+    are available (sub-cell accurate), otherwise on the 0/1 mask.  The case
+    of each cell comes from the mask, and the field is read only at the
+    corners of boundary cells, so a band field completed by ``fill_corners``
+    gives the contours of the full field.  The grid is padded with one ring
+    of outside nodes so every contour closes.  Returns a list of (k, 2)
+    float arrays of (re, im) vertices; first vertex == last.
     """
     if region.is_empty:
         raise EmptyRegionError("no contours in an empty region")
-    if region.values is not None and region.level is not None:
-        field = region.values
-        level = float(region.level)
-    else:
-        field = np.where(region.mask, 0.0, 1.0)
-        level = 0.5
-    xs, ys = region.grid.xs, region.grid.ys
-    # pad with an outside value so boundary-touching masks still close
-    hi = float(np.max(field)) + abs(level) + 1.0
-    f = np.pad(field, 1, constant_values=hi)
-    xs = np.concatenate([[xs[0] - region.grid.dx], xs, [xs[-1] + region.grid.dx]])
-    ys = np.concatenate([[ys[0] - region.grid.dy], ys, [ys[-1] + region.grid.dy]])
-    # nudge near-level nodes inward so no contour vertex sits on a grid node
-    # (on-node vertices are shared by four cells and break loop chaining)
-    bump = (np.max(np.abs(f)) + abs(level) + 1.0) * 1e-7
-    f = np.where(np.abs(f - level) < bump, level - bump, f)
+    inside, f, level = _contour_input(region)
+    g = region.grid
+    xs = np.concatenate([[g.xs[0] - g.dx], g.xs, [g.xs[-1] + g.dx]])
+    ys = np.concatenate([[g.ys[0] - g.dy], g.ys, [g.ys[-1] + g.dy]])
+    return _chain_segments(_marching_squares(inside, f, xs, ys, level))
 
-    return _chain_segments(_marching_squares(f, xs, ys, level))
+
+def _contour_input(region: Region):
+    """Inside mask, field and level that marching squares runs on; mask and
+    field are padded with a ring of outside nodes (field NaN there)."""
+    if region.values is not None and region.level is not None:
+        level = float(region.level)
+        # nudge near-level nodes inside so no contour vertex sits on a grid
+        # node (on-node vertices are shared by four cells and break loop
+        # chaining)
+        bump = _nudge(level)
+        near = np.abs(region.values - level) < bump
+        inside = region.mask | near
+        field = np.where(near, level - bump, region.values)
+    else:
+        level = 0.5
+        inside = region.mask
+        field = np.where(inside, 0.0, 1.0)
+    return np.pad(inside, 1), np.pad(field, 1, constant_values=np.nan), level
+
+
+def _cell_codes(inside: np.ndarray) -> np.ndarray:
+    """4-bit case code of every cell (corner a=1, b=2, c=4, d=8 inside)."""
+    return (inside[:-1, :-1] * 1 + inside[:-1, 1:] * 2
+            + inside[1:, 1:] * 4 + inside[1:, :-1] * 8)
+
+
+def _contour_corners(inside: np.ndarray) -> np.ndarray:
+    """Grid nodes at a corner of a boundary cell of a padded inside mask."""
+    case = _cell_codes(inside)
+    mixed = (case != 0) & (case != 15)
+    corners = np.zeros(inside.shape, dtype=bool)
+    for dy, dx in zip(_DY, _DX):
+        corners[dy:dy + mixed.shape[0], dx:dx + mixed.shape[1]] |= mixed
+    return corners[1:-1, 1:-1]
 
 
 # (row, column) offsets of the cell corners a, b, c, d; edge e runs from
@@ -605,15 +706,20 @@ _CASE_PAIRS = np.array([
 ])
 
 
-def _marching_squares(f, xs, ys, level) -> np.ndarray:
+def _marching_squares(inside, f, xs, ys, level) -> np.ndarray:
     """Boundary segments as a (k, 2, 2) array of (re, im) end points, cell
     by cell in row-major order."""
-    inside = f <= level
-    case = (inside[:-1, :-1] * 1 + inside[:-1, 1:] * 2
-            + inside[1:, 1:] * 4 + inside[1:, :-1] * 8)
+    case = _cell_codes(inside)
     iy, ix = np.nonzero((case != 0) & (case != 15))
     rows, cols = iy[:, None] + _DY, ix[:, None] + _DX
     v = f[rows, cols]
+    # the padding ring is outside, above every value of the boundary cells
+    ring = ((rows == 0) | (cols == 0) | (rows == f.shape[0] - 1)
+            | (cols == f.shape[1] - 1))
+    v = np.where(ring, np.max(v[~ring]) + abs(level) + 1.0, v)
+    if np.isnan(v).any():
+        raise DomainError("the field is unknown at a corner of a boundary "
+                          "cell; complete it with fill_corners")
     corners = np.stack([xs[cols], ys[rows]], axis=2)
     vp, vq = v[:, _FROM], v[:, _TO]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -667,11 +773,13 @@ def _chain_segments(segs: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def region_to_csv(region: Region, path) -> None:
-    """Node table ``re,im,smin,mask`` (smin column empty without a field)."""
+    """Node table ``re,im,smin,mask``; the smin column is empty where the
+    field is unknown (everywhere for a region without one)."""
     xs = [repr(x) for x in region.grid.xs.tolist()]
     ys = [repr(y) for y in region.grid.ys.tolist()]
     vals = (repeat("") if region.values is None
-            else map(repr, map(float, region.values.flat)))
+            else ["" if v != v else repr(v)
+                  for v in region.values.ravel().tolist()])
     rows = map("{0[1]},{0[0]},{1},{2:d}\n".format,
                product(ys, xs), vals, map(int, region.mask.flat))
     with open(path, "w", encoding="ascii") as fh:

@@ -360,10 +360,10 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
     report checks non-strict decrease (2-cell slack) between consecutive
     rows from n >= 4 on.
 
-    ``hausdorff`` reads masks only, and a study has one eps, so both sets
-    are certified mask-only regions (``method_mask``, and ``level_mask``
-    over the smin field of the full matrix): the masks of the full sweeps,
-    bit for bit, without a field that could serve other eps levels.
+    ``hausdorff`` reads masks only, so both sets are certified mask-only
+    regions (``method_mask``, and ``level_mask`` over the smin field of the
+    full matrix): the masks of the full sweeps, bit for bit, with no contour
+    pass.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
@@ -395,8 +395,8 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
         if M not in references:
             A = build_toeplitz(spec, M)
             if eps > 0:
-                mask = ps.level_mask(partial(ps.smin_grid, A, jobs=jobs),
-                                     grid, eps, ps.smin_slack([A], grid))
+                [mask], _ = ps.level_mask(partial(ps.smin_grid, A, jobs=jobs),
+                                          grid, [eps], ps.smin_slack([A], grid))
                 references[M] = ps.Region(grid, mask, None, float(eps))
             else:
                 references[M] = ps.region_from_points(grid, ps.eig(A))

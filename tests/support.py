@@ -6,6 +6,7 @@ of the library so the two can cross-check each other.
 
 import numpy as np
 
+from specincl import inclusion as inc
 from specincl.penalty import optimal_weights
 
 
@@ -42,3 +43,14 @@ def masks_agree_off_boundary(region, analytic_dist, level, slack):
     analytic = analytic_dist <= level
     disagree = region.mask ^ analytic
     return not np.any(disagree & (np.abs(analytic_dist - level) > slack))
+
+
+def full_sweep_mask(view, method, n, eps, grid, t=None):
+    """Reference mask of a family method from every grid node: each term's
+    ``min_field`` against its level, intersected over the terms."""
+    nodes = grid.nodes()
+    lvls = inc.levels(inc.penalty_params(view, n), method, eps)
+    mask = np.ones(nodes.shape, dtype=bool)
+    for terms, level in zip(inc.family(view, method, n, t), lvls):
+        mask &= inc.min_field(terms, nodes) <= level
+    return mask

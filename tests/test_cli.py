@@ -190,6 +190,41 @@ def test_artifacts_independent_of_jobs(tmp_path):
         assert outs[0] and outs[0] == outs[1]
 
 
+def test_include_eps_list_is_one_sweep(tmp_path, monkeypatch):
+    # one band sweep per method serves the whole eps list: the method
+    # evaluates no (contribution, node) pair twice, and its eps = 0.15 report
+    # and figure are those of a run at that eps alone
+    from collections import Counter
+
+    from specincl import pseudospec as ps
+
+    pairs = Counter()
+    kernel = ps.smin_fields
+
+    def counted(items, lambdas, jobs=None):
+        items = list(items)
+        for E, embed in items:
+            key = np.asarray(E).tobytes() + (
+                b"" if embed is None else b"|" + np.asarray(embed).tobytes())
+            pairs.update((key, z) for z in np.ravel(lambdas).tolist())
+        return kernel(items, lambdas, jobs)
+
+    monkeypatch.setattr(ps, "smin_fields", counted)
+    argv = ["include", "--builtin", "jordan", "--M", "64", "--n", "4",
+            "--t", "1", "--grid", "64,64", "--no-timestamp", "--jobs", "1"]
+    both, single = tmp_path / "both", tmp_path / "single"
+    for method in ("tau", "tau1", "pi"):
+        pairs.clear()
+        assert main(argv + ["--method", method, "--eps", "0,0.15",
+                            "--out-dir", str(both)]) == 0
+        assert pairs and max(pairs.values()) == 1
+        assert main(argv + ["--method", method, "--eps", "0.15",
+                            "--out-dir", str(single)]) == 0
+        for ext in ("json", "svg"):
+            name = f"{method}_n4_eps0.15.{ext}"
+            assert (both / name).read_bytes() == (single / name).read_bytes()
+
+
 def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     # the tau set at n = 2 is the single union at eps + eps_2, so the grid
     # is padded by that level (not by eps_1, which no term uses)

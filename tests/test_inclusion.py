@@ -16,9 +16,17 @@ from specincl.toeplitz import (
     laplacian_theta,
 )
 
+from support import full_sweep_mask
+
 
 def rand_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def banded_matrix(order, width, seed):
+    rng = np.random.default_rng(seed)
+    return sum(np.diag(rand_complex(rng, order - abs(k)), k)
+               for k in range(-width, width + 1))
 
 
 def scalar_view(A):
@@ -225,7 +233,7 @@ def test_membership_matches_region(method):
     assert member.any() and not member.all()
 
 
-def full_sweep_region(view, method, n, eps, grid, t):
+def grid_method_region(view, method, n, eps, grid, t):
     if method == "tau":
         return inc.sigma_tau(view, n, eps, grid=grid)[2]
     if method == "pi":
@@ -245,19 +253,70 @@ def test_method_mask_equals_full_sweep(method, n):
             p = inc.penalty_params(view, n)
             grid = ps.default_grid(A, pad=max(inc.levels(p, method, eps)),
                                    nx=61, ny=53)
-            full = full_sweep_region(view, method, n, eps, grid, t)
+            full = full_sweep_mask(view, method, n, eps, grid, t)
             region = inc.method_mask(view, method, n, eps, grid=grid, t=t)
             assert region.values is None and region.grid == grid
-            assert np.array_equal(region.mask, full.mask)
-            assert full.mask.any() and not full.mask.all()
+            assert np.array_equal(region.mask, full)
+            assert full.any() and not full.all()
+            swept = grid_method_region(view, method, n, eps, grid, t)
+            assert np.array_equal(swept.mask, full)
 
 
 def test_method_mask_default_grid():
     view = scalar_view(jordan(10))
-    full = inc.sigma_tau(view, 4, 0.1)[2]
+    p = inc.penalty_params(view, 4)
+    grid = ps.default_grid(view.matrix, pad=max(inc.levels(p, "tau", 0.1)))
+    full = full_sweep_mask(view, "tau", 4, 0.1, grid)
     region = inc.method_mask(view, "tau", 4, 0.1)
-    assert region.grid == full.grid
-    assert np.array_equal(region.mask, full.mask)
+    assert region.grid == grid == inc.sigma_tau(view, 4, 0.1)[2].grid
+    assert np.array_equal(region.mask, full)
+
+
+def boundary_corners(mask):
+    """Nodes at a corner of a cell whose corners are not all on one side of
+    the mask, the grid being padded with a ring of outside nodes."""
+    inside = np.pad(mask, 1)
+    cells = np.stack([inside[:-1, :-1], inside[:-1, 1:], inside[1:, 1:],
+                      inside[1:, :-1]])
+    mixed = cells.any(axis=0) & ~cells.all(axis=0)
+    corners = np.zeros(inside.shape, dtype=bool)
+    for dy, dx in ((0, 0), (0, 1), (1, 1), (1, 0)):
+        corners[dy:dy + mixed.shape[0], dx:dx + mixed.shape[1]] |= mixed
+    return corners[1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: scalar_view(jordan(12)),
+    lambda: make_view(banded_matrix(12, 3, seed=37), BlockPartition((2,) * 6)),
+], ids=["jordan", "banded"])
+def test_grid_methods_carry_completed_band_fields(build):
+    view = build()
+    n, eps, t = 3, 0.1, 1.0
+    p = inc.penalty_params(view, n)
+    grid = ps.default_grid(view.matrix, pad=inc.tau1_outer_level(p, eps),
+                           nx=70, ny=64)
+    nodes = grid.nodes()
+    sigma, hat, _ = inc.sigma_tau(view, n, eps, grid=grid)
+    [tau_main, tau_hat] = inc.family(view, "tau", n)
+    gamma, outer = inc.tau1_method(view, n, eps, grid=grid, outer=True)
+    cases = [(sigma, inc.min_field(tau_main, nodes)),
+             (hat, inc.min_field(tau_hat, nodes)),
+             (inc.pi_method(view, n, t, eps, grid=grid),
+              inc.min_field(inc.family(view, "pi", n, t)[0], nodes)),
+             (gamma, inc.min_field(inc.family(view, "tau1", n)[0], nodes)),
+             (outer, ps.smin_grid(view.matrix, nodes))]
+    for region, full in cases:
+        level = region.level
+        known = ~np.isnan(region.values)
+        assert np.array_equal(region.mask, full <= level)
+        assert np.array_equal(region.values[known], full[known])
+        assert known.sum() < full.size / 2
+        assert not np.any(boundary_corners(region.mask) & ~known)
+        loops = ps.contour_extract(region)
+        expected = ps.contour_extract(ps.Region(grid, full <= level, full,
+                                                level))
+        assert len(loops) == len(expected) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(loops, expected))
 
 
 def test_run_method_builds_each_family_once(monkeypatch):

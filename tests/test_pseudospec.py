@@ -333,7 +333,8 @@ def test_level_mask_equals_full_sweep(case, levels):
     full = field(grid.nodes())
     for level in levels:
         counted = CountingField(field)
-        mask = level_mask(counted, grid, level, smin_slack(matrices, grid))
+        [mask], _ = level_mask(counted, grid, [level],
+                               smin_slack(matrices, grid))
         assert np.array_equal(mask, full <= level)
         assert 0 < mask.sum() < mask.size
         assert counted.nodes < mask.size / 2
@@ -354,7 +355,7 @@ def test_level_mask_ties_are_evaluated():
     slack = smin_slack([shift], grid)
     for level in (below, 1.0):
         counted = CountingField(lambda pts: smin_grid(shift, pts))
-        mask = level_mask(counted, grid, level, slack)
+        [mask], _ = level_mask(counted, grid, [level], slack)
         assert np.array_equal(mask, full <= level)
         assert 0 in np.concatenate(counted.seen)
         assert counted.nodes < mask.size
@@ -370,8 +371,129 @@ def test_level_mask_small_and_uniform_grids():
                  GridSpec(-1, 1, -1, 1, 256, 256)):
         full = field(grid.nodes())
         for level in (0.0, 0.5, 5.0):
-            mask = level_mask(field, grid, level, 1e-12)
+            [mask], _ = level_mask(field, grid, [level], 1e-12)
             assert np.array_equal(mask, full <= level)
+
+
+def test_level_mask_several_levels_one_sweep():
+    # one sweep at three levels: every mask equals the full sweep, no node is
+    # evaluated twice, and the band holds exactly the evaluated values
+    A = jordan(12)
+    grid = GridSpec(-2.6, 2.4, -2.3, 2.5, 97, 83)
+    full = smin_grid(A, grid.nodes())
+    slack = smin_slack([A], grid)
+    levels = (0.05, 0.3, 0.8)
+    counted = CountingField(lambda pts: smin_grid(A, pts))
+    masks, band = level_mask(counted, grid, levels, slack)
+    assert masks.shape == (3,) + full.shape and band.shape == full.shape
+    for mask, level in zip(masks, levels):
+        assert np.array_equal(mask, full <= level)
+    seen = np.concatenate(counted.seen)
+    assert len(np.unique(seen)) == seen.size < full.size / 2
+    known = ~np.isnan(band)
+    assert np.array_equal(known, np.isin(grid.nodes(), seen))
+    assert np.array_equal(band[known], full[known])
+
+
+def test_level_mask_components_decided_apart():
+    # two components with their own levels: a component is evaluated only
+    # where no neighbour decides it (or for free with the other), once per
+    # node, and each band is that component's field where known
+    A = jordan(12)
+    grid = GridSpec(-2.6, 2.4, -2.3, 2.5, 97, 83)
+    full = smin_grid(A, grid.nodes())
+    whole = np.array([full, full / 2])
+    levels = np.array([(0.05, 0.3), (0.1, 0.4)])
+    asked = []
+
+    def field(pts, want):
+        asked.append(want.sum(axis=1))
+        vals = smin_grid(A, pts)
+        return np.where(want, np.array([vals, vals / 2]), np.nan)
+
+    masks, band = level_mask(field, grid, levels, smin_slack([A], grid))
+    assert masks.shape == (2, 2) + full.shape and band.shape == whole.shape
+    assert np.array_equal(masks, whole[:, None] <= levels[..., None, None])
+    known = ~np.isnan(band)
+    assert np.array_equal(band[known], whole[known])
+    assert np.array_equal(known.sum(axis=(1, 2)), np.sum(asked, axis=0))
+    assert 0 < known[0].sum() < full.size / 2
+    assert np.any(known[0] != known[1])
+
+
+def boundary_corners(mask):
+    """Nodes at a corner of a cell whose corners are not all on one side of
+    the mask, the grid being padded with a ring of outside nodes."""
+    inside = np.pad(mask, 1)
+    cells = np.stack([inside[:-1, :-1], inside[:-1, 1:], inside[1:, 1:],
+                      inside[1:, :-1]])
+    mixed = cells.any(axis=0) & ~cells.all(axis=0)
+    corners = np.zeros(inside.shape, dtype=bool)
+    for dy, dx in ((0, 0), (0, 1), (1, 1), (1, 0)):
+        corners[dy:dy + mixed.shape[0], dx:dx + mixed.shape[1]] |= mixed
+    return corners[1:-1, 1:-1]
+
+
+def tie_case():
+    # the cyclic shift of test_level_mask_ties_are_evaluated: smin exactly
+    # 1.0 at the centre node, a level one ulp below it and the tie itself
+    view = make_view(jordan(12), BlockPartition((1,) * 12))
+    shift = inc.family(view, "pi", 3, t=1.0)[0][4][1]
+    return shift, GridSpec(-1.0, 1.0, -1.0, 1.0, 65, 65), \
+        (2.0 * math.sin(math.pi / 6), 1.0)
+
+
+@pytest.mark.parametrize("case", [
+    lambda: (jordan(12), GridSpec(-2.6, 2.4, -2.3, 2.5, 97, 83),
+             (0.05, 0.3, 0.8)),
+    lambda: (banded_random(16, 2, seed=11),
+             GridSpec(-5.0, 5.0, -5.0, 5.0, 90, 101), (0.2, 1.0)),
+    tie_case,
+    # smin = |z|; nodes at radius 13/32 lie 5e-8 above the level, inside the
+    # contour nudge, where a neighbour could otherwise decide them
+    lambda: (np.zeros((1, 1)), GridSpec(-1.0, 1.0, -1.0, 1.0, 65, 65),
+             (13 / 32 - 5e-8,)),
+], ids=["jordan", "banded-random", "ties", "nudged"])
+def test_band_field_contours_equal_full_field(case, tmp_path):
+    A, grid, levels = case()
+    field = lambda pts: smin_grid(A, pts)
+    full = field(grid.nodes())
+    masks, band = level_mask(field, grid, levels, smin_slack([A], grid))
+    regions = [Region(grid, m, band, level) for m, level in zip(masks, levels)]
+    filled = ps.fill_corners(regions, field)
+    for region, done, level in zip(regions, filled, levels):
+        whole = Region(grid, full <= level, full, level)
+        known = ~np.isnan(done.values)
+        # the band is the full field, bit for bit, wherever it is known
+        assert np.array_equal(done.values[known], full[known])
+        assert known.sum() < full.size / 2
+        assert not np.any(boundary_corners(done.mask) & ~known)
+        # the sweep alone leaves corners unknown, and contours refuse them
+        with pytest.raises(DomainError):
+            contour_extract(region)
+        loops, expected = contour_extract(done), contour_extract(whole)
+        assert len(loops) == len(expected) > 0
+        assert all(np.array_equal(a, b) for a, b in zip(loops, expected))
+        # the CSV writes smin only where the band knows it
+        region_to_csv(done, tmp_path / "band.csv")
+        rows = [line.split(",") for line in
+                (tmp_path / "band.csv").read_text().splitlines()[1:]]
+        assert [r[2] for r in rows] == [
+            repr(float(v)) if k else ""
+            for v, k in zip(done.values.ravel(), known.ravel())]
+    # every level's region shares the one completed band
+    assert all(r.values is filled[0].values for r in filled)
+
+
+def test_rethreshold_refuses_band_field():
+    A = jordan(8)
+    grid = GridSpec(-2, 2, -2, 2, 41, 41)
+    [mask], band = level_mask(lambda pts: smin_grid(A, pts), grid, [0.3],
+                              smin_slack([A], grid))
+    with pytest.raises(DomainError):
+        rethreshold(Region(grid, mask, band, 0.3), 0.4)
+    full = pseudospectrum(A, 0.3, grid)
+    assert np.array_equal(rethreshold(full, 0.3).mask, mask)
 
 
 def test_smin_slack_scales_with_norm_and_grid():

@@ -29,6 +29,8 @@ from specincl.toeplitz import (
     wiener_tail,
 )
 
+from support import full_sweep_mask
+
 
 # ---------------------------------------------------------------------------
 # builders
@@ -283,8 +285,9 @@ def test_convergence_study_wiener_tau1_route():
 
 
 def full_sweep_rows(spec, eps, schedule, grid_nodes):
-    """Study rows from the full-field methods and reference pseudospectra,
-    on the grid ``convergence_study`` builds."""
+    """Study rows from masks of every grid node (each family term's
+    ``min_field`` against its level, and reference pseudospectra), on the
+    grid ``convergence_study`` builds."""
     plan = []
     for M, n, w in schedule:
         view = make_view(build_toeplitz(spec, M), banded_partition(M, w))
@@ -296,10 +299,7 @@ def full_sweep_rows(spec, eps, schedule, grid_nodes):
     grid = ps.default_grid(A_big, pad=pad, nx=grid_nodes, ny=grid_nodes)
     rows = []
     for M, n, w, view, method in plan:
-        if method == "tau":
-            region = inc.sigma_tau(view, n, eps, grid=grid)[2]
-        else:
-            region = inc.tau1_method(view, n, eps, grid=grid, outer=False)[0]
+        region = ps.Region(grid, full_sweep_mask(view, method, n, eps, grid))
         A = build_toeplitz(spec, M)
         ref = (ps.pseudospectrum(A, eps, grid) if eps > 0
                else ps.region_from_points(grid, eig(A)))
