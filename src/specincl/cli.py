@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +212,10 @@ def cmd_verify(args) -> int:
     if not 2 <= args.order_min <= args.order_max:
         raise UsageError("orders need 2 <= --order-min <= --order-max, got "
                          f"{args.order_min} and {args.order_max}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    if args.max_n is not None and args.max_n < 1:
+        raise UsageError(f"--max-n must be at least 1, got {args.max_n}")
     items = build_corpus(seed=args.seed, count=args.count,
                          orders=(args.order_min, args.order_max))
     scale = 0.5 if args.adversarial else 1.0
@@ -231,7 +234,7 @@ def cmd_verify(args) -> int:
         "checks": len(records),
         "violations": len(violations),
         "records": [
-            {**asdict(r), "t": None if r.t is None else [r.t.real, r.t.imag]}
+            {**vars(r), "t": None if r.t is None else [r.t.real, r.t.imag]}
             for r in records
         ],
     }

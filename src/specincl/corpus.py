@@ -4,8 +4,10 @@ The verifier draws random dense, banded, and Toeplitz matrices, assigns each
 a block partition, and checks that every eigenvalue lies in each method's
 inclusion set (pointwise membership, which is sharper than any grid).  The
 rectangular method's sandwich bound is checked at the eigenvalues and at
-random probe points.  An adversarial mode rescales the penalties to confirm
-that the harness actually detects violations.
+random probe points.  Each matrix is verified in one batched pass over
+every n: one kernel call for the fields at the eigenvalues, one per n for
+the probes and one sweep of the full matrix.  An adversarial mode rescales
+the penalties to confirm that the harness actually detects violations.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 from . import inclusion as inc
 from . import pseudospec as ps
 from .matrixcore import BlockPartition, make_view
+from .penalty import PenaltyParams
 from .toeplitz import build_toeplitz, toeplitz_spec
 
 __all__ = ["CorpusItem", "build_corpus", "VerifyRecord", "verify_containment"]
@@ -100,53 +103,87 @@ def verify_containment(items, eps_values=(0.0, 0.1), t_values=(1, -1, 1j),
     ``penalty_scale`` < 1 shrinks the inclusion levels (negative control:
     Theorem-guaranteed containment should then start to fail).  The sandwich
     side of the rectangular method is checked at the eigenvalues plus a few
-    random probe points inside the inclusion set.  Each term's smin field at
-    the eigenvalues does not depend on eps, so it is evaluated once per
-    (matrix, n) and thresholded for every eps.
+    random probe points inside the inclusion set.  The items are verified
+    one at a time, each in one batched pass: see ``_item_records``.
     """
     rng = np.random.default_rng(rng_seed)
     records = []
     for item in items:
-        view = make_view(item.matrix, item.partition)
-        lams = ps.eig(item.matrix)
-        plan = [("tau", None)]
-        if view.partition.uniform:
-            plan += [("pi", t) for t in t_values]
-        plan.append(("tau1", None))
-        N = view.block_count
-        for n in range(1, N if max_n is None else min(N, max_n + 1)):
-            p = inc.penalty_params(view, n)
-            families = [inc.family(view, m, n, t) for m, t in plan]
-            cache: dict = {}
-            fields = [[inc.min_field(terms, lams, cache=cache)
-                       for terms in fam] for fam in families]
-            for eps in eps_values:
-                for (m, t), f in zip(plan, fields):
-                    lvls = inc.levels(p, m, eps, penalty_scale)
-                    contained = all(bool(np.all(v <= lvl + _LEVEL_SLACK))
-                                    for v, lvl in zip(f, lvls))
-                    records.append(VerifyRecord(
-                        item.name, m, n, None if t is None else complex(t),
-                        eps, contained, float(lvls[0] - f[0].max())))
-                records.extend(_check_sandwich(
-                    item, view, n, eps, p, lams, families[-1][0],
-                    fields[-1][0], penalty_scale, rng))
+        records.extend(_item_records(item, eps_values, t_values,
+                                     penalty_scale, max_n, rng))
     return records
 
 
-def _check_sandwich(item, view, n, eps, p, lams, terms, field, scale, rng):
-    """Sandwich record of the rectangular method: the eigenvalues and random
-    probes inside its inclusion set must lie in the outer pseudospectrum."""
-    level = inc.levels(p, "tau1", eps, scale)[0]
-    probes = lams[field <= level + _LEVEL_SLACK]
-    if not probes.size:
-        return []
-    box = np.abs(item.matrix).sum(axis=1).max() + eps
-    extra = rng.uniform(-box, box, 8) + 1j * rng.uniform(-box, box, 8)
-    inner = inc.min_field(terms, extra)
-    probes = np.concatenate([probes, extra[inner <= level + _LEVEL_SLACK]])
-    outer_level = inc.tau1_outer_level(p, eps, scale)
-    outer_vals = ps.smin_grid(view.matrix, probes)
-    ok = bool(np.all(outer_vals <= outer_level + _LEVEL_SLACK))
-    return [VerifyRecord(item.name, "tau1-sandwich", n, None, eps, ok,
-                         float(outer_level - outer_vals.max()))]
+def _item_records(item, eps_values, t_values, scale, max_n, rng):
+    """Records of one corpus item, in (n, eps) order: tau, pi per t, tau1,
+    then the sandwich record when some eigenvalue lies in the tau1 set.
+
+    The term fields at the eigenvalues depend neither on n's penalty nor on
+    eps, so one kernel pass evaluates every content-distinct contribution of
+    every n (the tau edge truncations at n are the main ones at a smaller n).
+    The penalty inputs are computed once.  Per n one call evaluates the
+    tau1 term at the random probes of every eps, and one sweep of the full
+    matrix serves every sandwich record.  The probes are drawn in the
+    (n, eps) order of the records, each draw made only when an eigenvalue
+    lies in the tau1 set, so the random stream does not depend on the
+    batching.
+    """
+    A = item.matrix
+    view = make_view(A, item.partition)
+    lams = ps.eig(A)
+    plan = [("tau", None)]
+    if view.partition.uniform:
+        plan += [("pi", t) for t in t_values]
+    plan.append(("tau1", None))
+    N = view.block_count
+    ns = range(1, N if max_n is None else min(N, max_n + 1))
+    families = {n: [inc.family(view, m, n, t) for m, t in plan] for n in ns}
+    cache: dict = {}
+    # one kernel pass fills the cache for every term of every n
+    inc.min_field([c for fams in families.values() for fam in fams
+                   for terms in fam for c in terms], lams, cache=cache)
+    p1 = inc.penalty_params(view, 1)
+    row_sum = np.abs(A).sum(axis=1).max()
+
+    records, sandwiches, probes = [], [], [lams]
+    for n in ns:
+        p = PenaltyParams.from_offdiag(p1.r_L, p1.r_U, p1.c_norm, n)
+        fields = [[inc.min_field(terms, lams, cache=cache) for terms in fam]
+                  for fam in families[n]]
+        draws = []
+        for eps in eps_values:
+            for (m, t), f in zip(plan, fields):
+                lvls = inc.levels(p, m, eps, scale)
+                contained = all(bool(np.all(v <= lvl + _LEVEL_SLACK))
+                                for v, lvl in zip(f, lvls))
+                records.append(VerifyRecord(
+                    item.name, m, n, None if t is None else complex(t),
+                    eps, contained, float(lvls[0] - f[0].max())))
+            level = inc.levels(p, "tau1", eps, scale)[0]
+            inside = fields[-1][0] <= level + _LEVEL_SLACK
+            if inside.any():
+                box = row_sum + eps
+                extra = (rng.uniform(-box, box, 8)
+                         + 1j * rng.uniform(-box, box, 8))
+                draws.append((len(records), eps, level, inside, extra))
+                records.append(None)  # the sandwich record, made below
+        if draws:
+            inner = inc.min_field(families[n][-1][0],
+                                  np.concatenate([d[-1] for d in draws]))
+            for (at, eps, level, inside, extra), vals in zip(
+                    draws, np.split(inner, len(draws))):
+                extra = extra[vals <= level + _LEVEL_SLACK]
+                sandwiches.append((at, n, eps, inside, len(extra),
+                                   inc.tau1_outer_level(p, eps, scale)))
+                probes.append(extra)
+    if sandwiches:
+        outer = ps.smin_grid(view.matrix, np.concatenate(probes))
+        at_lams, outer = outer[:lams.size], outer[lams.size:]
+        for at, n, eps, inside, count, outer_level in sandwiches:
+            vals = np.concatenate([at_lams[inside], outer[:count]])
+            outer = outer[count:]
+            ok = bool(np.all(vals <= outer_level + _LEVEL_SLACK))
+            records[at] = VerifyRecord(item.name, "tau1-sandwich", n, None,
+                                       eps, ok,
+                                       float(outer_level - vals.max()))
+    return records

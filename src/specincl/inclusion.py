@@ -153,7 +153,8 @@ def min_field(contributions, points, jobs: int | None = None,
     """Pointwise minimum of smin over the content-distinct contributions.
 
     The contributions not yet in ``cache`` go to the kernel in one
-    ``smin_fields`` call, which stacks those of one shape.  ``cache`` maps
+    ``smin_fields`` call, which stacks those of one shape; there is no call
+    when every contribution is cached.  ``cache`` maps
     content keys to fields already evaluated at the same points; pass one
     dict to several calls to share their sweeps.
     """
@@ -164,7 +165,9 @@ def min_field(contributions, points, jobs: int | None = None,
         keys[key] = None
         if key not in cache:
             missing[key] = (mat, embed)
-    cache.update(zip(missing, ps.smin_fields(missing.values(), points, jobs)))
+    if missing:
+        cache.update(zip(missing, ps.smin_fields(missing.values(), points,
+                                                 jobs)))
     return reduce(np.minimum, (cache[key] for key in keys))
 
 

@@ -15,6 +15,7 @@ truncation covers block rows/columns ``k .. k+n-1``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -131,6 +132,14 @@ class BlockMatrixView:
         o = self.offsets
         return slice(o[k], o[k + n])
 
+    @cached_property
+    def tridiagonal(self) -> np.ndarray:
+        """Read-only block-tridiagonal part ``B``: the blocks with
+        ``|i - j| <= 1``, zero elsewhere; made once per view."""
+        B = np.where(_block_band(self.partition.sizes), self.matrix, 0.0)
+        B.setflags(write=False)
+        return B
+
 
 def make_view(A, p: BlockPartition) -> BlockMatrixView:
     """Attach a block partition to a square matrix."""
@@ -157,10 +166,8 @@ def split_tridiagonal(view: BlockMatrixView) -> tuple[np.ndarray, np.ndarray]:
     the entrywise complement, so ``B + C == A`` exactly (entries are copied,
     never recomputed).
     """
-    band = _block_band(view.partition.sizes)
-    B = np.where(band, view.matrix, 0.0)
-    C = np.where(band, 0.0, view.matrix)
-    B.setflags(write=False)
+    B = view.tridiagonal
+    C = np.where(_block_band(view.partition.sizes), 0.0, view.matrix)
     C.setflags(write=False)
     return B, C
 
@@ -181,8 +188,7 @@ def submatrix_tau(view: BlockMatrixView, n: int, k: int) -> np.ndarray:
     """
     _check_nk(view, n, k)
     s = view.slice_range(k, n)
-    band = _block_band(view.partition.sizes[k:k + n])
-    return np.where(band, view.matrix[s, s], 0.0)
+    return view.tridiagonal[s, s].copy()
 
 
 def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarray:

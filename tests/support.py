@@ -7,6 +7,9 @@ of the library so the two can cross-check each other.
 import numpy as np
 
 from specincl import inclusion as inc
+from specincl import pseudospec as ps
+from specincl.corpus import _LEVEL_SLACK, VerifyRecord
+from specincl.matrixcore import make_view
 from specincl.penalty import optimal_weights
 
 
@@ -54,3 +57,60 @@ def full_sweep_mask(view, method, n, eps, grid, t=None):
     for terms, level in zip(inc.family(view, method, n, t), lvls):
         mask &= inc.min_field(terms, nodes) <= level
     return mask
+
+
+def per_n_verify_containment(items, eps_values=(0.0, 0.1),
+                              t_values=(1, -1, 1j),
+                              penalty_scale: float = 1.0,
+                              max_n: int | None = None,
+                              rng_seed: int = 7) -> list[VerifyRecord]:
+    """Reference containment records: the verifier evaluating each
+    (matrix, n) on its own, with one field cache per n, the penalty inputs
+    recomputed per n and one full-matrix sweep per sandwich record."""
+    rng = np.random.default_rng(rng_seed)
+    records = []
+    for item in items:
+        view = make_view(item.matrix, item.partition)
+        lams = ps.eig(item.matrix)
+        plan = [("tau", None)]
+        if view.partition.uniform:
+            plan += [("pi", t) for t in t_values]
+        plan.append(("tau1", None))
+        N = view.block_count
+        for n in range(1, N if max_n is None else min(N, max_n + 1)):
+            p = inc.penalty_params(view, n)
+            families = [inc.family(view, m, n, t) for m, t in plan]
+            cache: dict = {}
+            fields = [[inc.min_field(terms, lams, cache=cache)
+                       for terms in fam] for fam in families]
+            for eps in eps_values:
+                for (m, t), f in zip(plan, fields):
+                    lvls = inc.levels(p, m, eps, penalty_scale)
+                    contained = all(bool(np.all(v <= lvl + _LEVEL_SLACK))
+                                    for v, lvl in zip(f, lvls))
+                    records.append(VerifyRecord(
+                        item.name, m, n, None if t is None else complex(t),
+                        eps, contained, float(lvls[0] - f[0].max())))
+                records.extend(_per_n_check_sandwich(
+                    item, view, n, eps, p, lams, families[-1][0],
+                    fields[-1][0], penalty_scale, rng))
+    return records
+
+
+def _per_n_check_sandwich(item, view, n, eps, p, lams, terms, field, scale,
+                          rng):
+    """Sandwich record of the rectangular method: the eigenvalues and random
+    probes inside its inclusion set must lie in the outer pseudospectrum."""
+    level = inc.levels(p, "tau1", eps, scale)[0]
+    probes = lams[field <= level + _LEVEL_SLACK]
+    if not probes.size:
+        return []
+    box = np.abs(item.matrix).sum(axis=1).max() + eps
+    extra = rng.uniform(-box, box, 8) + 1j * rng.uniform(-box, box, 8)
+    inner = inc.min_field(terms, extra)
+    probes = np.concatenate([probes, extra[inner <= level + _LEVEL_SLACK]])
+    outer_level = inc.tau1_outer_level(p, eps, scale)
+    outer_vals = ps.smin_grid(view.matrix, probes)
+    ok = bool(np.all(outer_vals <= outer_level + _LEVEL_SLACK))
+    return [VerifyRecord(item.name, "tau1-sandwich", n, None, eps, ok,
+                         float(outer_level - outer_vals.max()))]

@@ -12,6 +12,8 @@ from specincl.ingest import (
     write_matrix_market,
 )
 
+from support import per_n_verify_containment
+
 
 # ---------------------------------------------------------------------------
 # corpus and verifier
@@ -44,6 +46,55 @@ def test_verify_containment_adversarial_flags_violations():
     records = verify_containment(items, eps_values=(0.0,), penalty_scale=0.3,
                                  max_n=4)
     assert any(not r.contained for r in records)
+
+
+@pytest.mark.parametrize("corpus, options", [
+    ((641987627, 11, (12, 12)), {}),
+    ((1, 12, (6, 16)), {}),
+    ((1, 12, (6, 16)), {"penalty_scale": 0.5}),
+    ((1, 12, (6, 16)), {"max_n": 3}),
+    ((1, 12, (6, 16)), {"eps_values": (0.0,)}),
+], ids=["bench-shape", "cli-default", "penalty-scale", "max-n", "one-eps"])
+def test_verify_containment_equals_per_n_reference(corpus, options):
+    # one batched pass per item gives the records, margins included, of the
+    # verifier that evaluates each (matrix, n) on its own
+    seed, count, orders = corpus
+    items = build_corpus(seed=seed, count=count, orders=orders)
+    expected = per_n_verify_containment(items, **options)
+    assert any(r.method == "tau1-sandwich" for r in expected)
+    assert verify_containment(items, **options) == expected
+
+
+def test_verify_one_kernel_pass_per_item(monkeypatch):
+    # per item: one pass over the fields at the eigenvalues, one call per n
+    # for the random probes and one sweep of the full matrix, none empty;
+    # no contribution is evaluated twice at an eigenvalue
+    from collections import Counter
+
+    from specincl import pseudospec as ps
+
+    calls, pairs = [], Counter()
+    kernel = ps.smin_fields
+
+    def counted(items, lambdas, jobs=None):
+        items = list(items)
+        calls.append((len(items), np.size(lambdas)))
+        for E, embed in items:
+            key = np.asarray(E).tobytes() + (
+                b"" if embed is None else b"|" + np.asarray(embed).tobytes())
+            pairs.update((key, z) for z in np.ravel(lambdas).tolist()
+                         if z in eigenvalues)
+        return kernel(items, lambdas, jobs)
+
+    monkeypatch.setattr(ps, "smin_fields", counted)
+    for item in build_corpus(seed=1, count=12, orders=(6, 16)):
+        calls.clear()
+        pairs.clear()
+        eigenvalues = set(ps.eig(item.matrix).tolist())
+        verify_containment([item])
+        assert 0 < len(calls) <= 2 + item.partition.count - 1
+        assert all(n_items and n_points for n_items, n_points in calls)
+        assert pairs and max(pairs.values()) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +338,9 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["verify", "--count", "1", "--order-min", "5", "--order-max", "3"],
     ["verify", "--count", "1", "--order-min", "-3", "--order-max", "6"],
     ["verify", "--count", "0"],
+    ["verify", "--count", "1", "--max-n", "0"],
+    ["verify", "--count", "1", "--max-n", "-2"],
+    ["verify", "--count", "1", "--seed", "-1"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
      "--n", "2", "--jobs", "0"],
     ["converge", "--builtin", "jordan", "--eps", "0.1",
@@ -298,6 +352,7 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
         "verify-eps-nan", "t-nan", "grid-one-node", "converge-grid-one-node",
         "verify-orders-reversed", "verify-order-negative", "verify-count-0",
+        "verify-max-n-0", "verify-max-n-negative", "verify-seed-negative",
         "jobs-0", "converge-jobs-negative", "jobs-env-0"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
