@@ -142,7 +142,7 @@ def cmd_include(args) -> int:
     # one shared grid covering the worst inclusion level over the plan
     pad = 0.0
     if needs_n:
-        p = inc.penalty_params(view, args.n, args.cnorm_mode)
+        p = inc.penalty_params(view, args.n)
         pad = max(max(inc.levels(p, m, max(eps_list))) for m in methods)
     grid = _parse_grid(args.grid, A, pad)
 
@@ -153,8 +153,7 @@ def cmd_include(args) -> int:
     for method in methods:
         # one sweep per method serves the whole eps list
         reports = inc.method_reports(view, method, eps_list, n=args.n, t=t,
-                                     grid=grid, cnorm_mode=args.cnorm_mode,
-                                     jobs=jobs)
+                                     grid=grid, jobs=jobs)
         for eps, report in zip(eps_list, reports):
             stem = f"{method}_n{args.n or 0}_eps{eps:g}"
             (out_dir / f"{stem}.json").write_text(report.to_json() + "\n",
@@ -174,6 +173,8 @@ def cmd_converge(args) -> int:
     elif args.builtin == "laplacian":
         symbol = laplacian_symbol()
     elif args.symbol:
+        if not Path(args.symbol).is_file():
+            raise UsageError(f"symbol file not found: {args.symbol}")
         symbol = spec_from_json(Path(args.symbol).read_text(encoding="ascii"))
     else:
         raise UsageError("a symbol is required (--builtin or --symbol)")
@@ -265,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inc.add_argument("--t", help="unit-modulus complex, pi method only")
     p_inc.add_argument("--eps", default="0", help="comma-separated levels")
     p_inc.add_argument("--grid", default="auto")
-    p_inc.add_argument("--cnorm-mode", default="auto",
-                       choices=["auto", "exact", "frobenius", "mixed"])
     p_inc.add_argument("--jobs", type=int)
     p_inc.add_argument("--out-dir", default="out")
     p_inc.add_argument("--no-timestamp", action="store_true")

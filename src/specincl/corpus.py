@@ -19,7 +19,6 @@ import numpy as np
 from . import inclusion as inc
 from . import pseudospec as ps
 from .matrixcore import BlockPartition, make_view
-from .penalty import PenaltyParams
 from .toeplitz import build_toeplitz, toeplitz_spec
 
 __all__ = ["CorpusItem", "build_corpus", "VerifyRecord", "verify_containment"]
@@ -121,12 +120,13 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
     The term fields at the eigenvalues depend neither on n's penalty nor on
     eps, so one kernel pass evaluates every content-distinct contribution of
     every n (the tau edge truncations at n are the main ones at a smaller n).
-    The penalty inputs are computed once.  Per n one call evaluates the
-    tau1 term at the random probes of every eps, and one sweep of the full
-    matrix serves every sandwich record.  The probes are drawn in the
-    (n, eps) order of the records, each draw made only when an eigenvalue
-    lies in the tau1 set, so the random stream does not depend on the
-    batching.
+    The levels of each n are computed once, at eps = 0, and shifted by each
+    eps (``0.0 + y == y``, so the floats are those of ``levels(p, m, eps)``).
+    Per n one call evaluates the tau1 term at the random probes of every
+    eps, and one sweep of the full matrix serves every sandwich record.
+    The probes are drawn in the (n, eps) order of the records, each draw
+    made only when an eigenvalue lies in the tau1 set, so the random stream
+    does not depend on the batching.
     """
     A = item.matrix
     view = make_view(A, item.partition)
@@ -142,24 +142,25 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
     # one kernel pass fills the cache for every term of every n
     inc.min_field([c for fams in families.values() for fam in fams
                    for terms in fam for c in terms], lams, cache=cache)
-    p1 = inc.penalty_params(view, 1)
     row_sum = np.abs(A).sum(axis=1).max()
 
     records, sandwiches, probes = [], [], [lams]
     for n in ns:
-        p = PenaltyParams.from_offdiag(p1.r_L, p1.r_U, p1.c_norm, n)
+        p = inc.penalty_params(view, n)
+        base = {m: inc.levels(p, m, 0.0, scale) for m, _ in plan}
+        outer_base = inc.tau1_outer_level(p, 0.0, scale)
         fields = [[inc.min_field(terms, lams, cache=cache) for terms in fam]
                   for fam in families[n]]
         draws = []
         for eps in eps_values:
             for (m, t), f in zip(plan, fields):
-                lvls = inc.levels(p, m, eps, scale)
+                lvls = [eps + lvl for lvl in base[m]]
                 contained = all(bool(np.all(v <= lvl + _LEVEL_SLACK))
                                 for v, lvl in zip(f, lvls))
                 records.append(VerifyRecord(
                     item.name, m, n, None if t is None else complex(t),
                     eps, contained, float(lvls[0] - f[0].max())))
-            level = inc.levels(p, "tau1", eps, scale)[0]
+            level = eps + base["tau1"][0]
             inside = fields[-1][0] <= level + _LEVEL_SLACK
             if inside.any():
                 box = row_sum + eps
@@ -174,7 +175,7 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
                     draws, np.split(inner, len(draws))):
                 extra = extra[vals <= level + _LEVEL_SLACK]
                 sandwiches.append((at, n, eps, inside, len(extra),
-                                   inc.tau1_outer_level(p, eps, scale)))
+                                   eps + outer_base))
                 probes.append(extra)
     if sandwiches:
         outer = ps.smin_grid(view.matrix, np.concatenate(probes))

@@ -29,9 +29,6 @@ from .errors import DomainError
 from .matrixcore import (
     BlockMatrixView,
     embedding_selector,
-    offdiag_norms,
-    remaining_norm,
-    split_tridiagonal,
     submatrix_pi,
     submatrix_tau,
     submatrix_tau1,
@@ -57,25 +54,13 @@ __all__ = [
 ]
 
 _OUTER_AUTO_MAX_ORDER = 512
-_CNORM_AUTO_EXACT_MAX_ORDER = 1024
 
 
-def _resolve_cnorm_mode(view: BlockMatrixView, mode: str) -> str:
-    if mode == "auto":
-        return "exact" if view.order <= _CNORM_AUTO_EXACT_MAX_ORDER else "mixed"
-    if mode in ("exact", "frobenius", "mixed"):
-        return mode
-    raise DomainError(f"unknown cnorm mode {mode!r}")
-
-
-def penalty_params(view: BlockMatrixView, n: int,
-                   cnorm_mode: str = "auto") -> PenaltyParams:
-    """Penalty inputs of a view at truncation size n."""
-    mode = _resolve_cnorm_mode(view, cnorm_mode)
-    _, C = split_tridiagonal(view)
-    c = remaining_norm(C, mode)
-    r_L, r_U, _ = offdiag_norms(view)
-    return PenaltyParams.from_offdiag(r_L, r_U, c, n)
+def penalty_params(view: BlockMatrixView, n: int) -> PenaltyParams:
+    """Penalty inputs of a view at truncation size n, from the norms the
+    view caches (``BlockMatrixView.penalty_inputs``)."""
+    r_L, r_U, c_norm = view.penalty_inputs
+    return PenaltyParams.from_offdiag(r_L, r_U, c_norm, n)
 
 
 def _check_method_n(view: BlockMatrixView, n: int) -> None:
@@ -199,18 +184,17 @@ def _term_fields(terms, points, want=None, jobs: int | None = None):
 
 
 def membership(view: BlockMatrixView, method: str, n: int, eps: float,
-               points, t: complex | None = None,
-               cnorm_mode: str = "auto") -> np.ndarray:
+               points, t: complex | None = None) -> np.ndarray:
     """Exact pointwise membership in a family method's inclusion set."""
     _check_method_n(view, n)
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    lvls = levels(penalty_params(view, n, cnorm_mode), method, eps)
+    lvls = levels(penalty_params(view, n), method, eps)
     fields = _term_fields(family(view, method, n, t), pts)
     return np.all(fields <= np.array(lvls)[:, None], axis=0)
 
 
 def _term_regions(view: BlockMatrixView, method: str, n: int, eps_list,
-                  grid, cnorm_mode: str, jobs, t=None, outer: bool = False):
+                  grid, jobs, t=None, outer: bool = False):
     """One certified sweep of a family method at every eps of ``eps_list``.
 
     Returns the penalty inputs, the ``family`` terms, the grid, for each eps
@@ -222,7 +206,7 @@ def _term_regions(view: BlockMatrixView, method: str, n: int, eps_list,
     _check_method_n(view, n)
     if min(eps_list) < 0:
         raise DomainError("eps must be nonnegative")
-    p = penalty_params(view, n, cnorm_mode)
+    p = penalty_params(view, n)
     lvls = np.array([levels(p, method, eps) for eps in eps_list]).T
     if grid is None:
         pad = (tau1_outer_level(p, max(eps_list)) if outer
@@ -240,7 +224,7 @@ def _term_regions(view: BlockMatrixView, method: str, n: int, eps_list,
 
 def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
                 grid: ps.GridSpec | None = None, t: complex | None = None,
-                cnorm_mode: str = "auto", jobs: int | None = None) -> ps.Region:
+                jobs: int | None = None) -> ps.Region:
     """Mask-only inclusion set of a family method at one eps.
 
     The intersection of the term masks of the certified sweep, with no
@@ -248,7 +232,7 @@ def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
     ``sigma_tau``, ``pi_method`` or ``Gamma`` of ``tau1_method``.
     """
     _, _, _, [regions], _ = _term_regions(view, method, n, [eps], grid,
-                                          cnorm_mode, jobs, t=t)
+                                          jobs, t=t)
     region = reduce(ps.region_intersect, regions)
     return ps.Region(region.grid, region.mask, None, region.level)
 
@@ -264,8 +248,7 @@ def _intersection(field):
 
 
 def sigma_tau(view: BlockMatrixView, n: int, eps: float,
-              grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
-              jobs: int | None = None):
+              grid: ps.GridSpec | None = None, jobs: int | None = None):
     """Square-truncation inclusion set.
 
     Returns ``(sigma, sigma_hat, Sigma)``: the union over truncations at
@@ -274,7 +257,7 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     intersection (== sigma for n <= 2).
     """
     _, terms, _, [regions], field = _term_regions(view, "tau", n, [eps],
-                                                  grid, cnorm_mode, jobs)
+                                                  grid, jobs)
     regions = [ps.fill_corners([r], partial(min_field, contribs, jobs=jobs))[0]
                for r, contribs in zip(regions, terms)]
     if len(regions) == 1:
@@ -286,17 +269,17 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
 
 
 def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
-              grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
+              grid: ps.GridSpec | None = None,
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
     _, _, _, [regions], field = _term_regions(view, "pi", n, [eps], grid,
-                                              cnorm_mode, jobs, t=t)
+                                              jobs, t=t)
     return ps.fill_corners(regions, _intersection(field))[0]
 
 
 def tau1_method(view: BlockMatrixView, n: int, eps: float,
-                grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
-                jobs: int | None = None, outer: bool | None = None):
+                grid: ps.GridSpec | None = None, jobs: int | None = None,
+                outer: bool | None = None):
     """Rectangular-truncation inclusion set and its sandwich companion.
 
     Returns ``(Gamma, outer_region)``.  The sandwich set
@@ -307,7 +290,7 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     if outer is None:
         outer = view.order <= _OUTER_AUTO_MAX_ORDER
     p, _, grid, [regions], field = _term_regions(
-        view, "tau1", n, [eps], grid, cnorm_mode, jobs, outer=outer)
+        view, "tau1", n, [eps], grid, jobs, outer=outer)
     [gamma] = ps.fill_corners(regions, _intersection(field))
     outer_region = None
     if outer:
@@ -425,25 +408,24 @@ class MethodReport:
 
 def method_reports(view: BlockMatrixView, method: str, eps_list,
                    n: int | None = None, t: complex | None = None,
-                   grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
+                   grid: ps.GridSpec | None = None,
                    jobs: int | None = None) -> list[MethodReport]:
     """One MethodReport per eps of ``eps_list``, from one pass of the method:
     a family method sweeps once for every eps, and a Gershgorin baseline,
     which has no eps, is computed once."""
-    mode = _resolve_cnorm_mode(view, cnorm_mode)
     if method in ("tau", "pi", "tau1"):
         if n is None:
             raise DomainError(f"method {method!r} needs n")
         p, terms, _, per_eps, field = _term_regions(
-            view, method, n, eps_list, grid, mode, jobs, t=t)
+            view, method, n, eps_list, grid, jobs, t=t)
         regions = ps.fill_corners(
             [reduce(ps.region_intersect, regions) for regions in per_eps],
             _intersection(field))
         t = complex(t) if method == "pi" else None
         descs = tuple(d for d, _, _ in terms[0])
         penalty = levels(p, method, 0.0)[0]
-        return [MethodReport(method, n, t, eps, penalty, p.c_norm, mode, descs,
-                             region)
+        return [MethodReport(method, n, t, eps, penalty, p.c_norm,
+                             view.cnorm_mode, descs, region)
                 for eps, region in zip(eps_list, regions)]
     if method == "gersh":
         region, discs = gershgorin(view.matrix, grid)
@@ -454,14 +436,13 @@ def method_reports(view: BlockMatrixView, method: str, eps_list,
                       for k in range(view.block_count))
     else:
         raise DomainError(f"unknown method {method!r}")
-    return [MethodReport(method, None, None, eps, 0.0, 0.0, mode, descs,
-                         region) for eps in eps_list]
+    return [MethodReport(method, None, None, eps, 0.0, 0.0, view.cnorm_mode,
+                         descs, region) for eps in eps_list]
 
 
 def run_method(view: BlockMatrixView, method: str, n: int | None = None,
                t: complex | None = None, eps: float = 0.0,
-               grid: ps.GridSpec | None = None, cnorm_mode: str = "auto",
+               grid: ps.GridSpec | None = None,
                jobs: int | None = None) -> MethodReport:
     """Uniform front end over the five methods, producing a MethodReport."""
-    return method_reports(view, method, [eps], n, t, grid, cnorm_mode,
-                          jobs)[0]
+    return method_reports(view, method, [eps], n, t, grid, jobs)[0]

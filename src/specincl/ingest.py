@@ -22,7 +22,11 @@ __all__ = [
 def read_matrix_market(path) -> np.ndarray:
     """Dense complex matrix from a Matrix Market file (array or coordinate,
     real/integer/complex, symmetry expanded)."""
-    m = mmread(str(path))
+    try:
+        m = mmread(str(path))
+    except ValueError as exc:
+        raise DomainError(f"cannot read Matrix Market file {path}: "
+                          f"{exc}") from None
     if hasattr(m, "toarray"):
         m = m.toarray()
     return as_matrix(np.asarray(m))
@@ -36,10 +40,13 @@ def _parse_cell(cell: str) -> complex:
     cell = cell.strip()
     if not cell:
         raise DomainError("empty CSV cell")
-    if "," in cell:
-        re_s, im_s = cell.split(",", 1)
-        return complex(float(re_s), float(im_s))
-    return complex(float(cell), 0.0)
+    try:
+        if "," in cell:
+            re_s, im_s = cell.split(",", 1)
+            return complex(float(re_s), float(im_s))
+        return complex(float(cell), 0.0)
+    except ValueError:
+        raise DomainError(f"cannot parse CSV cell {cell!r}") from None
 
 
 def read_csv_matrix(path) -> np.ndarray:

@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 _UNIT_MODULUS_TOL = 1e-12
+_CNORM_EXACT_MAX_ORDER = 1024
 
 
 def as_matrix(a) -> np.ndarray:
@@ -93,7 +94,9 @@ class BlockPartition:
 
 @dataclass(frozen=True)
 class BlockMatrixView:
-    """A matrix together with a partition, exposing the blocks ``a_ij``."""
+    """A matrix together with a partition, exposing the blocks ``a_ij``;
+    B (bordered, every truncation is a slice of it) and the penalty inputs
+    are derived once per view."""
 
     matrix: np.ndarray
     partition: BlockPartition
@@ -111,21 +114,12 @@ class BlockMatrixView:
         return self.matrix.shape[0]
 
     def block(self, i: int, j: int) -> np.ndarray:
-        """Block ``a_ij`` (0-based); zero matrix for indices outside 0..N-1.
-
-        Out-of-range indices follow the convention that the bi-infinite
-        extension of the matrix is padded with zeros, which is what the
-        periodised and rectangular truncations rely on at the edges.
-        """
+        """Block ``a_ij`` (0-based); raises IndexError outside 0..N-1."""
         n = self.block_count
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"block ({i}, {j}) is outside 0..{n - 1}")
         o = self.offsets
-        if 0 <= i < n and 0 <= j < n:
-            return self.matrix[o[i]:o[i + 1], o[j]:o[j + 1]]
-        # the virtual zero blocks just outside the partition have one row
-        # (column), the border height the one-sided truncation uses there
-        ri = self.partition.sizes[i] if 0 <= i < n else 1
-        rj = self.partition.sizes[j] if 0 <= j < n else 1
-        return np.zeros((ri, rj), dtype=np.complex128)
+        return self.matrix[o[i]:o[i + 1], o[j]:o[j + 1]]
 
     def slice_range(self, k: int, n: int) -> slice:
         """Scalar index range covered by block rows/cols ``k .. k+n-1``."""
@@ -133,12 +127,34 @@ class BlockMatrixView:
         return slice(o[k], o[k + n])
 
     @cached_property
-    def tridiagonal(self) -> np.ndarray:
-        """Read-only block-tridiagonal part ``B``: the blocks with
-        ``|i - j| <= 1``, zero elsewhere; made once per view."""
-        B = np.where(_block_band(self.partition.sizes), self.matrix, 0.0)
-        B.setflags(write=False)
-        return B
+    def bordered(self) -> np.ndarray:
+        """Read-only ``B`` (the blocks with ``|i - j| <= 1``, zero elsewhere)
+        inside a zero border one row and one column wide: the block rows and
+        columns -1 and N, as high as the one-sided truncation needs them."""
+        M = self.order
+        out = np.zeros((M + 2, M + 2), dtype=np.complex128)
+        np.copyto(out[1:-1, 1:-1], self.matrix,
+                  where=_block_band(self.partition.sizes))
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def border_offsets(self) -> tuple[int, ...]:
+        """Block boundaries in ``bordered``: block i starts at ``[i + 1]``."""
+        return (0,) + tuple(x + 1 for x in self.offsets) + (self.order + 2,)
+
+    @property
+    def cnorm_mode(self) -> str:
+        """Norm of C in the penalties: the exact spectral norm up to order
+        1024, the bound ``sqrt(||C||_1 ||C||_inf)`` above."""
+        return "exact" if self.order <= _CNORM_EXACT_MAX_ORDER else "mixed"
+
+    @cached_property
+    def penalty_inputs(self) -> tuple[float, float, float]:
+        """``(r_L, r_U, ||C||)``, the norm of C in ``cnorm_mode``."""
+        r_L, r_U, _ = offdiag_norms(self)
+        _, C = split_tridiagonal(self)
+        return r_L, r_U, remaining_norm(C, self.cnorm_mode)
 
 
 def make_view(A, p: BlockPartition) -> BlockMatrixView:
@@ -166,7 +182,7 @@ def split_tridiagonal(view: BlockMatrixView) -> tuple[np.ndarray, np.ndarray]:
     the entrywise complement, so ``B + C == A`` exactly (entries are copied,
     never recomputed).
     """
-    B = view.tridiagonal
+    B = view.bordered[1:-1, 1:-1]
     C = np.where(_block_band(view.partition.sizes), 0.0, view.matrix)
     C.setflags(write=False)
     return B, C
@@ -187,8 +203,9 @@ def submatrix_tau(view: BlockMatrixView, n: int, k: int) -> np.ndarray:
     even when the parent matrix is dense.
     """
     _check_nk(view, n, k)
-    s = view.slice_range(k, n)
-    return view.tridiagonal[s, s].copy()
+    b = view.border_offsets
+    s = slice(b[k + 1], b[k + n + 1])
+    return view.bordered[s, s].copy()
 
 
 def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarray:
@@ -209,13 +226,13 @@ def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarra
     t = t / abs(t)
     _check_nk(view, n, k)
     sub = submatrix_tau(view, n, k)
-    m = view.partition.sizes[0]
-    lower = view.block(k + n, k + n - 1)   # first block below the window
-    upper = view.block(k - 1, k)           # first block above the window
-    if lower.shape != (m, m):
-        lower = np.zeros((m, m), dtype=np.complex128)
-    if upper.shape != (m, m):
-        upper = np.zeros((m, m), dtype=np.complex128)
+    N, m = view.block_count, view.partition.sizes[0]
+    B = view.bordered[1:-1, 1:-1]
+    zero = np.zeros((m, m), dtype=np.complex128)
+    # the first blocks below and above the window, zero outside the partition
+    lower = (B[(k + n) * m:(k + n + 1) * m, (k + n - 1) * m:(k + n) * m]
+             if k + n < N else zero)
+    upper = B[(k - 1) * m:k * m, k * m:(k + 1) * m] if k > 0 else zero
     sub[0:m, (n - 1) * m:n * m] += t * lower
     sub[(n - 1) * m:n * m, 0:m] += np.conj(t) * upper
     return sub
@@ -224,24 +241,16 @@ def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarra
 def submatrix_tau1(view: BlockMatrixView, n: int, k: int) -> np.ndarray:
     """One-sided (rectangular) truncation of the tridiagonal part.
 
-    The square truncation bordered above by the block ``b[k-1, k]`` placed in
-    the first block column, and below by ``b[k+n, k+n-1]`` in the last block
-    column.  At k = 0 and k = N - n the missing border block is a single zero
-    row, which leaves all singular values unchanged but keeps the shapes
-    uniform.  The result contains every nonzero block of B whose column lies
-    in the window.
+    The block columns ``k .. k+n-1`` of B, block rows ``k-1 .. k+n``: the
+    square truncation bordered above by ``b[k-1, k]`` in the first block
+    column and below by ``b[k+n, k+n-1]`` in the last.  At k = 0 and
+    k = N - n the missing border block is a single zero row, which leaves
+    all singular values unchanged but keeps the shapes uniform.  The result
+    contains every nonzero block of B whose column lies in the window.
     """
     _check_nk(view, n, k)
-    mid = submatrix_tau(view, n, k)
-    width = mid.shape[1]
-    o = [x - view.offsets[k] for x in view.offsets[k:k + n + 1]]
-    top_block = view.block(k - 1, k)
-    bot_block = view.block(k + n, k + n - 1)
-    top = np.zeros((top_block.shape[0], width), dtype=np.complex128)
-    top[:, o[0]:o[1]] = top_block
-    bot = np.zeros((bot_block.shape[0], width), dtype=np.complex128)
-    bot[:, o[n - 1]:o[n]] = bot_block
-    return np.vstack([top, mid, bot])
+    b = view.border_offsets
+    return view.bordered[b[k]:b[k + n + 2], b[k + 1]:b[k + n + 1]].copy()
 
 
 def embedding_selector(n: int, k: int, view: BlockMatrixView) -> np.ndarray:
@@ -251,12 +260,9 @@ def embedding_selector(n: int, k: int, view: BlockMatrixView) -> np.ndarray:
     form shifted rectangular matrices ``B+ - lambda * I+``.
     """
     _check_nk(view, n, k)
-    width = view.offsets[k + n] - view.offsets[k]
-    top_h = view.block(k - 1, k).shape[0]
-    bot_h = view.block(k + n, k + n - 1).shape[0]
-    out = np.zeros((top_h + width + bot_h, width), dtype=np.complex128)
-    out[top_h:top_h + width, :] = np.eye(width)
-    return out
+    b = view.border_offsets
+    return np.eye(b[k + n + 2] - b[k], b[k + n + 1] - b[k + 1],
+                  k=b[k] - b[k + 1], dtype=np.complex128)
 
 
 def offdiag_norms(view: BlockMatrixView) -> tuple[float, float, float]:
@@ -276,17 +282,14 @@ def offdiag_norms(view: BlockMatrixView) -> tuple[float, float, float]:
 def remaining_norm(C, mode: str = "exact") -> float:
     """Spectral norm of the remaining part, or an upper bound for it.
 
-    mode 'exact' returns ||C||_2; 'frobenius' the Frobenius norm; 'mixed' the
-    bound sqrt(||C||_1 ||C||_inf).  Both alternatives dominate the exact
-    spectral norm.
+    mode 'exact' returns ||C||_2; 'mixed' the bound sqrt(||C||_1 ||C||_inf),
+    which dominates it.
     """
     C = np.asarray(C, dtype=np.complex128)
     if C.size == 0 or not np.any(C):
         return 0.0
     if mode == "exact":
         return spectral_norm(C)
-    if mode == "frobenius":
-        return float(np.linalg.norm(C, "fro"))
     if mode == "mixed":
         absC = np.abs(C)
         one = float(absC.sum(axis=0).max())

@@ -59,16 +59,6 @@ class ToeplitzSpec:
     bandwidth: int
     hermitian: bool
 
-    def coeff(self, j: int) -> complex:
-        for off, val in self.coeffs:
-            if off == j:
-                return val
-        return 0.0 + 0.0j
-
-    @property
-    def window(self) -> int:
-        return max((abs(j) for j, _ in self.coeffs), default=0)
-
 
 def toeplitz_spec(coeffs, bandwidth: int | None = None,
                   hermitian: bool | None = None) -> ToeplitzSpec:
@@ -113,9 +103,15 @@ def spec_to_json(spec: ToeplitzSpec) -> str:
 
 
 def spec_from_json(text: str) -> ToeplitzSpec:
-    doc = json.loads(text)
-    coeffs = [(int(j), complex(re, im)) for j, re, im in doc["coeffs"]]
-    return toeplitz_spec(coeffs, doc.get("bandwidth"), doc.get("hermitian"))
+    """Inverse of ``spec_to_json``; malformed documents raise DomainError."""
+    try:
+        doc = json.loads(text)
+        coeffs = [(int(j), complex(re, im)) for j, re, im in doc["coeffs"]]
+        return toeplitz_spec(coeffs, doc.get("bandwidth"),
+                             doc.get("hermitian"))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DomainError(f"malformed symbol JSON: "
+                          f"{type(exc).__name__}: {exc}") from None
 
 
 def build_toeplitz(spec: ToeplitzSpec, M: int) -> np.ndarray:
@@ -373,15 +369,18 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
     if not schedule:
         raise DomainError("empty schedule")
 
-    # one shared grid large enough for every row
+    # one view per (M, w) and one shared grid large enough for every row
     views = {}
     pads = []
     methods = []
     for M, n, w in schedule:
-        A = build_toeplitz(spec, M)
-        part = banded_partition(M, w)
-        view = make_view(A, part)
-        views[(M, w)] = view
+        if (M, w) not in views:
+            views[(M, w)] = make_view(build_toeplitz(spec, M),
+                                      banded_partition(M, w))
+        view = views[(M, w)]
+        if not 1 <= n <= view.block_count - 1:
+            raise DomainError(f"schedule row {M}:{n}:{w} needs 1 <= n <= "
+                              f"{view.block_count - 1}")
         method = "tau" if wiener_tail(spec, w) == 0.0 else "tau1"
         methods.append(method)
         pads.append(inc.levels(inc.penalty_params(view, n), method, eps)[0])

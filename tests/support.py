@@ -1,7 +1,10 @@
 """Shared oracle helpers for the test suite.
 
 The eta batch evaluator re-implements the weight functionals independently
-of the library so the two can cross-check each other.
+of the library so the two can cross-check each other.  The ``reference_*``
+truncations assemble each submatrix block by block, with virtual zero
+blocks outside the partition; the library takes them as slices of one
+bordered B, and tests compare the two byte for byte.
 """
 
 import numpy as np
@@ -9,6 +12,7 @@ import numpy as np
 from specincl import inclusion as inc
 from specincl import pseudospec as ps
 from specincl.corpus import _LEVEL_SLACK, VerifyRecord
+from specincl.errors import DomainError, PiMethodUnsupported
 from specincl.matrixcore import make_view
 from specincl.penalty import optimal_weights
 
@@ -65,8 +69,8 @@ def per_n_verify_containment(items, eps_values=(0.0, 0.1),
                               max_n: int | None = None,
                               rng_seed: int = 7) -> list[VerifyRecord]:
     """Reference containment records: the verifier evaluating each
-    (matrix, n) on its own, with one field cache per n, the penalty inputs
-    recomputed per n and one full-matrix sweep per sandwich record."""
+    (matrix, n) on its own, with one field cache per n, the levels computed
+    per (n, eps) and one full-matrix sweep per sandwich record."""
     rng = np.random.default_rng(rng_seed)
     records = []
     for item in items:
@@ -114,3 +118,94 @@ def _per_n_check_sandwich(item, view, n, eps, p, lams, terms, field, scale,
     ok = bool(np.all(outer_vals <= outer_level + _LEVEL_SLACK))
     return [VerifyRecord(item.name, "tau1-sandwich", n, None, eps, ok,
                          float(outer_level - outer_vals.max()))]
+
+
+# ---------------------------------------------------------------------------
+# block-by-block truncations
+# ---------------------------------------------------------------------------
+
+def reference_block(view, i, j):
+    """Block ``a_ij`` (0-based); zero matrix for indices outside 0..N-1.
+
+    Out-of-range indices follow the convention that the bi-infinite
+    extension of the matrix is padded with zeros, which is what the
+    periodised and rectangular truncations rely on at the edges.
+    """
+    n = view.block_count
+    o = view.offsets
+    if 0 <= i < n and 0 <= j < n:
+        return view.matrix[o[i]:o[i + 1], o[j]:o[j + 1]]
+    # the virtual zero blocks just outside the partition have one row
+    # (column), the border height the one-sided truncation uses there
+    ri = view.partition.sizes[i] if 0 <= i < n else 1
+    rj = view.partition.sizes[j] if 0 <= j < n else 1
+    return np.zeros((ri, rj), dtype=np.complex128)
+
+
+def reference_tridiagonal(view):
+    """Block-tridiagonal part ``B``: the blocks with ``|i - j| <= 1``."""
+    sizes = view.partition.sizes
+    blk = np.repeat(np.arange(len(sizes)), sizes)
+    band = np.abs(blk[:, None] - blk[None, :]) <= 1
+    return np.where(band, view.matrix, 0.0)
+
+
+def _check_nk(view, n, k):
+    N = view.block_count
+    if not (1 <= n <= N):
+        raise IndexError(f"n must be in 1..{N}, got {n}")
+    if not (0 <= k <= N - n):
+        raise IndexError(f"k must be in 0..{N - n} for n={n}, got {k}")
+
+
+def reference_submatrix_tau(view, n, k):
+    _check_nk(view, n, k)
+    s = view.slice_range(k, n)
+    return reference_tridiagonal(view)[s, s].copy()
+
+
+def reference_submatrix_pi(view, n, k, t):
+    if not view.partition.uniform:
+        raise PiMethodUnsupported(
+            "periodised truncations need a uniform partition"
+        )
+    t = complex(t)
+    if not abs(abs(t) - 1.0) <= 1e-12:
+        raise DomainError(f"|t| must be 1, got |t|={abs(t)}")
+    t = t / abs(t)
+    _check_nk(view, n, k)
+    sub = reference_submatrix_tau(view, n, k)
+    m = view.partition.sizes[0]
+    lower = reference_block(view, k + n, k + n - 1)
+    upper = reference_block(view, k - 1, k)
+    if lower.shape != (m, m):
+        lower = np.zeros((m, m), dtype=np.complex128)
+    if upper.shape != (m, m):
+        upper = np.zeros((m, m), dtype=np.complex128)
+    sub[0:m, (n - 1) * m:n * m] += t * lower
+    sub[(n - 1) * m:n * m, 0:m] += np.conj(t) * upper
+    return sub
+
+
+def reference_submatrix_tau1(view, n, k):
+    _check_nk(view, n, k)
+    mid = reference_submatrix_tau(view, n, k)
+    width = mid.shape[1]
+    o = [x - view.offsets[k] for x in view.offsets[k:k + n + 1]]
+    top_block = reference_block(view, k - 1, k)
+    bot_block = reference_block(view, k + n, k + n - 1)
+    top = np.zeros((top_block.shape[0], width), dtype=np.complex128)
+    top[:, o[0]:o[1]] = top_block
+    bot = np.zeros((bot_block.shape[0], width), dtype=np.complex128)
+    bot[:, o[n - 1]:o[n]] = bot_block
+    return np.vstack([top, mid, bot])
+
+
+def reference_embedding_selector(n, k, view):
+    _check_nk(view, n, k)
+    width = view.offsets[k + n] - view.offsets[k]
+    top_h = reference_block(view, k - 1, k).shape[0]
+    bot_h = reference_block(view, k + n, k + n - 1).shape[0]
+    out = np.zeros((top_h + width + bot_h, width), dtype=np.complex128)
+    out[top_h:top_h + width, :] = np.eye(width)
+    return out

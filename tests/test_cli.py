@@ -97,6 +97,25 @@ def test_verify_one_kernel_pass_per_item(monkeypatch):
         assert pairs and max(pairs.values()) == 1
 
 
+def test_verify_levels_once_per_n(monkeypatch):
+    # the tau levels of each n are solved once, at eps = 0, and shifted by
+    # every eps: one theta root for sigma, one more for sigma_hat at n > 2
+    from specincl import penalty
+
+    calls = []
+    solve = penalty.solve_theta
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(penalty, "solve_theta", counted)
+    items = build_corpus(seed=2, count=6, orders=(6, 10))
+    verify_containment(items, eps_values=(0.0, 0.1, 0.2))
+    assert len(calls) == sum(1 if n <= 2 else 2 for item in items
+                             for n in range(1, item.partition.count))
+
+
 # ---------------------------------------------------------------------------
 # ingestion round trips
 # ---------------------------------------------------------------------------
@@ -347,21 +366,72 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
      "--schedule", "24:2:1", "--jobs", "-4"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
      "--n", "2", "SPECINCL_JOBS=0"],
+    ["include", "--input", "bad.csv", "--method", "tau", "--n", "1"],
+    ["include", "--input", "bad.mtx", "--method", "tau", "--n", "1"],
+    ["converge", "--symbol", "no-such-symbol.json", "--eps", "0.1",
+     "--schedule", "24:2:1"],
+    ["converge", "--symbol", "no-coeffs.json", "--eps", "0.1",
+     "--schedule", "24:2:1"],
+    ["converge", "--symbol", "broken.json", "--eps", "0.1",
+     "--schedule", "24:2:1"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1",
+     "--schedule", "24:30:1"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
         "verify-eps-nan", "t-nan", "grid-one-node", "converge-grid-one-node",
         "verify-orders-reversed", "verify-order-negative", "verify-count-0",
         "verify-max-n-0", "verify-max-n-negative", "verify-seed-negative",
-        "jobs-0", "converge-jobs-negative", "jobs-env-0"])
+        "jobs-0", "converge-jobs-negative", "jobs-env-0", "csv-cell",
+        "mtx-entry", "symbol-missing", "symbol-no-coeffs", "symbol-json",
+        "schedule-n-out-of-range"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.csv").write_text("1;2\n3;abc\n")
+    (tmp_path / "bad.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n")
+    (tmp_path / "no-coeffs.json").write_text('{"bandwidth": 1}')
+    (tmp_path / "broken.json").write_text('{"coeffs": [[-1, 1.0, 0.0]')
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("specincl: ") and err.count("\n") == 1
     assert "numeric failure" not in err
+
+
+def test_include_cnorm_mode_option_is_gone(tmp_path):
+    import argparse
+
+    from specincl.cli import build_parser
+
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    include = commands.choices["include"]
+    assert len([a for a in include._actions if a.dest != "help"]) == 12
+    assert main([
+        "include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+        "--n", "2", "--cnorm-mode", "exact", "--out-dir", str(tmp_path / "o"),
+    ]) == 2
+
+
+def test_include_all_computes_norms_once_per_view(tmp_path, monkeypatch):
+    # r_L, r_U and ||C|| are cached on the view: one computation serves the
+    # grid padding and the three methods
+    from specincl import matrixcore
+
+    calls = {"offdiag_norms": 0, "remaining_norm": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(matrixcore, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(matrixcore, name, counted)
+    assert main([
+        "include", "--builtin", "jordan", "--M", "16", "--method", "all",
+        "--n", "3", "--eps", "0,0.1", "--t", "1", "--grid", "24,24",
+        "--no-timestamp", "--out-dir", str(tmp_path / "o"),
+    ]) == 0
+    assert calls == {"offdiag_norms": 1, "remaining_norm": 1}
 
 
 def test_include_bad_n(tmp_path):
