@@ -23,7 +23,7 @@ from . import inclusion as inc
 from . import pseudospec as ps
 from .corpus import build_corpus, verify_containment
 from .errors import SpecinclError
-from .ingest import load_matrix
+from .ingest import load_matrix, read_ascii
 from .matrixcore import make_view, resolve_partition
 from .toeplitz import (
     convergence_study,
@@ -175,7 +175,7 @@ def cmd_converge(args) -> int:
     elif args.symbol:
         if not Path(args.symbol).is_file():
             raise UsageError(f"symbol file not found: {args.symbol}")
-        symbol = spec_from_json(Path(args.symbol).read_text(encoding="ascii"))
+        symbol = spec_from_json(read_ascii(args.symbol))
     else:
         raise UsageError("a symbol is required (--builtin or --symbol)")
     schedule = []

@@ -16,6 +16,7 @@ __all__ = [
     "read_csv_matrix",
     "write_csv_matrix",
     "load_matrix",
+    "read_ascii",
 ]
 
 
@@ -49,15 +50,23 @@ def _parse_cell(cell: str) -> complex:
         raise DomainError(f"cannot parse CSV cell {cell!r}") from None
 
 
+def read_ascii(path) -> str:
+    """Text of an ASCII file; any other byte is a ``DomainError``."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not ASCII text (byte "
+                          f"{exc.object[exc.start]:#04x})") from None
+
+
 def read_csv_matrix(path) -> np.ndarray:
     """Dense CSV: cells separated by ';', each cell "re,im" or a bare real.
 
     A fallback splitter accepts plain comma-separated real matrices.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        text = fh.read()
     rows = []
-    for line in text.splitlines():
+    for line in read_ascii(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -28,7 +28,6 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import product, repeat
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -774,17 +773,26 @@ def _chain_segments(segs: np.ndarray) -> list[np.ndarray]:
 
 def region_to_csv(region: Region, path) -> None:
     """Node table ``re,im,smin,mask``; the smin column is empty where the
-    field is unknown (everywhere for a region without one)."""
-    xs = [repr(x) for x in region.grid.xs.tolist()]
-    ys = [repr(y) for y in region.grid.ys.tolist()]
-    vals = (repeat("") if region.values is None
-            else ["" if v != v else repr(v)
-                  for v in region.values.ravel().tolist()])
-    rows = map("{0[1]},{0[0]},{1},{2:d}\n".format,
-               product(ys, xs), vals, map(int, region.mask.flat))
+    field is unknown (everywhere for a region without one).
+
+    Written one grid row at a time, each line from the column's
+    ``repr(x)``, the row's ``repr(y)``, ``repr`` of the node's value where
+    it is known and the mask's 0 or 1.
+    """
+    heads = [repr(x) + "," for x in region.grid.xs.tolist()]
+    tails = np.array([",0\n", ",1\n"], dtype=object)
+    values = region.values
     with open(path, "w", encoding="ascii") as fh:
         fh.write("re,im,smin,mask\n")
-        fh.writelines(rows)
+        for iy, y in enumerate(region.grid.ys.tolist()):
+            cells = tails[region.mask[iy].view(np.int8)]
+            if values is not None:
+                known = np.flatnonzero(~np.isnan(values[iy]))
+                for ix, v in zip(known.tolist(), values[iy, known].tolist()):
+                    cells[ix] = repr(v) + cells[ix]
+            y = repr(y) + ","
+            fh.write("".join([f"{h}{y}{c}"
+                              for h, c in zip(heads, cells.tolist())]))
 
 
 def _mask_rle(mask: np.ndarray) -> list[int]:

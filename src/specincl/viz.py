@@ -20,22 +20,21 @@ _H = 640
 _MARGIN = 50
 
 
-def _mapper(grid):
+def _to_px(grid, re, im):
+    """Pixel coordinates of points (arrays of real and imaginary parts) as
+    lists of floats."""
     sx = (_W - 2 * _MARGIN) / (grid.re_max - grid.re_min)
     sy = (_H - 2 * _MARGIN) / (grid.im_max - grid.im_min)
-
-    def to_px(x, y):
-        return (_MARGIN + (x - grid.re_min) * sx,
-                _H - _MARGIN - (y - grid.im_min) * sy)
-
-    return to_px
+    return ((_MARGIN + (re - grid.re_min) * sx).tolist(),
+            (_H - _MARGIN - (im - grid.im_min) * sy).tolist())
 
 
-def _path(loops, to_px) -> str:
+def _path(loops, grid) -> str:
     parts = []
     for loop in loops:
-        pts = [to_px(x, y) for x, y in loop]
-        parts.append("M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pts) + " Z")
+        px = _to_px(grid, loop[:, 0], loop[:, 1])
+        parts.append("M " + " L ".join(map("{:.2f} {:.2f}".format, *px))
+                     + " Z")
     return " ".join(parts)
 
 
@@ -43,7 +42,6 @@ def render_svg(region: Region, eigenvalues=None, title: str = "",
                timestamp: bool = True) -> str:
     """SVG document for one region; eigenvalue markers optional."""
     grid = region.grid
-    to_px = _mapper(grid)
     out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -54,7 +52,7 @@ def render_svg(region: Region, eigenvalues=None, title: str = "",
 
     if not region.is_empty:
         loops = contour_extract(region)
-        d = _path(loops, to_px)
+        d = _path(loops, grid)
         out.append(
             f'<path d="{d}" fill="#8fd19e" fill-opacity="0.75" '
             f'fill-rule="evenodd" stroke="#1c7c33" stroke-width="1.2"/>'
@@ -62,8 +60,8 @@ def render_svg(region: Region, eigenvalues=None, title: str = "",
 
     if eigenvalues is not None:
         s = 4.0
-        for lam in np.asarray(eigenvalues).ravel():
-            x, y = to_px(float(lam.real), float(lam.imag))
+        lams = np.asarray(eigenvalues, dtype=np.complex128).ravel()
+        for x, y in zip(*_to_px(grid, lams.real, lams.imag)):
             out.append(
                 f'<path d="M {x - s:.2f} {y - s:.2f} L {x + s:.2f} {y + s:.2f} '
                 f'M {x - s:.2f} {y + s:.2f} L {x + s:.2f} {y - s:.2f}" '

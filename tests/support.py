@@ -4,8 +4,14 @@ The eta batch evaluator re-implements the weight functionals independently
 of the library so the two can cross-check each other.  The ``reference_*``
 truncations assemble each submatrix block by block, with virtual zero
 blocks outside the partition; the library takes them as slices of one
-bordered B, and tests compare the two byte for byte.
+bordered B, and tests compare the two byte for byte.  The ``reference_*``
+writers format the region CSV and the SVG figure node by node and point by
+point; the library's writers work a grid row or a contour loop at a time,
+and tests compare their output byte for byte.
 """
+
+import time
+from itertools import product, repeat
 
 import numpy as np
 
@@ -15,6 +21,8 @@ from specincl.corpus import _LEVEL_SLACK, VerifyRecord
 from specincl.errors import DomainError, PiMethodUnsupported
 from specincl.matrixcore import make_view
 from specincl.penalty import optimal_weights
+from specincl.pseudospec import Region, contour_extract
+from specincl.viz import _H, _MARGIN, _W
 
 
 def eta_batch(W, r_L, r_U, variant):
@@ -209,3 +217,104 @@ def reference_embedding_selector(n, k, view):
     out = np.zeros((top_h + width + bot_h, width), dtype=np.complex128)
     out[top_h:top_h + width, :] = np.eye(width)
     return out
+
+
+# ---------------------------------------------------------------------------
+# node-by-node writers
+# ---------------------------------------------------------------------------
+
+def reference_region_to_csv(region: Region, path) -> None:
+    """Node table ``re,im,smin,mask``; the smin column is empty where the
+    field is unknown (everywhere for a region without one)."""
+    xs = [repr(x) for x in region.grid.xs.tolist()]
+    ys = [repr(y) for y in region.grid.ys.tolist()]
+    vals = (repeat("") if region.values is None
+            else ["" if v != v else repr(v)
+                  for v in region.values.ravel().tolist()])
+    rows = map("{0[1]},{0[0]},{1},{2:d}\n".format,
+               product(ys, xs), vals, map(int, region.mask.flat))
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("re,im,smin,mask\n")
+        fh.writelines(rows)
+
+
+def reference_mapper(grid):
+    sx = (_W - 2 * _MARGIN) / (grid.re_max - grid.re_min)
+    sy = (_H - 2 * _MARGIN) / (grid.im_max - grid.im_min)
+
+    def to_px(x, y):
+        return (_MARGIN + (x - grid.re_min) * sx,
+                _H - _MARGIN - (y - grid.im_min) * sy)
+
+    return to_px
+
+
+def reference_path(loops, to_px) -> str:
+    parts = []
+    for loop in loops:
+        pts = [to_px(x, y) for x, y in loop]
+        parts.append("M " + " L ".join(f"{x:.2f} {y:.2f}" for x, y in pts) + " Z")
+    return " ".join(parts)
+
+
+def reference_render_svg(region: Region, eigenvalues=None, title: str = "",
+                         timestamp: bool = True) -> str:
+    """SVG document for one region; eigenvalue markers optional."""
+    grid = region.grid
+    to_px = reference_mapper(grid)
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+    ]
+    if timestamp:
+        out.append(f"<!-- generated {time.strftime('%Y-%m-%dT%H:%M:%S')} -->")
+    out.append(f'<rect width="{_W}" height="{_H}" fill="white"/>')
+
+    if not region.is_empty:
+        loops = contour_extract(region)
+        d = reference_path(loops, to_px)
+        out.append(
+            f'<path d="{d}" fill="#8fd19e" fill-opacity="0.75" '
+            f'fill-rule="evenodd" stroke="#1c7c33" stroke-width="1.2"/>'
+        )
+
+    if eigenvalues is not None:
+        s = 4.0
+        for lam in np.asarray(eigenvalues).ravel():
+            x, y = to_px(float(lam.real), float(lam.imag))
+            out.append(
+                f'<path d="M {x - s:.2f} {y - s:.2f} L {x + s:.2f} {y + s:.2f} '
+                f'M {x - s:.2f} {y + s:.2f} L {x + s:.2f} {y - s:.2f}" '
+                f'stroke="black" stroke-width="1"/>'
+            )
+
+    # axes frame with corner tick labels
+    out.append(
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_W - 2 * _MARGIN}" '
+        f'height="{_H - 2 * _MARGIN}" fill="none" stroke="#555" '
+        f'stroke-width="1"/>'
+    )
+    labels = [
+        (grid.re_min, _MARGIN, _H - _MARGIN + 16, "start"),
+        (grid.re_max, _W - _MARGIN, _H - _MARGIN + 16, "end"),
+    ]
+    for val, x, y, anchor in labels:
+        out.append(
+            f'<text x="{x}" y="{y}" font-size="12" text-anchor="{anchor}" '
+            f'font-family="monospace">{val:.3g}</text>'
+        )
+    out.append(
+        f'<text x="{_MARGIN - 6}" y="{_H - _MARGIN}" font-size="12" '
+        f'text-anchor="end" font-family="monospace">{grid.im_min:.3g}</text>'
+    )
+    out.append(
+        f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" font-size="12" '
+        f'text-anchor="end" font-family="monospace">{grid.im_max:.3g}</text>'
+    )
+    if title:
+        out.append(
+            f'<text x="{_W / 2}" y="{_MARGIN - 14}" font-size="15" '
+            f'text-anchor="middle" font-family="monospace">{title}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

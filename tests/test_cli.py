@@ -376,6 +376,9 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
      "--schedule", "24:2:1"],
     ["converge", "--builtin", "jordan", "--eps", "0.1",
      "--schedule", "24:30:1"],
+    ["include", "--input", "non-ascii.csv", "--method", "tau", "--n", "1"],
+    ["converge", "--symbol", "non-ascii.json", "--eps", "0.1",
+     "--schedule", "24:2:1"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -384,7 +387,7 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "verify-max-n-0", "verify-max-n-negative", "verify-seed-negative",
         "jobs-0", "converge-jobs-negative", "jobs-env-0", "csv-cell",
         "mtx-entry", "symbol-missing", "symbol-no-coeffs", "symbol-json",
-        "schedule-n-out-of-range"])
+        "schedule-n-out-of-range", "csv-non-ascii", "symbol-non-ascii"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
@@ -394,6 +397,10 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n")
     (tmp_path / "no-coeffs.json").write_text('{"bandwidth": 1}')
     (tmp_path / "broken.json").write_text('{"coeffs": [[-1, 1.0, 0.0]')
+    (tmp_path / "non-ascii.csv").write_text("1;2\n3;4\u00e9\n",
+                                            encoding="utf-8")
+    (tmp_path / "non-ascii.json").write_text(
+        '{"coeffs": [[-1, 1.0, 0.0]], "name": "\u00e9"}', encoding="utf-8")
     assert main(argv + ["--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("specincl: ") and err.count("\n") == 1
