@@ -39,6 +39,7 @@ from .penalty import (
 from .pseudospec import (
     GridSpec,
     Region,
+    certified_regions,
     contour_extract,
     covers_points,
     default_grid,

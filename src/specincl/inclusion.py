@@ -10,10 +10,14 @@ the mask-only ``method_mask``, the pointwise ``membership`` test and the
 corpus verifier are all built on these three.  Duplicate submatrices
 (ubiquitous for Toeplitz inputs) are detected by content and computed once.
 
-Every grid method makes one certified ``level_mask`` sweep over the fields
-of all its terms at all its eps levels, so each (contribution, node) pair is
-evaluated at most once, and only near the level curves.  Its regions carry
-the band field, completed by ``fill_corners`` where they are contoured.
+Every grid set here comes from the one constructor
+``ps.certified_regions``.  A grid method makes one certified sweep over the
+fields of all its terms at all its eps levels and intersects the terms, so
+each (contribution, node) pair is evaluated at most once, and only near the
+level curves; its regions carry the band field, completed at their contour
+corners, and ``method_mask`` returns the mask alone.  Block Gershgorin is
+the union of the certified pseudospectra of the distinct diagonal blocks,
+and the sandwich set of ``tau1_method`` is a ``pseudospectrum``.
 """
 
 from __future__ import annotations
@@ -163,23 +167,37 @@ def _term_fields(terms, points, want=None, jobs: int | None = None):
     With ``want``, a boolean array with one row per term, a term is
     evaluated at its wanted points, and also where the contributions
     evaluated there for other terms cover it; it is NaN elsewhere.  A
-    contribution shared by terms is evaluated once per point.
+    contribution is evaluated once per point, where a term holding it is
+    wanted, and the contributions wanted at the same points share one
+    ``smin_fields`` call.
     """
     points = np.asarray(points)
     out = np.full((len(terms), points.size), np.nan)
     if want is None:
         want = np.ones(out.shape, dtype=bool)
-    keys = [{_content_key(mat, embed) for _, mat, embed in contribs}
-            for contribs in terms]
-    patterns, group = np.unique(want, axis=1, return_inverse=True)
-    for g, pattern in enumerate(patterns.T):
-        cols = np.flatnonzero(group.ravel() == g)
-        cache: dict = {}
-        for i in np.flatnonzero(pattern):
-            out[i, cols] = min_field(terms[i], points[cols], jobs, cache)
-        for i in np.flatnonzero(~pattern):
-            if keys[i] <= cache.keys():
-                out[i, cols] = reduce(np.minimum, (cache[k] for k in keys[i]))
+    keys, items, need = [], {}, {}
+    for contribs, row in zip(terms, want):
+        term = {}
+        for _, mat, embed in contribs:
+            key = _content_key(mat, embed)
+            term[key] = items[key] = (mat, embed)
+            need[key] = need.get(key, False) | row
+        keys.append(term)
+    groups: dict[bytes, list] = {}
+    for key, cols in need.items():
+        groups.setdefault(cols.tobytes(), []).append(key)
+    fields = {}
+    for group in groups.values():
+        cols = need[group[0]]
+        if cols.any():
+            for key, vals in zip(group, ps.smin_fields(
+                    [items[k] for k in group], points[cols], jobs)):
+                fields[key] = np.full(points.size, np.nan)
+                fields[key][cols] = vals
+    for row, term in zip(out, keys):
+        cover = np.logical_and.reduce([need[k] for k in term])
+        if cover.any():
+            row[cover] = reduce(np.minimum, (fields[k][cover] for k in term))
     return out
 
 
@@ -193,15 +211,15 @@ def membership(view: BlockMatrixView, method: str, n: int, eps: float,
     return np.all(fields <= np.array(lvls)[:, None], axis=0)
 
 
-def _term_regions(view: BlockMatrixView, method: str, n: int, eps_list,
-                  grid, jobs, t=None, outer: bool = False):
-    """One certified sweep of a family method at every eps of ``eps_list``.
+def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
+                    grid, jobs, t=None, outer: bool = False, **kwargs):
+    """The sets of a family method at every eps of ``eps_list``, from one
+    ``ps.certified_regions`` sweep over the fields of its terms at their
+    levels, intersected (``kwargs`` pass on to it).
 
-    Returns the penalty inputs, the ``family`` terms, the grid, for each eps
-    the list of term Regions (band fields, not completed at the contour
-    corners) and the stacked field of the terms.  Without a grid, the
-    default one is padded by the largest level (by the sandwich level when
-    ``outer``).
+    Returns the penalty inputs, the ``family`` terms, the grid and what the
+    constructor returns.  Without a grid, the default one is padded by the
+    largest level (by the sandwich level when ``outer``).
     """
     _check_method_n(view, n)
     if min(eps_list) < 0:
@@ -213,13 +231,11 @@ def _term_regions(view: BlockMatrixView, method: str, n: int, eps_list,
                else float(lvls.max()))
         grid = ps.default_grid(view.matrix, pad=pad)
     terms = family(view, method, n, t)
-    field = partial(_term_fields, terms, jobs=jobs)
     slack = ps.smin_slack([mat for contribs in terms
                            for _, mat, _ in contribs], grid)
-    masks, band = ps.level_mask(field, grid, lvls, slack)
-    regions = [[ps.Region(grid, masks[i, j], band[i], lvls[i, j])
-                for i in range(len(terms))] for j in range(len(eps_list))]
-    return p, terms, grid, regions, field
+    sets = ps.certified_regions(partial(_term_fields, terms, jobs=jobs), grid,
+                                lvls, slack, **kwargs)
+    return p, terms, grid, sets
 
 
 def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
@@ -227,25 +243,18 @@ def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
                 jobs: int | None = None) -> ps.Region:
     """Mask-only inclusion set of a family method at one eps.
 
-    The intersection of the term masks of the certified sweep, with no
-    contour pass and ``values=None``: the mask of ``Sigma`` of
-    ``sigma_tau``, ``pi_method`` or ``Gamma`` of ``tau1_method``.
+    The certified sweep with no contour pass and ``values=None``: the mask
+    of ``Sigma`` of ``sigma_tau``, ``pi_method`` or ``Gamma`` of
+    ``tau1_method``.
     """
-    _, _, _, [regions], _ = _term_regions(view, method, n, [eps], grid,
-                                          jobs, t=t)
-    region = reduce(ps.region_intersect, regions)
-    return ps.Region(region.grid, region.mask, None, region.level)
+    _, _, _, [region] = _method_regions(view, method, n, [eps], grid, jobs,
+                                        t=t, with_field=False)
+    return region
 
 
 # ---------------------------------------------------------------------------
 # grid methods
 # ---------------------------------------------------------------------------
-
-def _intersection(field):
-    """Field of a method's set, the intersection of its terms: the
-    pointwise maximum of the term fields."""
-    return lambda points: field(points).max(axis=0)
-
 
 def sigma_tau(view: BlockMatrixView, n: int, eps: float,
               grid: ps.GridSpec | None = None, jobs: int | None = None):
@@ -256,25 +265,19 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     union at level ``eps + eps_{n-2}`` for n > 2 (else None), and their
     intersection (== sigma for n <= 2).
     """
-    _, terms, _, [regions], field = _term_regions(view, "tau", n, [eps],
-                                                  grid, jobs)
-    regions = [ps.fill_corners([r], partial(min_field, contribs, jobs=jobs))[0]
-               for r, contribs in zip(regions, terms)]
-    if len(regions) == 1:
-        return regions[0], None, regions[0]
-    sigma, sigma_hat = regions
-    [both] = ps.fill_corners([ps.region_intersect(sigma, sigma_hat)],
-                             _intersection(field))
-    return sigma, sigma_hat, both
+    _, _, _, (parts, [both]) = _method_regions(view, "tau", n, [eps], grid,
+                                               jobs, parts=True)
+    sigma_hat = parts[1][0] if len(parts) > 1 else None
+    return parts[0][0], sigma_hat, both
 
 
 def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
               grid: ps.GridSpec | None = None,
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
-    _, _, _, [regions], field = _term_regions(view, "pi", n, [eps], grid,
-                                              jobs, t=t)
-    return ps.fill_corners(regions, _intersection(field))[0]
+    _, _, _, [region] = _method_regions(view, "pi", n, [eps], grid, jobs,
+                                        t=t)
+    return region
 
 
 def tau1_method(view: BlockMatrixView, n: int, eps: float,
@@ -283,24 +286,18 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     """Rectangular-truncation inclusion set and its sandwich companion.
 
     Returns ``(Gamma, outer_region)``.  The sandwich set
-    ``Spec_{eps + eps''_n + 2||C||}(A)`` is a certified sweep of the full
-    matrix, made only when ``outer`` is True, or by default for orders
+    ``Spec_{eps + eps''_n + 2||C||}(A)`` is the ``pseudospectrum`` of the
+    full matrix, made only when ``outer`` is True, or by default for orders
     <= 512; pass ``outer=False`` to skip it.
     """
     if outer is None:
         outer = view.order <= _OUTER_AUTO_MAX_ORDER
-    p, _, grid, [regions], field = _term_regions(
-        view, "tau1", n, [eps], grid, jobs, outer=outer)
-    [gamma] = ps.fill_corners(regions, _intersection(field))
+    p, _, grid, [gamma] = _method_regions(view, "tau1", n, [eps], grid, jobs,
+                                          outer=outer)
     outer_region = None
     if outer:
-        A = view.matrix
-        whole = partial(ps.smin_grid, A, jobs=jobs)
-        level = tau1_outer_level(p, eps)
-        [mask], band = ps.level_mask(whole, grid, [level],
-                                     ps.smin_slack([A], grid))
-        [outer_region] = ps.fill_corners(
-            [ps.Region(grid, mask, band, level)], whole)
+        outer_region = ps.pseudospectrum(view.matrix, tau1_outer_level(p, eps),
+                                         grid, jobs=jobs)
     return gamma, outer_region
 
 
@@ -331,29 +328,55 @@ def gershgorin(A, grid: ps.GridSpec | None = None, nx: int = 256,
     return ps.Region(grid, mask), discs
 
 
+def _block_radii(view: BlockMatrixView) -> list[float]:
+    """r_k of every block row: the sum of the spectral norms of its
+    off-diagonal blocks, in column order.  Only the blocks holding a nonzero
+    entry are summed; a zero block adds 0.0, which is exact."""
+    block_of = np.repeat(np.arange(view.block_count), view.partition.sizes)
+    rows, cols = np.nonzero(view.matrix)
+    pairs = np.unique(np.column_stack([block_of[rows], block_of[cols]]),
+                      axis=0)
+    radii = [0.0] * view.block_count
+    for i, j in pairs.tolist():
+        if i != j:
+            radii[i] += ps.spectral_norm(view.block(i, j))
+    return radii
+
+
+# most (component x node) pairs of one block Gershgorin sweep, which holds
+# a few tens of bytes per pair
+_GERSH_PAIRS = 1 << 21
+
+
 def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
                      jobs: int | None = None) -> ps.Region:
     """Block Gershgorin: union over k of the r_k-pseudospectra of the
     diagonal blocks, with r_k the sum of spectral norms of the off-diagonal
-    blocks in block row k."""
-    N = view.block_count
-    radii = []
-    for i in range(N):
-        radii.append(sum(ps.spectral_norm(view.block(i, j))
-                         for j in range(N) if j != i))
+    blocks in block row k.
+
+    Equal diagonal blocks are one component, at the largest of their radii;
+    the components are combined by union in certified sweeps
+    (``ps.certified_regions``) of at most ``_GERSH_PAIRS`` (component x
+    node) pairs each.  The region is mask-only.
+    """
+    radii = _block_radii(view)
     if grid is None:
-        grid = ps.default_grid(view.matrix,
-                               pad=max(radii) if radii else 0.0)
-    nodes = grid.nodes()
-    mask = np.zeros(nodes.shape, dtype=bool)
-    # equal diagonal blocks share one sweep, at the largest of their radii
-    by_content: dict[bytes, list] = {}
+        grid = ps.default_grid(view.matrix, pad=max(radii))
+    comps: dict[bytes, list] = {}
     for i, radius in enumerate(radii):
         block = view.block(i, i)
-        entry = by_content.setdefault(block.tobytes(), [block, radius])
+        entry = comps.setdefault(block.tobytes(), [block, radius])
         entry[1] = max(entry[1], radius)
-    for block, radius in by_content.values():
-        mask |= ps.smin_grid(block, nodes, jobs=jobs) <= radius
+    terms = [[(None, block, None)] for block, _ in comps.values()]
+    bounds = [[radius] for _, radius in comps.values()]
+    slack = ps.smin_slack([block for block, _ in comps.values()], grid)
+    step = max(1, _GERSH_PAIRS // (grid.nx * grid.ny))
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    for s in range(0, len(terms), step):
+        [region] = ps.certified_regions(
+            partial(_term_fields, terms[s:s + step], jobs=jobs), grid,
+            bounds[s:s + step], slack, "union", with_field=False)
+        mask |= region.mask
     return ps.Region(grid, mask)
 
 
@@ -416,11 +439,8 @@ def method_reports(view: BlockMatrixView, method: str, eps_list,
     if method in ("tau", "pi", "tau1"):
         if n is None:
             raise DomainError(f"method {method!r} needs n")
-        p, terms, _, per_eps, field = _term_regions(
-            view, method, n, eps_list, grid, jobs, t=t)
-        regions = ps.fill_corners(
-            [reduce(ps.region_intersect, regions) for regions in per_eps],
-            _intersection(field))
+        p, terms, _, regions = _method_regions(view, method, n, eps_list,
+                                               grid, jobs, t=t)
         t = complex(t) if method == "pi" else None
         descs = tuple(d for d, _, _ in terms[0])
         penalty = levels(p, method, 0.0)[0]

@@ -2,11 +2,15 @@
 
 A Region is a boolean mask over a rectangular grid of complex nodes,
 optionally carrying the field of smallest singular values it was thresholded
-from.  ``pseudospectrum`` sweeps every node.  ``level_mask`` gives the masks
-at several levels at once from far fewer nodes, certified by the Lipschitz
-continuity of smin, together with a band field: the values where they were
-evaluated, NaN elsewhere.  ``fill_corners`` completes a band field at the
-nodes ``contour_extract`` reads.
+from.  ``level_mask`` gives the masks at several levels at once from far
+fewer nodes than a full sweep, certified by the Lipschitz continuity of smin,
+together with a band field: the values where they were evaluated, NaN
+elsewhere.  ``fill_corners`` completes a band field at the nodes
+``contour_extract`` reads.  ``certified_regions`` is the one constructor of
+grid sets built on the two: the sublevel sets of several component fields,
+combined by union or intersection, with a completed band field or mask-only.
+Every grid set of the package comes from it, ``pseudospectrum`` included,
+which returns a band field.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over (matrix x node), and
@@ -27,7 +31,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -47,7 +51,7 @@ __all__ = [
     "smin_slack",
     "level_mask",
     "fill_corners",
-    "rethreshold",
+    "certified_regions",
     "region_union",
     "region_intersect",
     "region_from_points",
@@ -312,19 +316,22 @@ class Region:
 
 
 def pseudospectrum(E, eps: float, grid: GridSpec, embed=None,
-                   jobs: int | None = None) -> Region:
+                   jobs: int | None = None, with_field: bool = True) -> Region:
     """Closed eps-pseudospectrum of E on a grid.
 
     Marks the nodes where ``smin(E - lam*I) <= eps`` (with the rectangular
-    embedding when given) from a sweep of every node, and keeps the full
-    smin field for rethresholding.
+    embedding when given) from one certified sweep, ``certified_regions``,
+    and keeps the band field, or no field without ``with_field``.
     """
     if eps < 0:
         raise DomainError("eps must be nonnegative")
     if not isinstance(grid, GridSpec):
         raise DomainError("grid must be a GridSpec")
-    vals = smin_grid(E, grid.nodes(), embed=embed, jobs=jobs)
-    return Region(grid, vals <= eps, vals, float(eps))
+    # one component, wanted at every point the field is given
+    [region] = certified_regions(
+        lambda points, want: smin_grid(E, points, embed, jobs)[None], grid,
+        [[eps]], smin_slack([E], grid), with_field=with_field)
+    return region
 
 
 # constant c of the singular-value error bound in ``smin_slack``
@@ -452,19 +459,23 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
         iy, ix = (a.ravel() for a in np.meshgrid(fy, fx, indexing="ij"))
         new = ~(np.isin(iy, ly) & np.isin(ix, lx))
         iy, ix = iy[new], ix[new]
+        # the best margin of each new value, and the flat index of the node
+        # it comes from
         best = np.full((len(comps), iy.size), -np.inf)
-        by, bx = np.broadcast_to(iy, best.shape), np.broadcast_to(ix, best.shape)
+        at = np.zeros(best.shape, dtype=np.intp)
         for cy in _around(ly, iy):
             for cx in _around(lx, ix):
                 dist = np.hypot((iy - cy) * grid.dy, (ix - cx) * grid.dx)
                 m = margin[:, cy, cx] - dist * _DIST_WIDEN
                 better = m > best
                 best = np.where(better, m, best)
-                by, bx = np.where(better, cy, by), np.where(better, cx, bx)
+                at = np.where(better, cy * nx + cx, at)
+        # new nodes are still unknown: margin -inf, outside every level
         done = best > 0
-        fs, js = np.nonzero(done)
-        margin[fs, iy[js], ix[js]] = best[fs, js]
-        inside[fs, :, iy[js], ix[js]] = inside[fs, :, by[fs, js], bx[fs, js]]
+        margin[:, iy, ix] = np.where(done, best, -np.inf)
+        copied = inside.reshape(comps.shape + (-1,))[
+            np.arange(len(comps))[:, None], :, at]
+        inside[:, :, iy, ix] = np.swapaxes(copied, 1, 2) & done[:, None]
         evaluate(iy, ix, ~done)
         ly, lx = fy, fx
     return (inside.reshape(lv.shape + nodes.shape),
@@ -505,16 +516,6 @@ def fill_corners(regions, field) -> list:
     return regions
 
 
-def rethreshold(region: Region, eps: float) -> Region:
-    """New region at a different level, reusing the stored smin field."""
-    if region.values is None:
-        raise DomainError("region carries no smin field to rethreshold")
-    if np.isnan(region.values).any():
-        raise DomainError("region's smin field is known only near its level; "
-                          "sweep again to rethreshold")
-    return Region(region.grid, region.values <= eps, region.values, float(eps))
-
-
 def _check_same_grid(a: Region, b: Region) -> None:
     if a.grid != b.grid:
         raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
@@ -551,6 +552,49 @@ def region_intersect(a: Region, b: Region) -> Region:
         vals = np.maximum(a.values, b.values)
     level = a.level if a.level == b.level else None
     return Region(a.grid, a.mask & b.mask, vals, level)
+
+
+# regions and field of the components combined, by combine rule
+_COMBINE = {
+    "intersect": (lambda regions: reduce(region_intersect, regions), np.max),
+    "union": (region_union, np.min),
+}
+
+
+def certified_regions(field, grid: GridSpec, levels, slack: float,
+                      combine: str = "intersect", with_field: bool = True,
+                      parts: bool = False):
+    """Combined sublevel sets of a field's components, from one certified
+    ``level_mask`` sweep (``field``, ``levels`` of shape (F, L) and
+    ``slack`` as there).
+
+    Returns one region per level column j: the components at their levels
+    ``levels[:, j]``, combined by ``region_intersect`` ("intersect"; the
+    field is the pointwise maximum of the components) or ``region_union``
+    ("union"; the minimum).  Its mask is the full sweep's, bit for bit.
+    With ``with_field`` it carries the band field, completed by
+    ``fill_corners``, and ``parts`` completes each component from its own
+    field before combining and returns ``(parts, regions)``, ``parts[i][j]``
+    being component i at ``levels[i, j]``; without, it is mask-only.
+    """
+    lv = np.asarray(levels, dtype=np.float64)
+    masks, band = level_mask(field, grid, lv, slack)
+    comps = [[Region(grid, mask, band[i] if with_field else None, float(level))
+              for mask, level in zip(masks[i], lv[i])] for i in range(len(lv))]
+    join, pick = _COMBINE[combine]
+    if not with_field:
+        return [join(column) for column in zip(*comps)]
+
+    def values(points, rows=slice(None)):
+        want = np.zeros((len(lv), points.size), dtype=bool)
+        want[rows] = True
+        return pick(field(points, want)[rows], axis=0)
+
+    if parts:
+        comps = [fill_corners(row, partial(values, rows=[i]))
+                 for i, row in enumerate(comps)]
+    regions = fill_corners([join(column) for column in zip(*comps)], values)
+    return (comps, regions) if parts else regions
 
 
 def region_from_points(grid: GridSpec, points) -> Region:

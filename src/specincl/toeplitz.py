@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -357,9 +356,9 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
     rows from n >= 4 on.
 
     ``hausdorff`` reads masks only, so both sets are certified mask-only
-    regions (``method_mask``, and ``level_mask`` over the smin field of the
-    full matrix): the masks of the full sweeps, bit for bit, with no contour
-    pass.
+    regions of ``ps.certified_regions`` (``method_mask``, and
+    ``pseudospectrum`` without its field): the masks of the full sweeps,
+    bit for bit, with no contour pass.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
@@ -394,9 +393,8 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
         if M not in references:
             A = build_toeplitz(spec, M)
             if eps > 0:
-                [mask], _ = ps.level_mask(partial(ps.smin_grid, A, jobs=jobs),
-                                          grid, [eps], ps.smin_slack([A], grid))
-                references[M] = ps.Region(grid, mask, None, float(eps))
+                references[M] = ps.pseudospectrum(A, eps, grid, jobs=jobs,
+                                                  with_field=False)
             else:
                 references[M] = ps.region_from_points(grid, ps.eig(A))
         return references[M]

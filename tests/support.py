@@ -7,7 +7,11 @@ blocks outside the partition; the library takes them as slices of one
 bordered B, and tests compare the two byte for byte.  The ``reference_*``
 writers format the region CSV and the SVG figure node by node and point by
 point; the library's writers work a grid row or a contour loop at a time,
-and tests compare their output byte for byte.
+and tests compare their output byte for byte.  ``reference_pseudospectrum``
+and ``reference_gershgorin_block`` sweep every grid node, and
+``reference_block_radii`` sums the norms of every off-diagonal block; the
+library sweeps certified and sums the nonzero blocks only, and tests
+compare the masks bit for bit.
 """
 
 import time
@@ -68,6 +72,40 @@ def full_sweep_mask(view, method, n, eps, grid, t=None):
     mask = np.ones(nodes.shape, dtype=bool)
     for terms, level in zip(inc.family(view, method, n, t), lvls):
         mask &= inc.min_field(terms, nodes) <= level
+    return mask
+
+
+def reference_pseudospectrum(E, eps, grid, embed=None, jobs=None):
+    """Closed eps-pseudospectrum from a sweep of every node, carrying the
+    full smin field."""
+    if eps < 0:
+        raise DomainError("eps must be nonnegative")
+    vals = ps.smin_grid(E, grid.nodes(), embed=embed, jobs=jobs)
+    return Region(grid, vals <= eps, vals, float(eps))
+
+
+def assert_band_of(region, oracle):
+    """A certified region has the oracle's mask and level, and its band
+    field is the oracle's full field, bit for bit, wherever it is known."""
+    assert np.array_equal(region.mask, oracle.mask)
+    assert region.level == oracle.level
+    known = ~np.isnan(region.values)
+    assert np.array_equal(region.values[known], oracle.values[known])
+
+
+def reference_block_radii(view):
+    """r_k of every block row: the spectral norms of all its off-diagonal
+    blocks, summed in column order."""
+    N = view.block_count
+    return [sum(ps.spectral_norm(view.block(i, j)) for j in range(N) if j != i)
+            for i in range(N)]
+
+
+def reference_gershgorin_block(view, grid):
+    """Block Gershgorin mask from a full sweep of every diagonal block."""
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    for i, radius in enumerate(reference_block_radii(view)):
+        mask |= ps.smin_grid(view.block(i, i), grid.nodes()) <= radius
     return mask
 
 

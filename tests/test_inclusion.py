@@ -6,7 +6,7 @@ import pytest
 from specincl import inclusion as inc
 from specincl import pseudospec as ps
 from specincl.errors import PiMethodUnsupported
-from specincl.matrixcore import BlockPartition, make_view
+from specincl.matrixcore import BlockPartition, make_view, resolve_partition
 from specincl.penalty import eps_pi, eps_tau, eps_tau1
 from specincl.toeplitz import (
     jordan,
@@ -16,7 +16,11 @@ from specincl.toeplitz import (
     laplacian_theta,
 )
 
-from support import full_sweep_mask
+from support import (
+    full_sweep_mask,
+    reference_block_radii,
+    reference_gershgorin_block,
+)
 
 
 def rand_complex(rng, shape):
@@ -406,26 +410,67 @@ def test_gershgorin_block_scalar_partition_equals_classical():
 
 def test_gershgorin_block_sweeps_each_distinct_block_once(monkeypatch):
     # Jordan blocks of one order are equal, so the partition (3,3,3,2,1)
-    # has three distinct diagonal blocks; the mask matches block-by-block
-    calls = []
-    sweep = ps.smin_grid
+    # has three distinct diagonal blocks; each is swept certified, no
+    # (block, node) pair twice, and the mask matches block-by-block
+    pairs = []
+    kernel = ps.smin_fields
 
-    def counting(E, lambdas, *args, **kwargs):
-        calls.append(np.shape(E))
-        return sweep(E, lambdas, *args, **kwargs)
+    def counting(items, lambdas, *args, **kwargs):
+        items = list(items)
+        for E, _ in items:
+            pairs.extend((np.asarray(E).tobytes(), lam)
+                         for lam in np.ravel(lambdas).tolist())
+        return kernel(items, lambdas, *args, **kwargs)
 
     view = make_view(jordan(12), BlockPartition((3, 3, 3, 2, 1)))
     grid = ps.GridSpec(-2.5, 2.5, -2.5, 2.5, 41, 41)
-    monkeypatch.setattr(inc.ps, "smin_grid", counting)
+    monkeypatch.setattr(ps, "smin_fields", counting)
     region = inc.gershgorin_block(view, grid=grid)
     monkeypatch.undo()
-    assert sorted(calls) == [(1, 1), (2, 2), (3, 3)]
-    blockwise = np.zeros((41, 41), dtype=bool)
-    for i in range(view.block_count):
-        radius = sum(ps.spectral_norm(view.block(i, j))
-                     for j in range(view.block_count) if j != i)
-        blockwise |= ps.smin_grid(view.block(i, i), grid.nodes()) <= radius
-    assert np.array_equal(region.mask, blockwise)
+    distinct = {jordan(m).astype(np.complex128).tobytes() for m in (1, 2, 3)}
+    assert {block for block, _ in pairs} == distinct
+    assert len(set(pairs)) == len(pairs) < 3 * 41 * 41
+    assert np.array_equal(region.mask, reference_gershgorin_block(view, grid))
+    assert region.values is None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_gershgorin_block_equals_full_sweep(seed, monkeypatch):
+    A = banded_matrix(48, 3, seed=seed)
+    view = make_view(A, resolve_partition("auto-band", A))
+    pad = max(reference_block_radii(view))
+    assert inc.gershgorin_block(view).grid == ps.default_grid(A, pad=pad)
+    grid = ps.default_grid(A, pad=pad, nx=64, ny=64)
+    region = inc.gershgorin_block(view, grid=grid)
+    assert region.values is None
+    full = reference_gershgorin_block(view, grid)
+    assert np.array_equal(region.mask, full)
+    assert full.any() and not full.all()
+    # the 16 distinct blocks in sweeps of at most 5 components each
+    monkeypatch.setattr(inc, "_GERSH_PAIRS", 5 * grid.nx * grid.ny)
+    assert np.array_equal(inc.gershgorin_block(view, grid=grid).mask, full)
+
+
+def zero_block_matrix():
+    # blocks (0, 2), (1, 0) and (2, 1) are zero; so is all of block row 3
+    rng = np.random.default_rng(43)
+    A = rand_complex(rng, (9, 9))
+    A[0:2, 5:7] = A[2:5, 0:2] = A[5:7, 2:5] = 0
+    A[7:9, :7] = 0
+    return make_view(A, BlockPartition((2, 3, 2, 2)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_view(rand_complex(np.random.default_rng(41), (10, 10)),
+                      BlockPartition((3, 1, 4, 2))),
+    zero_block_matrix,
+    lambda: scalar_view(laplacian(64)),
+], ids=["dense", "zero-blocks", "scalar-laplacian"])
+def test_block_radii_equal_all_pairs_sum(build):
+    view = build()
+    radii = inc._block_radii(view)
+    reference = reference_block_radii(view)
+    assert [float(r).hex() for r in radii] == [float(r).hex() for r in reference]
 
 
 # ---------------------------------------------------------------------------

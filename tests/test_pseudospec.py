@@ -24,13 +24,14 @@ from specincl.pseudospec import (
     region_to_csv,
     region_to_json,
     region_union,
-    rethreshold,
     smin,
     smin_grid,
     smin_shifted,
     smin_slack,
 )
 from specincl.toeplitz import jordan, jordan_alpha, laplacian
+
+from support import assert_band_of, reference_pseudospectrum
 
 
 def rand_complex(rng, shape):
@@ -152,10 +153,11 @@ def test_pseudospectrum_normal_matrix_is_union_of_discs():
     d = np.array([1.0 + 0.0j, -0.5 + 0.5j, 0.0 - 1.0j])
     grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 41, 41)
     eps = 0.613
-    region = pseudospectrum(np.diag(d), eps, grid)
+    oracle = reference_pseudospectrum(np.diag(d), eps, grid)
     dist = np.min(np.abs(grid.nodes()[..., None] - d[None, None, :]), axis=-1)
-    assert np.array_equal(region.mask, dist <= eps)
-    assert np.allclose(region.values, dist, atol=1e-12)
+    assert np.array_equal(oracle.mask, dist <= eps)
+    assert np.allclose(oracle.values, dist, atol=1e-12)
+    assert_band_of(pseudospectrum(np.diag(d), eps, grid), oracle)
 
 
 def test_pseudospectrum_jordan_disc_radius():
@@ -183,7 +185,7 @@ def test_pseudospectrum_monotone_in_eps():
     E = rand_complex(rng, (6, 6))
     grid = GridSpec(-3, 3, -3, 3, 41, 41)
     region = pseudospectrum(E, 0.1, grid)
-    bigger = rethreshold(region, 0.4)
+    bigger = pseudospectrum(E, 0.4, grid)
     assert not np.any(region.mask & ~bigger.mask)
 
 
@@ -205,10 +207,14 @@ def test_pseudospectrum_jobs_deterministic():
     rng = np.random.default_rng(8)
     E = rand_complex(rng, (5, 5))
     grid = GridSpec(-2, 2, -2, 2, 37, 29)
+    oracle = reference_pseudospectrum(E, 0.3, grid, jobs=None)
+    assert np.array_equal(
+        oracle.values, reference_pseudospectrum(E, 0.3, grid, jobs=2).values)
     serial = pseudospectrum(E, 0.3, grid, jobs=None)
     threaded = pseudospectrum(E, 0.3, grid, jobs=2)
-    assert np.array_equal(serial.values, threaded.values)
+    assert np.array_equal(serial.values, threaded.values, equal_nan=True)
     assert np.array_equal(serial.mask, threaded.mask)
+    assert_band_of(serial, oracle)
 
 
 def _smin_one_at_a_time(E, embed, points):
@@ -483,17 +489,6 @@ def test_band_field_contours_equal_full_field(case, tmp_path):
             for v, k in zip(done.values.ravel(), known.ravel())]
     # every level's region shares the one completed band
     assert all(r.values is filled[0].values for r in filled)
-
-
-def test_rethreshold_refuses_band_field():
-    A = jordan(8)
-    grid = GridSpec(-2, 2, -2, 2, 41, 41)
-    [mask], band = level_mask(lambda pts: smin_grid(A, pts), grid, [0.3],
-                              smin_slack([A], grid))
-    with pytest.raises(DomainError):
-        rethreshold(Region(grid, mask, band, 0.3), 0.4)
-    full = pseudospectrum(A, 0.3, grid)
-    assert np.array_equal(rethreshold(full, 0.3).mask, mask)
 
 
 def test_smin_slack_scales_with_norm_and_grid():

@@ -29,7 +29,7 @@ from specincl.toeplitz import (
     wiener_tail,
 )
 
-from support import full_sweep_mask
+from support import full_sweep_mask, reference_pseudospectrum
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +301,7 @@ def full_sweep_rows(spec, eps, schedule, grid_nodes):
     for M, n, w, view, method in plan:
         region = ps.Region(grid, full_sweep_mask(view, method, n, eps, grid))
         A = build_toeplitz(spec, M)
-        ref = (ps.pseudospectrum(A, eps, grid) if eps > 0
+        ref = (reference_pseudospectrum(A, eps, grid) if eps > 0
                else ps.region_from_points(grid, eig(A)))
         rows.append((M, n, w, eps, method, ps.hausdorff(region, ref),
                      grid.cell_diag))

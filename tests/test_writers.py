@@ -11,7 +11,12 @@ from specincl.pseudospec import GridSpec, Region, region_to_csv
 from specincl.toeplitz import jordan, laplacian
 from specincl.viz import render_svg
 
-from support import reference_region_to_csv, reference_render_svg
+from support import (
+    assert_band_of,
+    reference_pseudospectrum,
+    reference_region_to_csv,
+    reference_render_svg,
+)
 
 
 def _band_region(grid):
@@ -38,7 +43,7 @@ _GRIDS = {
 
 _REGIONS = {
     "band-nan": _band_region,
-    "full-field": lambda g: ps.pseudospectrum(laplacian(6), 0.4, g),
+    "full-field": lambda g: reference_pseudospectrum(laplacian(6), 0.4, g),
     "disc": _disc,
     "mask-only": lambda g: Region(g, _disc(g).mask),
     "empty": lambda g: Region(g, np.zeros((g.ny, g.nx), dtype=bool)),
@@ -51,6 +56,13 @@ def _cases():
     for gname in _GRIDS:
         for rname in _REGIONS:
             yield pytest.param(gname, rname, id=f"{gname}-{rname}")
+
+
+@pytest.mark.parametrize("gname", list(_GRIDS))
+def test_pseudospectrum_is_band_of_full_field(gname):
+    grid = _GRIDS[gname]()
+    assert_band_of(ps.pseudospectrum(laplacian(6), 0.4, grid),
+                   _REGIONS["full-field"](grid))
 
 
 @pytest.mark.parametrize("gname, rname", list(_cases()))
