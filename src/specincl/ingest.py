@@ -1,11 +1,14 @@
-"""Matrix file ingestion: Matrix Market and dense CSV with re,im cells."""
+"""Matrix file ingestion: Matrix Market and dense CSV with re,im cells.
+
+The Matrix Market reader and writer load ``scipy.io`` when first called, so
+importing this module loads no scipy module.
+"""
 
 from __future__ import annotations
 
 import io
 
 import numpy as np
-from scipy.io import mmread, mmwrite
 
 from .errors import DomainError
 from .matrixcore import as_matrix
@@ -23,6 +26,8 @@ __all__ = [
 def read_matrix_market(path) -> np.ndarray:
     """Dense complex matrix from a Matrix Market file (array or coordinate,
     real/integer/complex, symmetry expanded)."""
+    from scipy.io import mmread
+
     try:
         m = mmread(str(path))
     except ValueError as exc:
@@ -34,6 +39,8 @@ def read_matrix_market(path) -> np.ndarray:
 
 
 def write_matrix_market(path, A) -> None:
+    from scipy.io import mmwrite
+
     mmwrite(str(path), np.asarray(A, dtype=np.complex128))
 
 

@@ -22,6 +22,10 @@ thread pool of at most ``jobs`` workers, never more than the usable CPUs
 Each block writes its own result slots, and the batched SVD returns the same
 bits however a batch is split or stacked, so the output is identical for any
 worker count.
+
+scipy is imported on first use only: ``covers_points`` and ``hausdorff`` load
+``scipy.spatial`` for their nearest-node queries, and nothing else here needs
+it, so importing this module (and the CLI) loads no scipy module.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DomainError, EmptyRegionError, GridMismatch
 
@@ -76,6 +79,9 @@ _BLOCK_BYTES = 4 << 20
 # and the batched SVD runs at up to 3 Gflop/s (order 48 and up; far slower
 # below), so such a block takes over 1 ms
 _MIN_BLOCK_FLOPS = 4e6
+# least node spacing of a grid: 2**22 above the smallest normal float, so
+# 1/spacing and a pixel scale of 2**20 per axis stay finite
+_MIN_SPACING = 2.0 ** -1000
 
 
 def smin(E) -> float:
@@ -233,7 +239,15 @@ def smin_grid(E, lambdas, embed=None, jobs: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis-aligned sampling box in the complex plane."""
+    """Axis-aligned sampling box in the complex plane.
+
+    The bounds must be finite with ``re_min < re_max`` and ``im_min <
+    im_max``, and each axis needs at least 2 nodes.  The node spacings ``dx``
+    and ``dy`` must be finite (the extent ``re_max - re_min`` must not
+    overflow) and at least ``2**-1000``, about 9.3e-302, so that the inverse
+    spacings, and pixel scales of up to ``2**20`` pixels per axis (the SVG
+    uses 540), are finite too.  Any other box raises ``DomainError``.
+    """
 
     re_min: float
     re_max: float
@@ -250,6 +264,13 @@ class GridSpec:
             raise DomainError("grid box must have positive extent")
         if self.nx < 2 or self.ny < 2:
             raise DomainError("grid needs at least 2 nodes per axis")
+        spacing = (self.dx, self.dy)
+        if not all(map(math.isfinite, spacing)):
+            raise DomainError("grid extent overflows: re_max - re_min and "
+                              "im_max - im_min must be finite")
+        if min(spacing) < _MIN_SPACING:
+            raise DomainError(f"grid spacing {min(spacing):.3g} is below "
+                              f"{_MIN_SPACING:.3g}")
 
     @property
     def xs(self) -> np.ndarray:
@@ -613,14 +634,20 @@ def region_points(region: Region) -> np.ndarray:
     return region.grid.xs[ix] + 1j * region.grid.ys[iy]
 
 
+def _nearest_distance(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Distance from each complex point to its nearest complex node."""
+    from scipy.spatial import cKDTree
+
+    tree = cKDTree(np.column_stack([nodes.real, nodes.imag]))
+    return tree.query(np.column_stack([points.real, points.imag]))[0]
+
+
 def covers_points(region: Region, points, cells: float = 1.0) -> np.ndarray:
     """True per point when a masked node lies within ``cells`` cell diagonals."""
     pts = np.asarray(points, dtype=np.complex128).ravel()
     if region.is_empty:
         return np.zeros(pts.shape, dtype=bool)
-    nodes = region_points(region)
-    tree = cKDTree(np.column_stack([nodes.real, nodes.imag]))
-    d, _ = tree.query(np.column_stack([pts.real, pts.imag]))
+    d = _nearest_distance(region_points(region), pts)
     return d <= cells * region.grid.cell_diag * (1 + 1e-12)
 
 
@@ -635,10 +662,8 @@ def hausdorff(a: Region, b: Region) -> float:
         raise EmptyRegionError("hausdorff needs two nonempty regions")
     pa = region_points(a)
     pb = region_points(b)
-    ta = cKDTree(np.column_stack([pa.real, pa.imag]))
-    tb = cKDTree(np.column_stack([pb.real, pb.imag]))
-    d_ab = ta.query(np.column_stack([pb.real, pb.imag]))[0].max()
-    d_ba = tb.query(np.column_stack([pa.real, pa.imag]))[0].max()
+    d_ab = _nearest_distance(pa, pb).max()
+    d_ba = _nearest_distance(pb, pa).max()
     return float(max(d_ab, d_ba))
 
 

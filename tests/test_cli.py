@@ -1,7 +1,14 @@
+import gzip
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import specincl
 
 from specincl.cli import main
 from specincl.corpus import build_corpus, verify_containment
@@ -127,6 +134,18 @@ def test_matrix_market_roundtrip(tmp_path):
     write_matrix_market(path, A)
     back = load_matrix(path)
     assert np.allclose(back, A, atol=1e-14)
+
+
+def test_matrix_market_gzip_equals_plain(tmp_path):
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    plain = tmp_path / "m.mtx"
+    write_matrix_market(plain, A)
+    packed = tmp_path / "m.mtx.gz"
+    packed.write_bytes(gzip.compress(plain.read_bytes()))
+    a, b = load_matrix(plain), load_matrix(packed)
+    assert a.dtype == b.dtype and a.shape == b.shape == (6, 6)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_matrix_market_coordinate_real(tmp_path):
@@ -379,6 +398,10 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["include", "--input", "non-ascii.csv", "--method", "tau", "--n", "1"],
     ["converge", "--symbol", "non-ascii.json", "--eps", "0.1",
      "--schedule", "24:2:1"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
+     "--grid=-1e308,1e308,-1,1,10,10"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
+     "--grid=0,1e-320,-1,1,10,10"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -387,7 +410,8 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "verify-max-n-0", "verify-max-n-negative", "verify-seed-negative",
         "jobs-0", "converge-jobs-negative", "jobs-env-0", "csv-cell",
         "mtx-entry", "symbol-missing", "symbol-no-coeffs", "symbol-json",
-        "schedule-n-out-of-range", "csv-non-ascii", "symbol-non-ascii"])
+        "schedule-n-out-of-range", "csv-non-ascii", "symbol-non-ascii",
+        "grid-extent-overflow", "grid-extent-subnormal"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
@@ -503,3 +527,48 @@ def test_verify_adversarial_negative_control(tmp_path):
     doc = json.loads((out / "verify_report.json").read_text())
     assert doc["violations"] > 0
     assert doc["penalty_scale"] == 0.5
+
+
+# ---------------------------------------------------------------------------
+# CLI: import fence
+# ---------------------------------------------------------------------------
+
+_COLD_PROCESS = """
+import json, sys
+import specincl, specincl.cli
+from specincl.cli import main
+out = sys.argv[1]
+codes = [main(["include", "--builtin", "jordan", "--M", "16", "--method", "all",
+               "--n", "2", "--t", "1", "--grid", "32,32", "--no-timestamp",
+               "--out-dir", out + "/include"]),
+         main(["verify", "--seed", "1", "--count", "2", "--order-min", "6",
+               "--order-max", "8", "--eps", "0,0.1", "--max-n", "2",
+               "--out-dir", out + "/verify"])]
+cold = sorted(m for m in sys.modules if m.startswith("scipy"))
+codes += [main(["converge", "--builtin", "jordan", "--eps", "0.15",
+                "--schedule", "24:2:1,24:4:1", "--grid-nodes", "32",
+                "--out-dir", out + "/converge"]),
+          main(["include", "--input", out + "/m.mtx", "--method", "tau",
+                "--n", "2", "--eps", "0.1", "--grid", "24,24",
+                "--no-timestamp", "--out-dir", out + "/mtx"])]
+warm = sorted({"scipy.io", "scipy.spatial"} & set(sys.modules))
+print(json.dumps({"cold": cold, "warm": warm, "codes": codes}))
+"""
+
+
+def test_cold_process_loads_scipy_on_first_use_only(tmp_path):
+    # a fresh interpreter: in this one an earlier test may have imported
+    # scipy already.  include --builtin and verify load no scipy module;
+    # converge (Hausdorff distances) and a Matrix Market input load it when
+    # they first need it
+    write_matrix_market(tmp_path / "m.mtx", np.diag(np.arange(1.0, 7.0), 1))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(specincl.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _COLD_PROCESS, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"cold": [], "warm": ["scipy.io", "scipy.spatial"],
+                      "codes": [0, 0, 0, 0]}, proc.stderr
