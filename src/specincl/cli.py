@@ -23,7 +23,7 @@ from . import inclusion as inc
 from . import pseudospec as ps
 from .corpus import build_corpus, verify_containment
 from .errors import SpecinclError
-from .ingest import load_matrix, read_ascii
+from .ingest import check_dense_shape, load_matrix, read_ascii
 from .matrixcore import make_view, resolve_partition
 from .toeplitz import (
     convergence_study,
@@ -55,11 +55,13 @@ def _parse_complex(text: str) -> complex:
 def _parse_number(text: str, kind, option: str):
     try:
         value = kind(text)
+        if not math.isfinite(value):
+            raise UsageError(f"{option} expects finite values, got {text!r}")
     except ValueError:
         raise UsageError(f"{option} expects {kind.__name__} values, "
                          f"got {text!r}") from None
-    if not math.isfinite(value):
-        raise UsageError(f"{option} expects finite values, got {text!r}")
+    except OverflowError:  # an int beyond the float range
+        raise UsageError(f"{option} value {text!r} is out of range") from None
     return value
 
 
@@ -77,11 +79,14 @@ def _parse_grid(text, A, pad, default_nodes=256):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) == 2:
         nx, ny = (_parse_number(x, int, "--grid") for x in parts)
+        check_dense_shape((ny, nx), "--grid")
         return ps.default_grid(A, pad=pad, nx=nx, ny=ny)
     if len(parts) == 6:
         kinds = (float,) * 4 + (int,) * 2
-        return ps.GridSpec(*(_parse_number(x, kind, "--grid")
-                             for x, kind in zip(parts, kinds)))
+        values = [_parse_number(x, kind, "--grid")
+                  for x, kind in zip(parts, kinds)]
+        check_dense_shape((values[5], values[4]), "--grid")
+        return ps.GridSpec(*values)
     raise UsageError("grid must be 'auto', 'nx,ny', or "
                      "'re_min,re_max,im_min,im_max,nx,ny'")
 
@@ -104,6 +109,7 @@ def _load_input(args) -> np.ndarray:
     if args.builtin:
         if not args.M:
             raise UsageError("--builtin needs --M")
+        check_dense_shape((args.M, args.M), "--M")
         if args.builtin == "jordan":
             return jordan(args.M)
         if args.builtin == "laplacian":
@@ -190,6 +196,9 @@ def cmd_converge(args) -> int:
                               for x in parts))
     if not schedule:
         raise UsageError("empty schedule")
+    for M, _, _ in schedule:
+        check_dense_shape((M, M), "--schedule")
+    check_dense_shape((args.grid_nodes, args.grid_nodes), "--grid-nodes")
     eps = _parse_number(args.eps, float, "--eps")
 
     result = convergence_study(symbol, eps, schedule,

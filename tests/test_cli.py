@@ -402,6 +402,22 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
      "--grid=-1e308,1e308,-1,1,10,10"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
      "--grid=0,1e-320,-1,1,10,10"],
+    ["include", "--input", "not-gzip.mtx.gz", "--method", "tau", "--n", "1"],
+    ["include", "--input", "extra-token.mtx", "--method", "tau", "--n", "1"],
+    ["include", "--input", "extra-non-ascii.mtx", "--method", "tau",
+     "--n", "1"],
+    ["include", "--input", "huge.mtx", "--method", "tau", "--n", "1"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
+     "--grid=0,1,0,1," + "9" * 400 + ",2"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
+     "--grid", "99999999999,99999999999"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1",
+     "--schedule", "24:2:1", "--grid-nodes", "9" * 400],
+    ["include", "--builtin", "jordan", "--M", "99999999999", "--method",
+     "gersh"],
+    ["include", "--builtin", "jordan", "--M", "9" * 400, "--method", "gersh"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1",
+     "--schedule", "99999999999:2:1"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -411,7 +427,10 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "jobs-0", "converge-jobs-negative", "jobs-env-0", "csv-cell",
         "mtx-entry", "symbol-missing", "symbol-no-coeffs", "symbol-json",
         "schedule-n-out-of-range", "csv-non-ascii", "symbol-non-ascii",
-        "grid-extent-overflow", "grid-extent-subnormal"])
+        "grid-extent-overflow", "grid-extent-subnormal", "mtx-gz-not-gzip",
+        "mtx-extra-token", "mtx-extra-non-ascii", "mtx-size-too-big",
+        "grid-nx-overflow", "grid-too-big", "converge-grid-nodes-overflow",
+        "M-too-big", "M-overflow", "schedule-M-too-big"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
@@ -419,6 +438,13 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     (tmp_path / "bad.csv").write_text("1;2\n3;abc\n")
     (tmp_path / "bad.mtx").write_text(
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n")
+    banner = "%%MatrixMarket matrix coordinate real general\n"
+    (tmp_path / "not-gzip.mtx.gz").write_text(banner + "2 2 1\n1 1 1.0\n")
+    (tmp_path / "extra-token.mtx").write_text(banner + "2 2 1\n1 1 1.0 junk\n")
+    (tmp_path / "extra-non-ascii.mtx").write_text(
+        banner + "2 2 1\n1 1 1.0 \u00e9\n", encoding="utf-8")
+    (tmp_path / "huge.mtx").write_text(
+        banner + "99999999999 99999999999 1\n1 1 1.0\n")
     (tmp_path / "no-coeffs.json").write_text('{"bandwidth": 1}')
     (tmp_path / "broken.json").write_text('{"coeffs": [[-1, 1.0, 0.0]')
     (tmp_path / "non-ascii.csv").write_text("1;2\n3;4\u00e9\n",
@@ -543,14 +569,14 @@ codes = [main(["include", "--builtin", "jordan", "--M", "16", "--method", "all",
                "--out-dir", out + "/include"]),
          main(["verify", "--seed", "1", "--count", "2", "--order-min", "6",
                "--order-max", "8", "--eps", "0,0.1", "--max-n", "2",
-               "--out-dir", out + "/verify"])]
+               "--out-dir", out + "/verify"]),
+         main(["include", "--input", out + "/m.mtx", "--method", "tau",
+               "--n", "2", "--eps", "0.1", "--grid", "24,24",
+               "--no-timestamp", "--out-dir", out + "/mtx"])]
 cold = sorted(m for m in sys.modules if m.startswith("scipy"))
 codes += [main(["converge", "--builtin", "jordan", "--eps", "0.15",
                 "--schedule", "24:2:1,24:4:1", "--grid-nodes", "32",
-                "--out-dir", out + "/converge"]),
-          main(["include", "--input", out + "/m.mtx", "--method", "tau",
-                "--n", "2", "--eps", "0.1", "--grid", "24,24",
-                "--no-timestamp", "--out-dir", out + "/mtx"])]
+                "--out-dir", out + "/converge"])]
 warm = sorted({"scipy.io", "scipy.spatial"} & set(sys.modules))
 print(json.dumps({"cold": cold, "warm": warm, "codes": codes}))
 """
@@ -558,9 +584,9 @@ print(json.dumps({"cold": cold, "warm": warm, "codes": codes}))
 
 def test_cold_process_loads_scipy_on_first_use_only(tmp_path):
     # a fresh interpreter: in this one an earlier test may have imported
-    # scipy already.  include --builtin and verify load no scipy module;
-    # converge (Hausdorff distances) and a Matrix Market input load it when
-    # they first need it
+    # scipy already.  include --builtin, verify and a Matrix Market input
+    # load no scipy module; converge (Hausdorff distances) loads
+    # scipy.spatial when it first needs it
     write_matrix_market(tmp_path / "m.mtx", np.diag(np.arange(1.0, 7.0), 1))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -570,5 +596,5 @@ def test_cold_process_loads_scipy_on_first_use_only(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"cold": [], "warm": ["scipy.io", "scipy.spatial"],
+    assert result == {"cold": [], "warm": ["scipy.spatial"],
                       "codes": [0, 0, 0, 0]}, proc.stderr
