@@ -316,6 +316,13 @@ def main(argv=None) -> int:
     except (UsageError, SpecinclError) as exc:
         print(f"specincl: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a size below the index limit of ``ingest.check_dense_shape`` can
+        # still fail to allocate
+        detail = " ".join(str(exc).split())
+        print(f"specincl: the run does not fit in memory"
+              f"{f' ({detail})' if detail else ''}", file=sys.stderr)
+        return 2
     except (np.linalg.LinAlgError, FloatingPointError, ValueError) as exc:
         print(f"specincl: numeric failure: {exc}", file=sys.stderr)
         return 3

@@ -13,18 +13,51 @@ corpus verifier are all built on these three.  Duplicate submatrices
 Every grid set here comes from the one constructor
 ``ps.certified_regions``.  A grid method makes one certified sweep over the
 fields of all its terms at all its eps levels and intersects the terms, so
-each (contribution, node) pair is evaluated at most once, and only near the
-level curves; its regions carry the band field, completed at their contour
+each (contribution, node) pair is evaluated at most once, only near the
+level curves, and only where the contribution can be its term's minimum
+(below); its regions carry the band field, completed at their contour
 corners, and ``method_mask`` returns the mask alone.  Block Gershgorin is
 the union of the certified pseudospectra of the distinct diagonal blocks,
 and the sandwich set of ``tau1_method`` is a ``pseudospectrum``.
+
+A term's value at a node y is the least computed smin f~_c(y) over its
+contributions c, and usually only one or two of them can be that least
+value.  So the field of a sweep (``_TermFields``) evaluates every needed
+(contribution, node) pair in its first call, the coarse lattice of
+``level_mask``, keeps those values f~_c(a) at the nodes a as anchors, and
+later evaluates a contribution only where its lower bound
+
+    L_c(y) = max over anchors a of  f~_c(a) - (W |a - y| + s')
+
+does not exceed the least value m(y) of the term evaluated so far.  The
+bound holds for computed values: with delta the error bound of
+``ps.smin_slack`` (|f~ - f| <= delta) and f 1-Lipschitz in z,
+
+    f~_c(y) >= f_c(y) - delta >= f_c(a) - |a - y| - delta
+            >= f~_c(a) - |a - y| - 2 delta,
+
+and s = ``ps.smin_slack`` >= 2 delta.  Its rounding allowance: |a - y| is
+computed from the stored nodes, so only its own arithmetic rounds (one
+rounding per coordinate difference and one in ``abs``), and it is at least
+(1 - 3u) times the exact distance (u = 2^-53).  W = 1 + 2^-30
+(``ps._DIST_WIDEN``) outweighs that; with s' = W (s + u T), T the largest
+anchor value, the computed g = W |a - y| + s' (two more roundings, and
+two in s') is at least (1 + 2^-31)(|a - y| + s + u T), and the final
+difference f~_c(a) - g rounds by at most u max(f~_c(a), g) <= u T +
+2^-31 g, which that excess covers.  So the computed L_c(y) is at
+most f~_c(y), and a contribution with L_c(y) > m(y) lies strictly above the
+term's minimum: skipping it changes no value, band field or mask.  In each
+term of two or more content-distinct contributions a node takes two
+rounds, first the contribution of least bound, which gives m(y), then the
+others with L_c(y) <= m(y).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
@@ -58,6 +91,8 @@ __all__ = [
 ]
 
 _OUTER_AUTO_MAX_ORDER = 512
+# unit roundoff of float64
+_U = 2.0 ** -53
 
 
 def penalty_params(view: BlockMatrixView, n: int) -> PenaltyParams:
@@ -160,45 +195,108 @@ def min_field(contributions, points, jobs: int | None = None,
     return reduce(np.minimum, (cache[key] for key in keys))
 
 
-def _term_fields(terms, points, want=None, jobs: int | None = None):
-    """``min_field`` of each term at the points, stacked along the first
-    axis.
+class _TermFields:
+    """The ``min_field`` of each term of a family over one sweep.
 
-    With ``want``, a boolean array with one row per term, a term is
-    evaluated at its wanted points, and also where the contributions
-    evaluated there for other terms cover it; it is NaN elsewhere.  A
-    contribution is evaluated once per point, where a term holding it is
-    wanted, and the contributions wanted at the same points share one
-    ``smin_fields`` call.
+    ``field(points, want)`` returns the terms' values at the points, stacked
+    along the first axis.  ``want`` (all True by default) has one boolean
+    row per term.  A term is evaluated at its wanted points, and also where
+    the contributions other terms need there cover it; it is NaN elsewhere.
+    The first call evaluates every contribution at every point where a term
+    holding it is wanted, and keeps those values as the anchors.  A later
+    call evaluates, in a term of two or more content-distinct
+    contributions, only those whose lower bound from the anchors (see the
+    module docstring) does not exceed the term's running minimum: first the
+    contribution of least bound in each term, then the others that can
+    still be below.  The values are those of every contribution's field,
+    bit for bit; each round is one ``smin_fields`` call.  ``slack`` is the
+    sweep's ``ps.smin_slack``; without it no bound is finite, so nothing is
+    skipped.
     """
-    points = np.asarray(points)
-    out = np.full((len(terms), points.size), np.nan)
-    if want is None:
-        want = np.ones(out.shape, dtype=bool)
-    keys, items, need = [], {}, {}
-    for contribs, row in zip(terms, want):
-        term = {}
-        for _, mat, embed in contribs:
-            key = _content_key(mat, embed)
-            term[key] = items[key] = (mat, embed)
-            need[key] = need.get(key, False) | row
-        keys.append(term)
-    groups: dict[bytes, list] = {}
-    for key, cols in need.items():
-        groups.setdefault(cols.tobytes(), []).append(key)
-    fields = {}
-    for group in groups.values():
-        cols = need[group[0]]
-        if cols.any():
-            for key, vals in zip(group, ps.smin_fields(
-                    [items[k] for k in group], points[cols], jobs)):
-                fields[key] = np.full(points.size, np.nan)
-                fields[key][cols] = vals
-    for row, term in zip(out, keys):
-        cover = np.logical_and.reduce([need[k] for k in term])
-        if cover.any():
-            row[cover] = reduce(np.minimum, (fields[k][cover] for k in term))
-    return out
+
+    def __init__(self, terms, slack: float = math.inf,
+                 jobs: int | None = None):
+        index: dict[bytes, int] = {}
+        self.items, self.members = [], []
+        for contribs in terms:
+            term = {}
+            for _, mat, embed in contribs:
+                key = _content_key(mat, embed)
+                if key not in index:
+                    index[key] = len(self.items)
+                    self.items.append((mat, embed))
+                term[index[key]] = None
+            self.members.append(np.array(list(term), dtype=np.intp))
+        self.slack = slack
+        self.jobs = jobs
+        self.anchors = None
+
+    def __call__(self, points, want=None) -> np.ndarray:
+        points = np.asarray(points).ravel()
+        if want is None:
+            want = np.ones((len(self.members), points.size), dtype=bool)
+        need = np.zeros((len(self.items), points.size), dtype=bool)
+        for idx, row in zip(self.members, want):
+            need[idx] |= row
+        cover = np.array([need[idx].all(axis=0) for idx in self.members])
+        vals = np.full(need.shape, np.nan)
+        if self.anchors is None:
+            self._evaluate(vals, points, need)
+            self.anchors = (points, np.nan_to_num(vals, nan=-np.inf))
+        else:
+            self._pruned(vals, points, cover)
+        out = np.full(want.shape, np.nan)
+        for row, idx, cols in zip(out, self.members, cover):
+            if cols.any():
+                row[cols] = np.fmin.reduce(vals[idx][:, cols], axis=0)
+        return out
+
+    def _evaluate(self, vals, points, want) -> None:
+        """Fill ``vals`` at the wanted (contribution, point) pairs, in one
+        ``smin_fields`` call."""
+        rows = np.flatnonzero(want.any(axis=1))
+        cols = np.flatnonzero(want.any(axis=0))
+        if rows.size == 0:
+            return
+        sub = want[np.ix_(rows, cols)]
+        fields = ps.smin_fields([self.items[k] for k in rows], points[cols],
+                                self.jobs, want=sub)
+        ii, jj = np.nonzero(sub)
+        vals[rows[ii], cols[jj]] = np.array(fields)[ii, jj]
+
+    def _bounds(self, points, keys) -> np.ndarray:
+        """Lower bounds of contributions ``keys`` at the points, from the
+        anchors: ``max_a f~(a) - (|a - y| W + s')``."""
+        at, known = self.anchors
+        known = known[keys]
+        top = known.max(initial=0.0, where=np.isfinite(known))
+        allow = (self.slack + _U * top) * ps._DIST_WIDEN
+        bound = np.full((len(keys), points.size), -np.inf)
+        for a, vals in zip(at, known.T):
+            gap = np.abs(a - points) * ps._DIST_WIDEN + allow
+            np.maximum(bound, vals[:, None] - gap, out=bound)
+        return bound
+
+    def _pruned(self, vals, points, cover) -> None:
+        """Fill ``vals`` wherever a covered term can take its minimum: the
+        contribution of least bound in each term, then those of the term
+        whose bound does not exceed the least value found."""
+        multi = [i for i, idx in enumerate(self.members) if idx.size > 1]
+        bound = np.full(vals.shape, -np.inf)
+        if multi:
+            keys = np.unique(np.concatenate([self.members[i] for i in multi]))
+            cols = np.logical_or.reduce(cover[multi])
+            bound[np.ix_(keys, cols)] = self._bounds(points[cols], keys)
+        first = np.zeros(vals.shape, dtype=bool)
+        for idx, at in zip(self.members, map(np.flatnonzero, cover)):
+            first[idx[np.argmin(bound[idx][:, at], axis=0)], at] = True
+        self._evaluate(vals, points, first)
+        second = np.zeros(vals.shape, dtype=bool)
+        for i in multi:
+            block = np.ix_(self.members[i], np.flatnonzero(cover[i]))
+            low = np.fmin.reduce(vals[block], axis=0)
+            second[block] |= (bound[block] <= low) & np.isnan(vals[block])
+        self._evaluate(vals, points, second)
 
 
 def membership(view: BlockMatrixView, method: str, n: int, eps: float,
@@ -207,7 +305,7 @@ def membership(view: BlockMatrixView, method: str, n: int, eps: float,
     _check_method_n(view, n)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     lvls = levels(penalty_params(view, n), method, eps)
-    fields = _term_fields(family(view, method, n, t), pts)
+    fields = _TermFields(family(view, method, n, t))(pts)
     return np.all(fields <= np.array(lvls)[:, None], axis=0)
 
 
@@ -233,8 +331,8 @@ def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
     terms = family(view, method, n, t)
     slack = ps.smin_slack([mat for contribs in terms
                            for _, mat, _ in contribs], grid)
-    sets = ps.certified_regions(partial(_term_fields, terms, jobs=jobs), grid,
-                                lvls, slack, **kwargs)
+    sets = ps.certified_regions(_TermFields(terms, slack, jobs), grid, lvls,
+                                slack, **kwargs)
     return p, terms, grid, sets
 
 
@@ -374,7 +472,7 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
     mask = np.zeros((grid.ny, grid.nx), dtype=bool)
     for s in range(0, len(terms), step):
         [region] = ps.certified_regions(
-            partial(_term_fields, terms[s:s + step], jobs=jobs), grid,
+            _TermFields(terms[s:s + step], slack, jobs), grid,
             bounds[s:s + step], slack, "union", with_field=False)
         mask |= region.mask
     return ps.Region(grid, mask)

@@ -13,15 +13,15 @@ Every grid set of the package comes from it, ``pseudospectrum`` included,
 which returns a band field.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
-the shifted copies of every matrix of one shape, over (matrix x node), and
-cuts the stack into blocks of at most about 4 MiB of complex entries.  A
-call with ``jobs`` > 1 forms at least that many blocks when each still
-carries enough SVD work to repay a thread hand-off, and runs them on a
-thread pool of at most ``jobs`` workers, never more than the usable CPUs
-(LAPACK releases the GIL), so at most ``jobs`` blocks are in memory at once.
-Each block writes its own result slots, and the batched SVD returns the same
-bits however a batch is split or stacked, so the output is identical for any
-worker count.
+the shifted copies of every matrix of one shape, over the (matrix x node)
+pairs a call asks for, and cuts the stack into blocks of at most about 4 MiB
+of complex entries.  A call with ``jobs`` > 1 forms at least that many
+blocks when each still carries enough SVD work to repay a thread hand-off,
+and runs them on a thread pool of at most ``jobs`` workers, never more than
+the usable CPUs (LAPACK releases the GIL), so at most ``jobs`` blocks are in
+memory at once.  Each block writes its own result slots, and the batched SVD
+returns the same bits however a batch is split or stacked, so the output is
+identical for any worker count.
 
 scipy is imported on first use only: ``covers_points`` and ``hausdorff`` load
 ``scipy.spatial`` for their nearest-node queries, and nothing else here needs
@@ -163,10 +163,11 @@ def _blocks(units: int, rows: int, cols: int, embedded: bool,
     return list(zip(edges, edges[1:]))
 
 
-def _sweep_block(stack, embeds, shifts, out, start: int, stop: int) -> None:
-    """smin of stacked units ``start:stop``; unit u is matrix
-    ``u // len(shifts)`` shifted by ``shifts[u % len(shifts)]``."""
-    which, node = np.divmod(np.arange(start, stop), len(shifts))
+def _sweep_block(stack, embeds, shifts, out, units) -> None:
+    """smin of the stacked ``units``; unit u is matrix ``u // len(shifts)``
+    shifted by ``shifts[u % len(shifts)]``, and its value goes to
+    ``out[u]``."""
+    which, node = np.divmod(units, len(shifts))
     batch = stack[which]
     shift = shifts[node]
     if embeds is None:
@@ -176,24 +177,30 @@ def _sweep_block(stack, embeds, shifts, out, start: int, stop: int) -> None:
         scaled = embeds[which]
         np.multiply(shift[:, None, None], scaled, out=scaled)
         batch -= scaled
-    out[start:stop] = np.linalg.svd(batch, compute_uv=False)[:, -1]
+    out[units] = np.linalg.svd(batch, compute_uv=False)[:, -1]
 
 
-def smin_fields(items, lambdas, jobs: int | None = None) -> list[np.ndarray]:
+def smin_fields(items, lambdas, jobs: int | None = None,
+                want=None) -> list[np.ndarray]:
     """``smin(E - lam*I)`` (``smin(E - lam*embed)`` where an embedding is
     given) of every ``(E, embed)`` item over the same array of shifts.
 
     Returns one array of the shape of ``lambdas`` per item, in item order.
-    Items of one shape, with or without an embedding, are stacked over
-    (item x shift) and swept in blocks of at most about 4 MiB of complex
-    entries, in one batched LAPACK SVD per block.  With ``jobs`` > 1 the
-    blocks run on at most ``jobs`` threads, never more than ``usable_cpus``;
-    a call forms at least that many blocks when the work allows, and stays
-    on the calling thread when no two blocks would repay the hand-off.
+    ``want``, a boolean array of shape (items, shifts), marks the (item,
+    shift) pairs to evaluate; the others are NaN.  Without it every pair is
+    evaluated.  The wanted pairs of the items of one shape, with or without
+    an embedding, are stacked and swept in blocks of at most about 4 MiB of
+    complex entries, in one batched LAPACK SVD per block.  With ``jobs`` > 1
+    the blocks run on at most ``jobs`` threads, never more than
+    ``usable_cpus``; a call forms at least that many blocks when the work
+    allows, and stays on the calling thread when no two blocks would repay
+    the hand-off.
     """
     items = list(items)
     lam = np.asarray(lambdas, dtype=np.complex128)
     shifts = lam.ravel()
+    if want is not None:
+        want = np.asarray(want, dtype=bool).reshape(len(items), shifts.size)
     workers = _workers(jobs)
     groups: dict[tuple, list[int]] = {}
     for i, (E, embed) in enumerate(items):
@@ -208,14 +215,16 @@ def smin_fields(items, lambdas, jobs: int | None = None) -> list[np.ndarray]:
         stack = np.stack([items[i][0] for i in members], dtype=np.complex128)
         embeds = None if square else np.stack(
             [items[i][1] for i in members], dtype=np.complex128)
-        out = np.empty((len(members), shifts.size))
+        out = np.full((len(members), shifts.size), np.nan)
         for k, i in enumerate(members):
             fields[i] = out[k].reshape(lam.shape)
-        flat = out.reshape(-1)
-        for start, stop in _blocks(flat.size, rows, cols, not square, workers):
-            tasks.append(partial(_sweep_block, stack, embeds, shifts, flat,
-                                 start, stop))
-        flops += flat.size * _svd_flops(rows, cols)
+        units = (np.arange(out.size) if want is None
+                 else np.flatnonzero(want[members]))
+        for start, stop in _blocks(units.size, rows, cols, not square,
+                                   workers):
+            tasks.append(partial(_sweep_block, stack, embeds, shifts,
+                                 out.reshape(-1), units[start:stop]))
+        flops += units.size * _svd_flops(rows, cols)
     workers = min(workers, len(tasks), int(flops // _MIN_BLOCK_FLOPS))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

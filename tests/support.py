@@ -11,10 +11,15 @@ and tests compare their output byte for byte.  ``reference_pseudospectrum``
 and ``reference_gershgorin_block`` sweep every grid node, and
 ``reference_block_radii`` sums the norms of every off-diagonal block; the
 library sweeps certified and sums the nonzero blocks only, and tests
-compare the masks bit for bit.
+compare the masks bit for bit.  ``reference_term_fields`` evaluates every
+contribution of a term wherever the term is needed; the library skips the
+contributions that cannot be a term's minimum, and tests compare the masks,
+band fields and CSV bytes bit for bit.
 """
 
 import time
+from collections import Counter
+from functools import partial, reduce
 from itertools import product, repeat
 
 import numpy as np
@@ -356,3 +361,74 @@ def reference_render_svg(region: Region, eigenvalues=None, title: str = "",
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# unpruned term fields
+# ---------------------------------------------------------------------------
+
+def reference_term_fields(terms, points, want=None, jobs=None):
+    """``min_field`` of each term at the points, stacked along the first
+    axis.
+
+    With ``want``, a boolean array with one row per term, a term is
+    evaluated at its wanted points, and also where the contributions
+    evaluated there for other terms cover it; it is NaN elsewhere.  A
+    contribution is evaluated once per point, where a term holding it is
+    wanted, and the contributions wanted at the same points share one
+    ``smin_fields`` call.
+    """
+    points = np.asarray(points)
+    out = np.full((len(terms), points.size), np.nan)
+    if want is None:
+        want = np.ones(out.shape, dtype=bool)
+    keys, items, need = [], {}, {}
+    for contribs, row in zip(terms, want):
+        term = {}
+        for _, mat, embed in contribs:
+            key = inc._content_key(mat, embed)
+            term[key] = items[key] = (mat, embed)
+            need[key] = need.get(key, False) | row
+        keys.append(term)
+    groups: dict[bytes, list] = {}
+    for key, cols in need.items():
+        groups.setdefault(cols.tobytes(), []).append(key)
+    fields = {}
+    for group in groups.values():
+        cols = need[group[0]]
+        if cols.any():
+            for key, vals in zip(group, ps.smin_fields(
+                    [items[k] for k in group], points[cols], jobs)):
+                fields[key] = np.full(points.size, np.nan)
+                fields[key][cols] = vals
+    for row, term in zip(out, keys):
+        cover = np.logical_and.reduce([need[k] for k in term])
+        if cover.any():
+            row[cover] = reduce(np.minimum, (fields[k][cover] for k in term))
+    return out
+
+
+def unpruned_term_fields(terms, slack=0.0, jobs=None):
+    """Drop-in for ``inclusion._TermFields`` that evaluates every needed
+    (contribution, point) pair, through ``reference_term_fields``."""
+    return partial(reference_term_fields, terms, jobs=jobs)
+
+
+class KernelPairs:
+    """Stand-in for ``ps.smin_fields`` that counts the (matrix, shift) pairs
+    the kernel evaluates, keyed by ``inc._content_key``: every pair of a
+    call, or those its ``want`` marks.  Create it before patching."""
+
+    def __init__(self):
+        self.pairs = Counter()
+        self.kernel = ps.smin_fields
+
+    def __call__(self, items, lambdas, jobs=None, want=None):
+        items = list(items)
+        lams = np.ravel(lambdas)
+        rows = np.ones((len(items), lams.size), dtype=bool) if want is None \
+            else np.asarray(want).reshape(len(items), lams.size)
+        for (E, embed), row in zip(items, rows):
+            key = inc._content_key(np.asarray(E), embed)
+            self.pairs.update((key, z) for z in lams[row].tolist())
+        return self.kernel(items, lambdas, jobs, want)

@@ -19,7 +19,7 @@ from specincl.ingest import (
     write_matrix_market,
 )
 
-from support import per_n_verify_containment
+from support import KernelPairs, per_n_verify_containment
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +283,11 @@ def test_include_eps_list_is_one_sweep(tmp_path, monkeypatch):
     # one band sweep per method serves the whole eps list: the method
     # evaluates no (contribution, node) pair twice, and its eps = 0.15 report
     # and figure are those of a run at that eps alone
-    from collections import Counter
-
     from specincl import pseudospec as ps
 
-    pairs = Counter()
-    kernel = ps.smin_fields
-
-    def counted(items, lambdas, jobs=None):
-        items = list(items)
-        for E, embed in items:
-            key = np.asarray(E).tobytes() + (
-                b"" if embed is None else b"|" + np.asarray(embed).tobytes())
-            pairs.update((key, z) for z in np.ravel(lambdas).tolist())
-        return kernel(items, lambdas, jobs)
-
-    monkeypatch.setattr(ps, "smin_fields", counted)
+    spy = KernelPairs()
+    pairs = spy.pairs
+    monkeypatch.setattr(ps, "smin_fields", spy)
     argv = ["include", "--builtin", "jordan", "--M", "64", "--n", "4",
             "--t", "1", "--grid", "64,64", "--no-timestamp", "--jobs", "1"]
     both, single = tmp_path / "both", tmp_path / "single"
@@ -418,6 +407,11 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["include", "--builtin", "jordan", "--M", "9" * 400, "--method", "gersh"],
     ["converge", "--builtin", "jordan", "--eps", "0.1",
      "--schedule", "99999999999:2:1"],
+    # within the index limit but beyond any 64-bit address space (2**48
+    # bytes and more), so the allocation itself fails
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
+     "--grid", "40000000000000,2"],
+    ["include", "--input", "out-of-memory.mtx", "--method", "gersh"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -430,7 +424,8 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "grid-extent-overflow", "grid-extent-subnormal", "mtx-gz-not-gzip",
         "mtx-extra-token", "mtx-extra-non-ascii", "mtx-size-too-big",
         "grid-nx-overflow", "grid-too-big", "converge-grid-nodes-overflow",
-        "M-too-big", "M-overflow", "schedule-M-too-big"])
+        "M-too-big", "M-overflow", "schedule-M-too-big", "grid-out-of-memory",
+        "mtx-out-of-memory"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
@@ -445,6 +440,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
         banner + "2 2 1\n1 1 1.0 \u00e9\n", encoding="utf-8")
     (tmp_path / "huge.mtx").write_text(
         banner + "99999999999 99999999999 1\n1 1 1.0\n")
+    (tmp_path / "out-of-memory.mtx").write_text(
+        banner + "20000000 20000000 1\n1 1 1.0\n")
     (tmp_path / "no-coeffs.json").write_text('{"bandwidth": 1}')
     (tmp_path / "broken.json").write_text('{"coeffs": [[-1, 1.0, 0.0]')
     (tmp_path / "non-ascii.csv").write_text("1;2\n3;4\u00e9\n",

@@ -17,6 +17,7 @@ from specincl.toeplitz import (
 )
 
 from support import (
+    KernelPairs,
     full_sweep_mask,
     reference_block_radii,
     reference_gershgorin_block,
@@ -412,24 +413,16 @@ def test_gershgorin_block_sweeps_each_distinct_block_once(monkeypatch):
     # Jordan blocks of one order are equal, so the partition (3,3,3,2,1)
     # has three distinct diagonal blocks; each is swept certified, no
     # (block, node) pair twice, and the mask matches block-by-block
-    pairs = []
-    kernel = ps.smin_fields
-
-    def counting(items, lambdas, *args, **kwargs):
-        items = list(items)
-        for E, _ in items:
-            pairs.extend((np.asarray(E).tobytes(), lam)
-                         for lam in np.ravel(lambdas).tolist())
-        return kernel(items, lambdas, *args, **kwargs)
-
+    spy = KernelPairs()
     view = make_view(jordan(12), BlockPartition((3, 3, 3, 2, 1)))
     grid = ps.GridSpec(-2.5, 2.5, -2.5, 2.5, 41, 41)
-    monkeypatch.setattr(ps, "smin_fields", counting)
+    monkeypatch.setattr(ps, "smin_fields", spy)
     region = inc.gershgorin_block(view, grid=grid)
     monkeypatch.undo()
     distinct = {jordan(m).astype(np.complex128).tobytes() for m in (1, 2, 3)}
-    assert {block for block, _ in pairs} == distinct
-    assert len(set(pairs)) == len(pairs) < 3 * 41 * 41
+    assert {block for block, _ in spy.pairs} == distinct
+    assert max(spy.pairs.values()) == 1
+    assert sum(spy.pairs.values()) < 3 * 41 * 41
     assert np.array_equal(region.mask, reference_gershgorin_block(view, grid))
     assert region.values is None
 

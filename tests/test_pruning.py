@@ -1,0 +1,169 @@
+"""Pruned union sweeps against the unpruned oracle.
+
+A family method's term is the minimum of smin over its contributions.  The
+library evaluates, after a sweep's first call, only the contributions whose
+lower bound from that call's values does not exceed the term's running
+minimum.  ``support.reference_term_fields`` evaluates every needed pair; the
+masks, band fields (NaN positions included), reports and CSV bytes of the two
+must be equal bit for bit, and the pruned sweep must evaluate fewer pairs.
+"""
+
+import numpy as np
+import pytest
+
+from specincl import inclusion as inc
+from specincl import pseudospec as ps
+from specincl.cli import main
+from specincl.ingest import write_matrix_market
+from specincl.matrixcore import BlockPartition, make_view, resolve_partition
+
+from support import KernelPairs, unpruned_term_fields
+
+
+def rand_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def banded_view():
+    rng = np.random.default_rng(5)
+    A = sum(np.diag(rand_complex(rng, 24 - abs(k)), k) for k in range(-3, 4))
+    return make_view(A, resolve_partition("auto-band", A))
+
+
+def dense_view():
+    A = rand_complex(np.random.default_rng(6), (16, 16)) / 4
+    return make_view(A, BlockPartition((2,) * 8))
+
+
+def toeplitz_view():
+    coeffs = rand_complex(np.random.default_rng(7), 5)
+    A = sum(c * np.eye(16, k=k) for c, k in zip(coeffs, range(-2, 3)))
+    return make_view(A, BlockPartition((2,) * 8))
+
+
+def block_diagonal_view():
+    # every diagonal block is a permutation similarity of one block, and the
+    # off-diagonal blocks are zero: all truncations of one size have the
+    # same spectra (and smin fields up to rounding) but differ in content,
+    # so the bounds tie with the minimum
+    rng = np.random.default_rng(8)
+    T = rand_complex(rng, (3, 3))
+    A = np.zeros((24, 24), dtype=np.complex128)
+    for k in range(8):
+        P = np.eye(3)[rng.permutation(3)]
+        A[3 * k:3 * k + 3, 3 * k:3 * k + 3] = P @ T @ P.T
+    return make_view(A, BlockPartition((3,) * 8))
+
+
+VIEWS = {"banded": banded_view, "dense": dense_view,
+         "toeplitz": toeplitz_view, "block-diagonal": block_diagonal_view}
+RUNS = [("tau", 2, None), ("tau", 3, None), ("tau", 4, None),
+        ("pi", 3, 1.0), ("tau1", 3, None)]
+
+
+def counted(monkeypatch, run, oracle=False):
+    """``run()`` with the kernel's pairs counted, through the unpruned
+    oracle when ``oracle``."""
+    spy = KernelPairs()
+    with monkeypatch.context() as patch:
+        patch.setattr(ps, "smin_fields", spy)
+        if oracle:
+            patch.setattr(inc, "_TermFields", unpruned_term_fields)
+        result = run()
+    return result, spy.pairs
+
+
+def assert_same_region(a, b, path):
+    assert a.mask.tobytes() == b.mask.tobytes()
+    assert a.level == b.level
+    assert (a.values is None) == (b.values is None)
+    if a.values is not None:
+        assert a.values.tobytes() == b.values.tobytes()
+    ps.region_to_csv(a, path / "a.csv")
+    ps.region_to_csv(b, path / "b.csv")
+    assert (path / "a.csv").read_bytes() == (path / "b.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method, n, t", RUNS,
+                         ids=[f"{m}-n{n}" for m, n, _ in RUNS])
+@pytest.mark.parametrize("name", list(VIEWS))
+def test_pruned_reports_equal_oracle(name, method, n, t, tmp_path,
+                                     monkeypatch):
+    view = VIEWS[name]()
+    grid = ps.default_grid(view.matrix, pad=1.0, nx=41, ny=37)
+    for jobs in (1, 2):
+        def run():
+            return inc.method_reports(view, method, [0.0, 0.1], n, t, grid,
+                                      jobs)
+
+        pruned, pairs = counted(monkeypatch, run)
+        oracle, oracle_pairs = counted(monkeypatch, run, oracle=True)
+        assert max(pairs.values()) == 1
+        assert set(pairs) <= set(oracle_pairs)
+        for a, b in zip(pruned, oracle, strict=True):
+            assert a.to_json() == b.to_json()
+            assert_same_region(a.region, b.region, tmp_path)
+    if name in ("banded", "dense") and method == "tau":
+        # distinct contributions: some of them are skipped
+        assert sum(pairs.values()) < sum(oracle_pairs.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("name", list(VIEWS))
+def test_pruned_sigma_tau_parts_equal_oracle(name, n, tmp_path, monkeypatch):
+    # the parts path completes each term from its own field before the
+    # intersection is completed
+    view = VIEWS[name]()
+    grid = ps.default_grid(view.matrix, pad=1.0, nx=41, ny=37)
+    for jobs in (1, 2):
+        def run():
+            return inc.sigma_tau(view, n, 0.1, grid, jobs)
+
+        pruned, _ = counted(monkeypatch, run)
+        oracle, _ = counted(monkeypatch, run, oracle=True)
+        assert (pruned[1] is None) == (oracle[1] is None) == (n <= 2)
+        for a, b in zip(pruned, oracle):
+            if a is not None:
+                assert_same_region(a, b, tmp_path)
+
+
+def test_pruned_membership_equals_oracle(monkeypatch):
+    # one call: every needed pair is evaluated, as in the oracle
+    view = banded_view()
+    pts = np.linspace(-4, 4, 15) + 0.5j
+    for method, t in (("tau", None), ("pi", 1.0), ("tau1", None)):
+        def run():
+            return inc.membership(view, method, 4, 0.3, pts, t)
+
+        pruned, pairs = counted(monkeypatch, run)
+        oracle, oracle_pairs = counted(monkeypatch, run, oracle=True)
+        assert np.array_equal(pruned, oracle)
+        assert pairs == oracle_pairs
+
+
+def test_pruned_include_all_evaluates_under_45_percent(tmp_path,
+                                                       monkeypatch):
+    # a seeded banded matrix of order 48 and band width 3, every
+    # contribution distinct: the pruned `include --method all` sends at most
+    # 45 % of the oracle's (matrix, node) pairs to the kernel, none twice,
+    # and writes the same bytes
+    rng = np.random.default_rng(48)
+    A = sum(np.diag(rand_complex(rng, 48 - abs(k)), k) for k in range(-3, 4))
+    write_matrix_market(tmp_path / "A.mtx", A)
+    argv = ["include", "--input", str(tmp_path / "A.mtx"), "--partition",
+            "auto-band", "--method", "all", "--n", "4", "--t", "1",
+            "--eps", "0.1", "--grid", "40,40", "--no-timestamp"]
+    runs = {}
+    for oracle in (False, True):
+        out = tmp_path / f"out{oracle}"
+        rc, pairs = counted(monkeypatch, lambda: main(
+            argv + ["--out-dir", str(out)]), oracle=oracle)
+        assert rc == 0
+        runs[oracle] = out, pairs
+    (out, pairs), (oracle_out, oracle_pairs) = runs[False], runs[True]
+    assert pairs and max(pairs.values()) == 1
+    assert sum(pairs.values()) <= 0.45 * sum(oracle_pairs.values())
+    names = sorted(p.name for p in out.iterdir())
+    assert names == sorted(p.name for p in oracle_out.iterdir())
+    for name in names:
+        assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
