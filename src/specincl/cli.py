@@ -144,6 +144,14 @@ def cmd_include(args) -> int:
         if not view.partition.uniform:
             raise UsageError("pi method needs a uniform partition")
     eps_list = _parse_eps_list(args.eps)
+    # each eps names its output files by its :g form
+    stems: dict[str, float] = {}
+    for eps in eps_list:
+        stem = f"eps{eps:g}"
+        if stem in stems:
+            raise UsageError(f"--eps values {stems[stem]!r} and {eps!r} "
+                             f"share the file stem {stem}")
+        stems[stem] = eps
 
     # one shared grid covering the worst inclusion level over the plan
     pad = 0.0

@@ -5,9 +5,10 @@ a block partition, and checks that every eigenvalue lies in each method's
 inclusion set (pointwise membership, which is sharper than any grid).  The
 rectangular method's sandwich bound is checked at the eigenvalues and at
 random probe points.  Each matrix is verified in one batched pass over
-every n: one kernel call for the fields at the eigenvalues, one per n for
-the probes and one sweep of the full matrix.  An adversarial mode rescales
-the penalties to confirm that the harness actually detects violations.
+every n: one ``ps.TermFields`` over every term of every n makes one kernel
+call at the eigenvalues, and there is one call per n for the probes and one
+sweep of the full matrix.  An adversarial mode rescales the penalties to
+confirm that the harness actually detects violations.
 """
 
 from __future__ import annotations
@@ -138,10 +139,9 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
     N = view.block_count
     ns = range(1, N if max_n is None else min(N, max_n + 1))
     families = {n: [inc.family(view, m, n, t) for m, t in plan] for n in ns}
-    cache: dict = {}
-    # one kernel pass fills the cache for every term of every n
-    inc.min_field([c for fams in families.values() for fam in fams
-                   for terms in fam for c in terms], lams, cache=cache)
+    # one kernel pass evaluates every term of every n, in this order
+    at_lams = iter(ps.TermFields([terms for fams in families.values()
+                                  for fam in fams for terms in fam])(lams))
     row_sum = np.abs(A).sum(axis=1).max()
 
     records, sandwiches, probes = [], [], [lams]
@@ -149,8 +149,7 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
         p = inc.penalty_params(view, n)
         base = {m: inc.levels(p, m, 0.0, scale) for m, _ in plan}
         outer_base = inc.tau1_outer_level(p, 0.0, scale)
-        fields = [[inc.min_field(terms, lams, cache=cache) for terms in fam]
-                  for fam in families[n]]
+        fields = [[next(at_lams) for _ in fam] for fam in families[n]]
         draws = []
         for eps in eps_values:
             for (m, t), f in zip(plan, fields):
@@ -169,8 +168,8 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
                 draws.append((len(records), eps, level, inside, extra))
                 records.append(None)  # the sandwich record, made below
         if draws:
-            inner = inc.min_field(families[n][-1][0],
-                                  np.concatenate([d[-1] for d in draws]))
+            inner = ps.TermFields(families[n][-1])(
+                np.concatenate([d[-1] for d in draws]))[0]
             for (at, eps, level, inside, extra), vals in zip(
                     draws, np.split(inner, len(draws))):
                 extra = extra[vals <= level + _LEVEL_SLACK]

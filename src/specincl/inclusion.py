@@ -3,61 +3,28 @@
 Each family method is an intersection of terms; a term is the union of the
 pseudospectra of a set of submatrices of B, thresholded at eps plus a
 penalty.  The tau method has two terms (sigma and sigma_hat), the pi and
-tau1 methods one.  ``levels`` gives the thresholds, ``family`` the
-contributions of each term and ``min_field`` the pointwise minimum of their
-smallest singular values, at grid nodes or at any points.  The grid methods,
-the mask-only ``method_mask``, the pointwise ``membership`` test and the
-corpus verifier are all built on these three.  Duplicate submatrices
-(ubiquitous for Toeplitz inputs) are detected by content and computed once.
+tau1 methods one.  ``levels`` gives the thresholds and ``family`` the
+contributions of each term, and ``ps.TermFields`` evaluates the terms.  The
+grid methods, the mask-only ``method_mask``, the pointwise ``membership``
+test and the corpus verifier are all built on these three.  Duplicate
+submatrices (ubiquitous for Toeplitz inputs) are detected by content and
+computed once.
 
-Every grid set here comes from the one constructor
-``ps.certified_regions``.  A grid method makes one certified sweep over the
-fields of all its terms at all its eps levels and intersects the terms, so
-each (contribution, node) pair is evaluated at most once, only near the
-level curves, and only where the contribution can be its term's minimum
-(below); its regions carry the band field, completed at their contour
-corners, and ``method_mask`` returns the mask alone.  Block Gershgorin is
-the union of the certified pseudospectra of the distinct diagonal blocks,
-and the sandwich set of ``tau1_method`` is a ``pseudospectrum``.
-
-A term's value at a node y is the least computed smin f~_c(y) over its
-contributions c, and usually only one or two of them can be that least
-value.  So the field of a sweep (``_TermFields``) evaluates every needed
-(contribution, node) pair in its first call, the coarse lattice of
-``level_mask``, keeps those values f~_c(a) at the nodes a as anchors, and
-later evaluates a contribution only where its lower bound
-
-    L_c(y) = max over anchors a of  f~_c(a) - (W |a - y| + s')
-
-does not exceed the least value m(y) of the term evaluated so far.  The
-bound holds for computed values: with delta the error bound of
-``ps.smin_slack`` (|f~ - f| <= delta) and f 1-Lipschitz in z,
-
-    f~_c(y) >= f_c(y) - delta >= f_c(a) - |a - y| - delta
-            >= f~_c(a) - |a - y| - 2 delta,
-
-and s = ``ps.smin_slack`` >= 2 delta.  Its rounding allowance: |a - y| is
-computed from the stored nodes, so only its own arithmetic rounds (one
-rounding per coordinate difference and one in ``abs``), and it is at least
-(1 - 3u) times the exact distance (u = 2^-53).  W = 1 + 2^-30
-(``ps._DIST_WIDEN``) outweighs that; with s' = W (s + u T), T the largest
-anchor value, the computed g = W |a - y| + s' (two more roundings, and
-two in s') is at least (1 + 2^-31)(|a - y| + s + u T), and the final
-difference f~_c(a) - g rounds by at most u max(f~_c(a), g) <= u T +
-2^-31 g, which that excess covers.  So the computed L_c(y) is at
-most f~_c(y), and a contribution with L_c(y) > m(y) lies strictly above the
-term's minimum: skipping it changes no value, band field or mask.  In each
-term of two or more content-distinct contributions a node takes two
-rounds, first the contribution of least bound, which gives m(y), then the
-others with L_c(y) <= m(y).
+Every grid set here comes from the one constructor ``ps.certified_regions``,
+which takes the terms.  A grid method makes one certified sweep over all its
+terms at all its eps levels and intersects them, so each (contribution,
+node) pair is evaluated at most once, only near the level curves, and only
+where the contribution can be its term's minimum; its regions carry the band
+field, completed at their contour corners, and ``method_mask`` returns the
+mask alone.  Block Gershgorin is the union of the certified pseudospectra of
+the distinct diagonal blocks, and the sandwich set of ``tau1_method`` is a
+``pseudospectrum``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -77,7 +44,6 @@ __all__ = [
     "penalty_params",
     "levels",
     "family",
-    "min_field",
     "membership",
     "method_mask",
     "sigma_tau",
@@ -91,8 +57,6 @@ __all__ = [
 ]
 
 _OUTER_AUTO_MAX_ORDER = 512
-# unit roundoff of float64
-_U = 2.0 ** -53
 
 
 def penalty_params(view: BlockMatrixView, n: int) -> PenaltyParams:
@@ -109,7 +73,7 @@ def _check_method_n(view: BlockMatrixView, n: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# one evaluation path: levels, families, fields
+# one evaluation path: levels and families, evaluated by ps.TermFields
 # ---------------------------------------------------------------------------
 
 def levels(p: PenaltyParams, method: str, eps: float,
@@ -118,7 +82,10 @@ def levels(p: PenaltyParams, method: str, eps: float,
 
     tau: ``eps + s*eps_n``, plus ``eps + s*eps_{n-2}`` for n > 2; pi:
     ``eps + s*eps'_n``; tau1: ``eps + s*eps''_n`` (s = ``scale``).
+    A negative eps raises ``DomainError``.
     """
+    if eps < 0:
+        raise DomainError("eps must be nonnegative")
     if method == "tau":
         out = [eps + scale * eps_tau(p)]
         if p.n > 2:
@@ -168,160 +135,27 @@ def family(view: BlockMatrixView, method: str, n: int,
     raise DomainError(f"unknown family method {method!r}")
 
 
-def _content_key(mat, embed) -> bytes:
-    return mat.tobytes() + (b"" if embed is None else b"|" + embed.tobytes())
-
-
-def min_field(contributions, points, jobs: int | None = None,
-              cache: dict | None = None) -> np.ndarray:
-    """Pointwise minimum of smin over the content-distinct contributions.
-
-    The contributions not yet in ``cache`` go to the kernel in one
-    ``smin_fields`` call, which stacks those of one shape; there is no call
-    when every contribution is cached.  ``cache`` maps
-    content keys to fields already evaluated at the same points; pass one
-    dict to several calls to share their sweeps.
-    """
-    cache = {} if cache is None else cache
-    keys, missing = {}, {}
-    for _, mat, embed in contributions:
-        key = _content_key(mat, embed)
-        keys[key] = None
-        if key not in cache:
-            missing[key] = (mat, embed)
-    if missing:
-        cache.update(zip(missing, ps.smin_fields(missing.values(), points,
-                                                 jobs)))
-    return reduce(np.minimum, (cache[key] for key in keys))
-
-
-class _TermFields:
-    """The ``min_field`` of each term of a family over one sweep.
-
-    ``field(points, want)`` returns the terms' values at the points, stacked
-    along the first axis.  ``want`` (all True by default) has one boolean
-    row per term.  A term is evaluated at its wanted points, and also where
-    the contributions other terms need there cover it; it is NaN elsewhere.
-    The first call evaluates every contribution at every point where a term
-    holding it is wanted, and keeps those values as the anchors.  A later
-    call evaluates, in a term of two or more content-distinct
-    contributions, only those whose lower bound from the anchors (see the
-    module docstring) does not exceed the term's running minimum: first the
-    contribution of least bound in each term, then the others that can
-    still be below.  The values are those of every contribution's field,
-    bit for bit; each round is one ``smin_fields`` call.  ``slack`` is the
-    sweep's ``ps.smin_slack``; without it no bound is finite, so nothing is
-    skipped.
-    """
-
-    def __init__(self, terms, slack: float = math.inf,
-                 jobs: int | None = None):
-        index: dict[bytes, int] = {}
-        self.items, self.members = [], []
-        for contribs in terms:
-            term = {}
-            for _, mat, embed in contribs:
-                key = _content_key(mat, embed)
-                if key not in index:
-                    index[key] = len(self.items)
-                    self.items.append((mat, embed))
-                term[index[key]] = None
-            self.members.append(np.array(list(term), dtype=np.intp))
-        self.slack = slack
-        self.jobs = jobs
-        self.anchors = None
-
-    def __call__(self, points, want=None) -> np.ndarray:
-        points = np.asarray(points).ravel()
-        if want is None:
-            want = np.ones((len(self.members), points.size), dtype=bool)
-        need = np.zeros((len(self.items), points.size), dtype=bool)
-        for idx, row in zip(self.members, want):
-            need[idx] |= row
-        cover = np.array([need[idx].all(axis=0) for idx in self.members])
-        vals = np.full(need.shape, np.nan)
-        if self.anchors is None:
-            self._evaluate(vals, points, need)
-            self.anchors = (points, np.nan_to_num(vals, nan=-np.inf))
-        else:
-            self._pruned(vals, points, cover)
-        out = np.full(want.shape, np.nan)
-        for row, idx, cols in zip(out, self.members, cover):
-            if cols.any():
-                row[cols] = np.fmin.reduce(vals[idx][:, cols], axis=0)
-        return out
-
-    def _evaluate(self, vals, points, want) -> None:
-        """Fill ``vals`` at the wanted (contribution, point) pairs, in one
-        ``smin_fields`` call."""
-        rows = np.flatnonzero(want.any(axis=1))
-        cols = np.flatnonzero(want.any(axis=0))
-        if rows.size == 0:
-            return
-        sub = want[np.ix_(rows, cols)]
-        fields = ps.smin_fields([self.items[k] for k in rows], points[cols],
-                                self.jobs, want=sub)
-        ii, jj = np.nonzero(sub)
-        vals[rows[ii], cols[jj]] = np.array(fields)[ii, jj]
-
-    def _bounds(self, points, keys) -> np.ndarray:
-        """Lower bounds of contributions ``keys`` at the points, from the
-        anchors: ``max_a f~(a) - (|a - y| W + s')``."""
-        at, known = self.anchors
-        known = known[keys]
-        top = known.max(initial=0.0, where=np.isfinite(known))
-        allow = (self.slack + _U * top) * ps._DIST_WIDEN
-        bound = np.full((len(keys), points.size), -np.inf)
-        for a, vals in zip(at, known.T):
-            gap = np.abs(a - points) * ps._DIST_WIDEN + allow
-            np.maximum(bound, vals[:, None] - gap, out=bound)
-        return bound
-
-    def _pruned(self, vals, points, cover) -> None:
-        """Fill ``vals`` wherever a covered term can take its minimum: the
-        contribution of least bound in each term, then those of the term
-        whose bound does not exceed the least value found."""
-        multi = [i for i, idx in enumerate(self.members) if idx.size > 1]
-        bound = np.full(vals.shape, -np.inf)
-        if multi:
-            keys = np.unique(np.concatenate([self.members[i] for i in multi]))
-            cols = np.logical_or.reduce(cover[multi])
-            bound[np.ix_(keys, cols)] = self._bounds(points[cols], keys)
-        first = np.zeros(vals.shape, dtype=bool)
-        for idx, at in zip(self.members, map(np.flatnonzero, cover)):
-            first[idx[np.argmin(bound[idx][:, at], axis=0)], at] = True
-        self._evaluate(vals, points, first)
-        second = np.zeros(vals.shape, dtype=bool)
-        for i in multi:
-            block = np.ix_(self.members[i], np.flatnonzero(cover[i]))
-            low = np.fmin.reduce(vals[block], axis=0)
-            second[block] |= (bound[block] <= low) & np.isnan(vals[block])
-        self._evaluate(vals, points, second)
-
-
 def membership(view: BlockMatrixView, method: str, n: int, eps: float,
                points, t: complex | None = None) -> np.ndarray:
     """Exact pointwise membership in a family method's inclusion set."""
     _check_method_n(view, n)
     pts = np.asarray(points, dtype=np.complex128).ravel()
     lvls = levels(penalty_params(view, n), method, eps)
-    fields = _TermFields(family(view, method, n, t))(pts)
+    fields = ps.TermFields(family(view, method, n, t))(pts)
     return np.all(fields <= np.array(lvls)[:, None], axis=0)
 
 
 def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
                     grid, jobs, t=None, outer: bool = False, **kwargs):
     """The sets of a family method at every eps of ``eps_list``, from one
-    ``ps.certified_regions`` sweep over the fields of its terms at their
-    levels, intersected (``kwargs`` pass on to it).
+    ``ps.certified_regions`` sweep over its terms at their levels,
+    intersected (``kwargs`` pass on to it).
 
     Returns the penalty inputs, the ``family`` terms, the grid and what the
     constructor returns.  Without a grid, the default one is padded by the
     largest level (by the sandwich level when ``outer``).
     """
     _check_method_n(view, n)
-    if min(eps_list) < 0:
-        raise DomainError("eps must be nonnegative")
     p = penalty_params(view, n)
     lvls = np.array([levels(p, method, eps) for eps in eps_list]).T
     if grid is None:
@@ -329,10 +163,7 @@ def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
                else float(lvls.max()))
         grid = ps.default_grid(view.matrix, pad=pad)
     terms = family(view, method, n, t)
-    slack = ps.smin_slack([mat for contribs in terms
-                           for _, mat, _ in contribs], grid)
-    sets = ps.certified_regions(_TermFields(terms, slack, jobs), grid, lvls,
-                                slack, **kwargs)
+    sets = ps.certified_regions(terms, grid, lvls, jobs, **kwargs)
     return p, terms, grid, sets
 
 
@@ -467,13 +298,12 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
         entry[1] = max(entry[1], radius)
     terms = [[(None, block, None)] for block, _ in comps.values()]
     bounds = [[radius] for _, radius in comps.values()]
-    slack = ps.smin_slack([block for block, _ in comps.values()], grid)
     step = max(1, _GERSH_PAIRS // (grid.nx * grid.ny))
     mask = np.zeros((grid.ny, grid.nx), dtype=bool)
     for s in range(0, len(terms), step):
-        [region] = ps.certified_regions(
-            _TermFields(terms[s:s + step], slack, jobs), grid,
-            bounds[s:s + step], slack, "union", with_field=False)
+        [region] = ps.certified_regions(terms[s:s + step], grid,
+                                        bounds[s:s + step], jobs, "union",
+                                        with_field=False)
         mask |= region.mask
     return ps.Region(grid, mask)
 

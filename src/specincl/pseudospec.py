@@ -6,11 +6,14 @@ from.  ``level_mask`` gives the masks at several levels at once from far
 fewer nodes than a full sweep, certified by the Lipschitz continuity of smin,
 together with a band field: the values where they were evaluated, NaN
 elsewhere.  ``fill_corners`` completes a band field at the nodes
-``contour_extract`` reads.  ``certified_regions`` is the one constructor of
-grid sets built on the two: the sublevel sets of several component fields,
-combined by union or intersection, with a completed band field or mask-only.
-Every grid set of the package comes from it, ``pseudospectrum`` included,
-which returns a band field.
+``contour_extract`` reads.  ``TermFields`` evaluates terms, each the least
+smin over a list of matrices, at grid nodes or at any points, and each
+matrix only where it can be its term's minimum.  ``certified_regions`` is
+the one constructor of grid sets: the sublevel sets of several terms from
+one ``level_mask`` sweep of their ``TermFields``, at the allowance
+``smin_slack`` of their matrices, combined by union or intersection, with a
+completed band field or mask-only.  Every grid set of the package comes
+from it, ``pseudospectrum`` included, which returns a band field.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over the (matrix x node)
@@ -52,6 +55,7 @@ __all__ = [
     "usable_cpus",
     "pseudospectrum",
     "smin_slack",
+    "TermFields",
     "level_mask",
     "fill_corners",
     "certified_regions",
@@ -357,18 +361,18 @@ def pseudospectrum(E, eps: float, grid: GridSpec, embed=None,
         raise DomainError("eps must be nonnegative")
     if not isinstance(grid, GridSpec):
         raise DomainError("grid must be a GridSpec")
-    # one component, wanted at every point the field is given
-    [region] = certified_regions(
-        lambda points, want: smin_grid(E, points, embed, jobs)[None], grid,
-        [[eps]], smin_slack([E], grid), with_field=with_field)
+    [region] = certified_regions([[(None, E, embed)]], grid, [[eps]], jobs,
+                                 with_field=with_field)
     return region
 
 
 # constant c of the singular-value error bound in ``smin_slack``
 _SLACK_C = 4
-# relative widening of node distances in ``level_mask``; covers the rounding
-# of its own margin arithmetic
+# relative widening of node distances in ``level_mask`` and ``TermFields``;
+# covers the rounding of their own margin arithmetic
 _DIST_WIDEN = 1.0 + 2.0 ** -30
+# unit roundoff of float64
+_U = 2.0 ** -53
 
 
 def _nudge(level: float) -> float:
@@ -405,11 +409,145 @@ def smin_slack(matrices, grid: GridSpec) -> float:
     """
     radius = math.hypot(max(abs(grid.re_min), abs(grid.re_max)),
                         max(abs(grid.im_min), abs(grid.im_max)))
-    u = np.finfo(np.float64).eps / 2
-    delta = max((_SLACK_C * E.shape[0] * E.shape[1] + 1) * u
+    delta = max((_SLACK_C * E.shape[0] * E.shape[1] + 1) * _U
                 * (float(np.linalg.norm(E)) + radius)
                 for E in map(np.asarray, matrices))
-    return 2.0 * delta + 8.0 * u * radius
+    return 2.0 * delta + 8.0 * _U * radius
+
+
+def _content_key(mat, embed) -> bytes:
+    key = np.asarray(mat).tobytes()
+    return key if embed is None else key + b"|" + np.asarray(embed).tobytes()
+
+
+class TermFields:
+    """The field of terms over one sweep: the least smin over each term's
+    contributions.
+
+    A term is a list of ``(descriptor, E, embed)`` contributions (the
+    descriptor is not read), and its value at z is the least
+    ``smin(E - z I)`` (``smin(E - z embed)`` with an embedding) over them;
+    contributions of equal content are evaluated once.  ``field(points,
+    want)`` returns the terms' values at the points, stacked along the first
+    axis.  ``want`` (all True by default) has one boolean row per term.  A
+    term is evaluated at its wanted points, and also where the contributions
+    other terms need there cover it; it is NaN elsewhere.
+
+    The first call evaluates every contribution at every point where a term
+    holding it is wanted (the coarse lattice of ``level_mask``, in a sweep)
+    and keeps those values f~_c(a) at the points a as anchors.  A later call
+    evaluates, in a term of two or more content-distinct contributions, only
+    those whose lower bound
+
+        L_c(y) = max over anchors a of  f~_c(a) - (W |a - y| + s')
+
+    does not exceed the least value m(y) of the term evaluated so far: first
+    the contribution of least bound, which gives m(y), then the others with
+    L_c(y) <= m(y).  Each round is one ``smin_fields`` call.  The bound
+    holds for computed values: with delta the error bound of ``smin_slack``
+    (|f~ - f| <= delta) and f 1-Lipschitz in z,
+
+        f~_c(y) >= f_c(y) - delta >= f_c(a) - |a - y| - delta
+                >= f~_c(a) - |a - y| - 2 delta,
+
+    and s = ``slack``, the sweep's ``smin_slack``, is at least 2 delta.  Its
+    rounding allowance: |a - y| is computed from the stored points, so only
+    its own arithmetic rounds (one rounding per coordinate difference and
+    one in ``abs``), and it is at least (1 - 3u) times the exact distance
+    (u = 2^-53).  W = ``_DIST_WIDEN`` = 1 + 2^-30 outweighs that; with
+    s' = W (s + u T), T the largest anchor value, the computed g = W |a - y|
+    + s' (two more roundings, and two in s') is at least (1 + 2^-31)(|a - y|
+    + s + u T), and the final difference f~_c(a) - g rounds by at most
+    u max(f~_c(a), g) <= u T + 2^-31 g, which that excess covers.  So the
+    computed L_c(y) is at most f~_c(y), and a contribution with L_c(y) >
+    m(y) lies strictly above the term's minimum: skipping it changes no
+    value, bit for bit.  Without a ``slack`` no bound is finite, so nothing
+    is skipped.
+    """
+
+    def __init__(self, terms, slack: float = math.inf,
+                 jobs: int | None = None):
+        index: dict[bytes, int] = {}
+        self.items, self.members = [], []
+        for contribs in terms:
+            term = {}
+            for _, mat, embed in contribs:
+                key = _content_key(mat, embed)
+                if key not in index:
+                    index[key] = len(self.items)
+                    self.items.append((mat, embed))
+                term[index[key]] = None
+            self.members.append(np.array(list(term), dtype=np.intp))
+        self.slack = slack
+        self.jobs = jobs
+        self.anchors = None
+
+    def __call__(self, points, want=None) -> np.ndarray:
+        points = np.asarray(points).ravel()
+        if want is None:
+            want = np.ones((len(self.members), points.size), dtype=bool)
+        need = np.zeros((len(self.items), points.size), dtype=bool)
+        for idx, row in zip(self.members, want):
+            need[idx] |= row
+        cover = np.array([need[idx].all(axis=0) for idx in self.members])
+        vals = np.full(need.shape, np.nan)
+        if self.anchors is None:
+            self._evaluate(vals, points, need)
+            self.anchors = (points, np.nan_to_num(vals, nan=-np.inf))
+        else:
+            self._pruned(vals, points, cover)
+        out = np.full(want.shape, np.nan)
+        for row, idx, cols in zip(out, self.members, cover):
+            if cols.any():
+                row[cols] = np.fmin.reduce(vals[idx][:, cols], axis=0)
+        return out
+
+    def _evaluate(self, vals, points, want) -> None:
+        """Fill ``vals`` at the wanted (contribution, point) pairs, in one
+        ``smin_fields`` call."""
+        rows = np.flatnonzero(want.any(axis=1))
+        cols = np.flatnonzero(want.any(axis=0))
+        if rows.size == 0:
+            return
+        sub = want[np.ix_(rows, cols)]
+        fields = smin_fields([self.items[k] for k in rows], points[cols],
+                             self.jobs, want=sub)
+        ii, jj = np.nonzero(sub)
+        vals[rows[ii], cols[jj]] = np.array(fields)[ii, jj]
+
+    def _bounds(self, points, keys) -> np.ndarray:
+        """Lower bounds of contributions ``keys`` at the points, from the
+        anchors: ``max_a f~(a) - (|a - y| W + s')``."""
+        at, known = self.anchors
+        known = known[keys]
+        top = known.max(initial=0.0, where=np.isfinite(known))
+        allow = (self.slack + _U * top) * _DIST_WIDEN
+        bound = np.full((len(keys), points.size), -np.inf)
+        for a, vals in zip(at, known.T):
+            gap = np.abs(a - points) * _DIST_WIDEN + allow
+            np.maximum(bound, vals[:, None] - gap, out=bound)
+        return bound
+
+    def _pruned(self, vals, points, cover) -> None:
+        """Fill ``vals`` wherever a covered term can take its minimum: the
+        contribution of least bound in each term, then those of the term
+        whose bound does not exceed the least value found."""
+        multi = [i for i, idx in enumerate(self.members) if idx.size > 1]
+        bound = np.full(vals.shape, -np.inf)
+        if multi:
+            keys = np.unique(np.concatenate([self.members[i] for i in multi]))
+            cols = np.logical_or.reduce(cover[multi])
+            bound[np.ix_(keys, cols)] = self._bounds(points[cols], keys)
+        first = np.zeros(vals.shape, dtype=bool)
+        for idx, at in zip(self.members, map(np.flatnonzero, cover)):
+            first[idx[np.argmin(bound[idx][:, at], axis=0)], at] = True
+        self._evaluate(vals, points, first)
+        second = np.zeros(vals.shape, dtype=bool)
+        for i in multi:
+            block = np.ix_(self.members[i], np.flatnonzero(cover[i]))
+            low = np.fmin.reduce(vals[block], axis=0)
+            second[block] |= (bound[block] <= low) & np.isnan(vals[block])
+        self._evaluate(vals, points, second)
 
 
 def _lattice(count: int, stride: int) -> np.ndarray:
@@ -591,23 +729,28 @@ _COMBINE = {
 }
 
 
-def certified_regions(field, grid: GridSpec, levels, slack: float,
+def certified_regions(terms, grid: GridSpec, levels, jobs: int | None = None,
                       combine: str = "intersect", with_field: bool = True,
                       parts: bool = False):
-    """Combined sublevel sets of a field's components, from one certified
-    ``level_mask`` sweep (``field``, ``levels`` of shape (F, L) and
-    ``slack`` as there).
+    """Combined sublevel sets of terms, from one certified ``level_mask``
+    sweep of their ``TermFields``.
 
-    Returns one region per level column j: the components at their levels
-    ``levels[:, j]``, combined by ``region_intersect`` ("intersect"; the
-    field is the pointwise maximum of the components) or ``region_union``
-    ("union"; the minimum).  Its mask is the full sweep's, bit for bit.
-    With ``with_field`` it carries the band field, completed by
-    ``fill_corners``, and ``parts`` completes each component from its own
+    ``terms`` is a list of F terms as ``TermFields`` takes them, one
+    component each, and ``levels`` has shape (F, L).  The sweep's slack is
+    ``smin_slack`` of every matrix of the terms, and ``jobs`` passes on to
+    the kernel.  Returns one region per level column j: the components at
+    their levels ``levels[:, j]``, combined by ``region_intersect``
+    ("intersect"; the field is the pointwise maximum of the components) or
+    ``region_union`` ("union"; the minimum).  Its mask is the full sweep's,
+    bit for bit.  With ``with_field`` it carries the band field, completed
+    by ``fill_corners``, and ``parts`` completes each component from its own
     field before combining and returns ``(parts, regions)``, ``parts[i][j]``
     being component i at ``levels[i, j]``; without, it is mask-only.
     """
     lv = np.asarray(levels, dtype=np.float64)
+    slack = smin_slack([mat for contribs in terms for _, mat, _ in contribs],
+                       grid)
+    field = TermFields(terms, slack, jobs)
     masks, band = level_mask(field, grid, lv, slack)
     comps = [[Region(grid, mask, band[i] if with_field else None, float(level))
               for mask, level in zip(masks[i], lv[i])] for i in range(len(lv))]

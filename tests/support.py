@@ -71,13 +71,13 @@ def masks_agree_off_boundary(region, analytic_dist, level, slack):
 
 def full_sweep_mask(view, method, n, eps, grid, t=None):
     """Reference mask of a family method from every grid node: each term's
-    ``min_field`` against its level, intersected over the terms."""
+    ``reference_term_fields`` value against its level, intersected over the
+    terms."""
     nodes = grid.nodes()
     lvls = inc.levels(inc.penalty_params(view, n), method, eps)
-    mask = np.ones(nodes.shape, dtype=bool)
-    for terms, level in zip(inc.family(view, method, n, t), lvls):
-        mask &= inc.min_field(terms, nodes) <= level
-    return mask
+    fields = reference_term_fields(inc.family(view, method, n, t), nodes)
+    mask = np.all(fields <= np.array(lvls)[:, None], axis=0)
+    return mask.reshape(nodes.shape)
 
 
 def reference_pseudospectrum(E, eps, grid, embed=None, jobs=None):
@@ -120,8 +120,9 @@ def per_n_verify_containment(items, eps_values=(0.0, 0.1),
                               max_n: int | None = None,
                               rng_seed: int = 7) -> list[VerifyRecord]:
     """Reference containment records: the verifier evaluating each
-    (matrix, n) on its own, with one field cache per n, the levels computed
-    per (n, eps) and one full-matrix sweep per sandwich record."""
+    (matrix, n) on its own, each family's terms in one
+    ``reference_term_fields`` call, the levels computed per (n, eps) and one
+    full-matrix sweep per sandwich record."""
     rng = np.random.default_rng(rng_seed)
     records = []
     for item in items:
@@ -135,9 +136,7 @@ def per_n_verify_containment(items, eps_values=(0.0, 0.1),
         for n in range(1, N if max_n is None else min(N, max_n + 1)):
             p = inc.penalty_params(view, n)
             families = [inc.family(view, m, n, t) for m, t in plan]
-            cache: dict = {}
-            fields = [[inc.min_field(terms, lams, cache=cache)
-                       for terms in fam] for fam in families]
+            fields = [reference_term_fields(fam, lams) for fam in families]
             for eps in eps_values:
                 for (m, t), f in zip(plan, fields):
                     lvls = inc.levels(p, m, eps, penalty_scale)
@@ -162,7 +161,7 @@ def _per_n_check_sandwich(item, view, n, eps, p, lams, terms, field, scale,
         return []
     box = np.abs(item.matrix).sum(axis=1).max() + eps
     extra = rng.uniform(-box, box, 8) + 1j * rng.uniform(-box, box, 8)
-    inner = inc.min_field(terms, extra)
+    inner = reference_term_fields([terms], extra)[0]
     probes = np.concatenate([probes, extra[inner <= level + _LEVEL_SLACK]])
     outer_level = inc.tau1_outer_level(p, eps, scale)
     outer_vals = ps.smin_grid(view.matrix, probes)
@@ -368,8 +367,8 @@ def reference_render_svg(region: Region, eigenvalues=None, title: str = "",
 # ---------------------------------------------------------------------------
 
 def reference_term_fields(terms, points, want=None, jobs=None):
-    """``min_field`` of each term at the points, stacked along the first
-    axis.
+    """The least smin over the contributions of each term at the points
+    (raveled), stacked along the first axis.
 
     With ``want``, a boolean array with one row per term, a term is
     evaluated at its wanted points, and also where the contributions
@@ -378,7 +377,7 @@ def reference_term_fields(terms, points, want=None, jobs=None):
     wanted, and the contributions wanted at the same points share one
     ``smin_fields`` call.
     """
-    points = np.asarray(points)
+    points = np.asarray(points).ravel()
     out = np.full((len(terms), points.size), np.nan)
     if want is None:
         want = np.ones(out.shape, dtype=bool)
@@ -386,7 +385,7 @@ def reference_term_fields(terms, points, want=None, jobs=None):
     for contribs, row in zip(terms, want):
         term = {}
         for _, mat, embed in contribs:
-            key = inc._content_key(mat, embed)
+            key = ps._content_key(mat, embed)
             term[key] = items[key] = (mat, embed)
             need[key] = need.get(key, False) | row
         keys.append(term)
@@ -409,14 +408,14 @@ def reference_term_fields(terms, points, want=None, jobs=None):
 
 
 def unpruned_term_fields(terms, slack=0.0, jobs=None):
-    """Drop-in for ``inclusion._TermFields`` that evaluates every needed
+    """Drop-in for ``pseudospec.TermFields`` that evaluates every needed
     (contribution, point) pair, through ``reference_term_fields``."""
     return partial(reference_term_fields, terms, jobs=jobs)
 
 
 class KernelPairs:
     """Stand-in for ``ps.smin_fields`` that counts the (matrix, shift) pairs
-    the kernel evaluates, keyed by ``inc._content_key``: every pair of a
+    the kernel evaluates, keyed by ``ps._content_key``: every pair of a
     call, or those its ``want`` marks.  Create it before patching."""
 
     def __init__(self):
@@ -429,6 +428,6 @@ class KernelPairs:
         rows = np.ones((len(items), lams.size), dtype=bool) if want is None \
             else np.asarray(want).reshape(len(items), lams.size)
         for (E, embed), row in zip(items, rows):
-            key = inc._content_key(np.asarray(E), embed)
+            key = ps._content_key(E, embed)
             self.pairs.update((key, z) for z in lams[row].tolist())
         return self.kernel(items, lambdas, jobs, want)

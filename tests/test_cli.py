@@ -76,32 +76,28 @@ def test_verify_one_kernel_pass_per_item(monkeypatch):
     # per item: one pass over the fields at the eigenvalues, one call per n
     # for the random probes and one sweep of the full matrix, none empty;
     # no contribution is evaluated twice at an eigenvalue
-    from collections import Counter
-
     from specincl import pseudospec as ps
 
-    calls, pairs = [], Counter()
-    kernel = ps.smin_fields
+    calls = []
 
-    def counted(items, lambdas, jobs=None):
-        items = list(items)
-        calls.append((len(items), np.size(lambdas)))
-        for E, embed in items:
-            key = np.asarray(E).tobytes() + (
-                b"" if embed is None else b"|" + np.asarray(embed).tobytes())
-            pairs.update((key, z) for z in np.ravel(lambdas).tolist()
-                         if z in eigenvalues)
-        return kernel(items, lambdas, jobs)
+    class Counted(KernelPairs):
+        def __call__(self, items, lambdas, jobs=None, want=None):
+            items = list(items)
+            calls.append((len(items), np.size(lambdas)))
+            return super().__call__(items, lambdas, jobs, want)
 
-    monkeypatch.setattr(ps, "smin_fields", counted)
+    spy = Counted()
+    monkeypatch.setattr(ps, "smin_fields", spy)
     for item in build_corpus(seed=1, count=12, orders=(6, 16)):
         calls.clear()
-        pairs.clear()
+        spy.pairs.clear()
         eigenvalues = set(ps.eig(item.matrix).tolist())
         verify_containment([item])
         assert 0 < len(calls) <= 2 + item.partition.count - 1
         assert all(n_items and n_points for n_items, n_points in calls)
-        assert pairs and max(pairs.values()) == 1
+        at_eigenvalues = [count for (_, z), count in spy.pairs.items()
+                          if z in eigenvalues]
+        assert at_eigenvalues and max(at_eigenvalues) == 1
 
 
 def test_verify_levels_once_per_n(monkeypatch):
@@ -301,6 +297,21 @@ def test_include_eps_list_is_one_sweep(tmp_path, monkeypatch):
         for ext in ("json", "svg"):
             name = f"{method}_n4_eps0.15.{ext}"
             assert (both / name).read_bytes() == (single / name).read_bytes()
+
+
+@pytest.mark.parametrize("eps", ["1e-7,1.00000001e-7", "0.1,0.1"])
+def test_include_eps_values_with_one_stem_exit_2(tmp_path, capsys, eps):
+    # two eps values that format alike under :g would write the same files,
+    # the second overwriting the first
+    out = tmp_path / "o"
+    assert main(["include", "--builtin", "jordan", "--M", "16", "--method",
+                 "tau", "--n", "2", "--eps", eps, "--grid", "16,16",
+                 "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    first, second = (repr(float(x)) for x in eps.split(","))
+    assert err == (f"specincl: --eps values {first} and {second} share the "
+                   f"file stem eps{float(first):g}\n")
+    assert not out.exists()
 
 
 def test_include_tau_n2_grid_padded_by_eps2(tmp_path):

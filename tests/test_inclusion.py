@@ -5,7 +5,7 @@ import pytest
 
 from specincl import inclusion as inc
 from specincl import pseudospec as ps
-from specincl.errors import PiMethodUnsupported
+from specincl.errors import DomainError, PiMethodUnsupported
 from specincl.matrixcore import BlockPartition, make_view, resolve_partition
 from specincl.penalty import eps_pi, eps_tau, eps_tau1
 from specincl.toeplitz import (
@@ -21,6 +21,7 @@ from support import (
     full_sweep_mask,
     reference_block_radii,
     reference_gershgorin_block,
+    reference_term_fields,
 )
 
 
@@ -238,6 +239,17 @@ def test_membership_matches_region(method):
     assert member.any() and not member.all()
 
 
+@pytest.mark.parametrize("method", ["tau", "pi", "tau1"])
+def test_membership_rejects_negative_eps(method):
+    # the grid methods and the pointwise test share one definition of the
+    # levels, and with it one check of eps
+    view = scalar_view(jordan(8))
+    for run in (lambda: inc.membership(view, method, 3, -0.1, [0j], t=1.0),
+                lambda: inc.method_mask(view, method, 3, -0.1, t=1.0)):
+        with pytest.raises(DomainError, match="eps must be nonnegative"):
+            run()
+
+
 def grid_method_region(view, method, n, eps, grid, t):
     if method == "tau":
         return inc.sigma_tau(view, n, eps, grid=grid)[2]
@@ -301,14 +313,18 @@ def test_grid_methods_carry_completed_band_fields(build):
     grid = ps.default_grid(view.matrix, pad=inc.tau1_outer_level(p, eps),
                            nx=70, ny=64)
     nodes = grid.nodes()
+
+    def full(terms):
+        return reference_term_fields([terms], nodes)[0].reshape(nodes.shape)
+
     sigma, hat, _ = inc.sigma_tau(view, n, eps, grid=grid)
     [tau_main, tau_hat] = inc.family(view, "tau", n)
     gamma, outer = inc.tau1_method(view, n, eps, grid=grid, outer=True)
-    cases = [(sigma, inc.min_field(tau_main, nodes)),
-             (hat, inc.min_field(tau_hat, nodes)),
+    cases = [(sigma, full(tau_main)),
+             (hat, full(tau_hat)),
              (inc.pi_method(view, n, t, eps, grid=grid),
-              inc.min_field(inc.family(view, "pi", n, t)[0], nodes)),
-             (gamma, inc.min_field(inc.family(view, "tau1", n)[0], nodes)),
+              full(inc.family(view, "pi", n, t)[0])),
+             (gamma, full(inc.family(view, "tau1", n)[0])),
              (outer, ps.smin_grid(view.matrix, nodes))]
     for region, full in cases:
         level = region.level

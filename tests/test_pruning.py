@@ -68,7 +68,7 @@ def counted(monkeypatch, run, oracle=False):
     with monkeypatch.context() as patch:
         patch.setattr(ps, "smin_fields", spy)
         if oracle:
-            patch.setattr(inc, "_TermFields", unpruned_term_fields)
+            patch.setattr(ps, "TermFields", unpruned_term_fields)
         result = run()
     return result, spy.pairs
 

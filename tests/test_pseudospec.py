@@ -31,7 +31,11 @@ from specincl.pseudospec import (
 )
 from specincl.toeplitz import jordan, jordan_alpha, laplacian
 
-from support import assert_band_of, reference_pseudospectrum
+from support import (
+    assert_band_of,
+    reference_pseudospectrum,
+    reference_term_fields,
+)
 
 
 def rand_complex(rng, shape):
@@ -258,7 +262,7 @@ def test_kernel_jobs_invariant(monkeypatch, count):
         for (_, E, embed), ref in zip(contribs, refs):
             assert np.array_equal(smin_grid(E, points, embed, jobs=jobs), ref)
         blocks.clear()
-        field = inc.min_field(contribs, points, jobs=jobs)
+        field = reference_term_fields([contribs], points, jobs=jobs)[0]
         assert np.array_equal(field, np.minimum.reduce(refs))
         assert len(blocks) > 1
 
@@ -324,7 +328,8 @@ def tau1_case():
     view = make_view(jordan(10), BlockPartition((1,) * 10))
     terms = inc.family(view, "tau1", 3)[0]
     assert all(embed is not None for _, _, embed in terms)
-    return [m for _, m, _ in terms], lambda pts: inc.min_field(terms, pts)
+    return [m for _, m, _ in terms], lambda pts: reference_term_fields(
+        [terms], pts)[0].reshape(np.shape(pts))
 
 
 @pytest.mark.parametrize("case, levels", [

@@ -285,9 +285,8 @@ def test_convergence_study_wiener_tau1_route():
 
 
 def full_sweep_rows(spec, eps, schedule, grid_nodes):
-    """Study rows from masks of every grid node (each family term's
-    ``min_field`` against its level, and reference pseudospectra), on the
-    grid ``convergence_study`` builds."""
+    """Study rows from masks of every grid node (``full_sweep_mask`` and
+    reference pseudospectra), on the grid ``convergence_study`` builds."""
     plan = []
     for M, n, w in schedule:
         view = make_view(build_toeplitz(spec, M), banded_partition(M, w))
