@@ -225,6 +225,12 @@ def cmd_converge(args) -> int:
 
 def cmd_verify(args) -> int:
     eps_list = _parse_eps_list(args.eps)
+    # each eps makes its own records, so an eps given twice repeats them
+    for i, eps in enumerate(eps_list):
+        for other in eps_list[:i]:
+            if other == eps:
+                raise UsageError(f"--eps values {other!r} and {eps!r} are "
+                                 "equal")
     if args.count < 1:
         raise UsageError(f"--count must be at least 1, got {args.count}")
     if not 2 <= args.order_min <= args.order_max:

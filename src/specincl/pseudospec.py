@@ -8,12 +8,14 @@ together with a band field: the values where they were evaluated, NaN
 elsewhere.  ``fill_corners`` completes a band field at the nodes
 ``contour_extract`` reads.  ``TermFields`` evaluates terms, each the least
 smin over a list of matrices, at grid nodes or at any points, and each
-matrix only where it can be its term's minimum.  ``certified_regions`` is
-the one constructor of grid sets: the sublevel sets of several terms from
-one ``level_mask`` sweep of their ``TermFields``, at the allowance
-``smin_slack`` of their matrices, combined by union or intersection, with a
-completed band field or mask-only.  Every grid set of the package comes
-from it, ``pseudospectrum`` included, which returns a band field.
+matrix only where it can be its term's minimum; ``TermFields.bounded``
+only where it can change a term's maximum or a comparison with a level.
+``certified_regions`` is the one constructor of grid sets: the sublevel
+sets of several terms from one ``level_mask`` sweep of their
+``TermFields``, at the allowance ``smin_slack`` of their matrices, combined
+by union or intersection, with a completed band field or mask-only.  Every
+grid set of the package comes from it, ``pseudospectrum`` included, which
+returns a band field.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over the (matrix x node)
@@ -425,13 +427,14 @@ class TermFields:
     contributions.
 
     A term is a list of ``(descriptor, E, embed)`` contributions (the
-    descriptor is not read), and its value at z is the least
-    ``smin(E - z I)`` (``smin(E - z embed)`` with an embedding) over them;
-    contributions of equal content are evaluated once.  ``field(points,
-    want)`` returns the terms' values at the points, stacked along the first
-    axis.  ``want`` (all True by default) has one boolean row per term.  A
-    term is evaluated at its wanted points, and also where the contributions
-    other terms need there cover it; it is NaN elsewhere.
+    descriptor is hashable, and only ``bounded`` passes it on), and its
+    value at z is the least ``smin(E - z I)`` (``smin(E - z embed)`` with an
+    embedding) over them; contributions of equal content are evaluated
+    once.  ``field(points, want)`` returns the terms' values at the points,
+    stacked along the first axis.  ``want`` (all True by default) has one
+    boolean row per term.  A term is evaluated at its wanted points, and
+    also where the contributions other terms need there cover it; it is NaN
+    elsewhere.
 
     The first call evaluates every contribution at every point where a term
     holding it is wanted (the coarse lattice of ``level_mask``, in a sweep)
@@ -463,19 +466,25 @@ class TermFields:
     m(y) lies strictly above the term's minimum: skipping it changes no
     value, bit for bit.  Without a ``slack`` no bound is finite, so nothing
     is skipped.
+
+    ``field.bounded`` answers the questions a pointwise check asks, the
+    largest value and the comparisons with a level, from fewer pairs; see
+    there.
     """
 
     def __init__(self, terms, slack: float = math.inf,
                  jobs: int | None = None):
         index: dict[bytes, int] = {}
-        self.items, self.members = [], []
+        self.items, self.members, self.sources = [], [], []
         for contribs in terms:
             term = {}
-            for _, mat, embed in contribs:
-                key = _content_key(mat, embed)
+            for contrib in contribs:
+                key = _content_key(*contrib[1:])
                 if key not in index:
                     index[key] = len(self.items)
-                    self.items.append((mat, embed))
+                    self.items.append(contrib[1:])
+                    self.sources.append({})
+                self.sources[index[key]].setdefault(contrib[0], contrib)
                 term[index[key]] = None
             self.members.append(np.array(list(term), dtype=np.intp))
         self.slack = slack
@@ -502,16 +511,96 @@ class TermFields:
                 row[cols] = np.fmin.reduce(vals[idx][:, cols], axis=0)
         return out
 
-    def _evaluate(self, vals, points, want) -> None:
+    def bounded(self, points, levels, guess, want=None) -> np.ndarray:
+        """Upper bounds u of the terms' values at the wanted points (NaN
+        elsewhere): u is at least the value, equals it wherever u exceeds
+        the term's level, and has the same maximum, bit for bit.  So
+        ``u <= level`` and ``u.max()`` answer as the values would.
+
+        ``levels`` holds one level per term, or one row of levels per term.
+        ``guess(contribs, at)`` gives an array (len(contribs), len(at)) for
+        the points ``at`` that only orders the work; a contribution takes
+        the least guess of those (one per descriptor) of its content.
+
+        Two ``smin_fields`` calls.  The first evaluates, in each term, the
+        contribution of least guess at every wanted point, and every
+        contribution at the point whose least guess is largest.  u is the
+        least value found, exact where every contribution was evaluated; m
+        is the largest exact u.  The second evaluates the other
+        contributions where u exceeds min(m, level).  A point it skips has
+        u <= m, so the maximum is exact, and u exceeds the level only where
+        it is exact.  No rounding allowance enters: min and max select
+        computed values, and ``smin_fields`` returns the same bits however
+        a call is batched.
+        """
+        points = np.asarray(points).ravel()
+        out = np.full((len(self.members), points.size), np.nan)
+        want = (np.ones(out.shape, dtype=bool) if want is None
+                else np.asarray(want, dtype=bool))
+        terms = np.flatnonzero(want.any(axis=1))
+        if terms.size == 0:
+            return out
+        cut = np.broadcast_to(np.asarray(levels, dtype=np.float64).reshape(
+            len(self.members), -1), out.shape)
+        want, cut = want[terms], cut[terms]
+        # the wanted terms' contributions (``keys``; np.unique would import
+        # numpy.ma, over 1 MB of resident memory), and per term a row of
+        # indices into them, padded with an extra index that counts as
+        # evaluated (+inf) and is guessed last
+        keys = np.zeros(len(self.items), dtype=bool)
+        keys[np.concatenate([self.members[i] for i in terms])] = True
+        keys = np.flatnonzero(keys)
+        pad = keys.size
+        table = np.full((terms.size, max(self.members[i].size
+                                         for i in terms)), pad)
+        for row, i in zip(table, terms):
+            row[:self.members[i].size] = np.searchsorted(keys, self.members[i])
+        # guesses where a term of two or more contributions is wanted, one
+        # call per set of wanted points
+        ranks = np.full((pad + 1, points.size), np.inf)
+        multi: dict[bytes, list[int]] = {}
+        for r in np.flatnonzero((table < pad).sum(axis=1) > 1):
+            multi.setdefault(want[r].tobytes(), []).append(r)
+        for rows in multi.values():
+            used = np.zeros(pad + 1, dtype=bool)
+            used[table[rows]] = True
+            owners = [(j, c) for j in np.flatnonzero(used[:pad])
+                      for c in self.sources[keys[j]].values()]
+            at = np.flatnonzero(want[rows[0]])
+            np.fmin.at(ranks, np.ix_([j for j, _ in owners], at),
+                       guess([c for _, c in owners], at))
+        vals = np.full((pad + 1, points.size), np.nan)
+        vals[pad] = np.inf
+        first = np.zeros(vals.shape, dtype=bool)
+        best = np.take_along_axis(table, ranks[table].argmin(axis=1), axis=1)
+        first[best[want], np.nonzero(want)[1]] = True
+        least = np.where(want, ranks[table].min(axis=1), -np.inf)
+        first[table, least.argmax(axis=1)[:, None]] = True
+        self._evaluate(vals[:pad], points, first[:pad], keys)
+        done = ~np.isnan(vals[table])
+        u = np.fmin.reduce(vals[table], axis=1)
+        top = np.where(want & done.all(axis=1), u, -np.inf).max(axis=1)
+        redo = want & (u > np.minimum(top[:, None], cut))
+        t, c, j = np.nonzero(redo[:, None, :] & ~done)
+        second = np.zeros(vals.shape, dtype=bool)
+        second[table[t, c], j] = True
+        self._evaluate(vals[:pad], points, second[:pad], keys)
+        out[terms] = np.where(want, np.fmin.reduce(vals[table], axis=1),
+                              np.nan)
+        return out
+
+    def _evaluate(self, vals, points, want, keys=None) -> None:
         """Fill ``vals`` at the wanted (contribution, point) pairs, in one
-        ``smin_fields`` call."""
+        ``smin_fields`` call; row r of ``vals`` and ``want`` is contribution
+        ``keys[r]`` (contribution r without ``keys``)."""
         rows = np.flatnonzero(want.any(axis=1))
         cols = np.flatnonzero(want.any(axis=0))
         if rows.size == 0:
             return
         sub = want[np.ix_(rows, cols)]
-        fields = smin_fields([self.items[k] for k in rows], points[cols],
-                             self.jobs, want=sub)
+        fields = smin_fields([self.items[k] for k in (
+            rows if keys is None else keys[rows])], points[cols],
+            self.jobs, want=sub)
         ii, jj = np.nonzero(sub)
         vals[rows[ii], cols[jj]] = np.array(fields)[ii, jj]
 

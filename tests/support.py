@@ -14,7 +14,9 @@ library sweeps certified and sums the nonzero blocks only, and tests
 compare the masks bit for bit.  ``reference_term_fields`` evaluates every
 contribution of a term wherever the term is needed; the library skips the
 contributions that cannot be a term's minimum, and tests compare the masks,
-band fields and CSV bytes bit for bit.
+band fields and CSV bytes bit for bit.  ``exhaustive_bounded`` stands in
+for ``TermFields.bounded`` the same way, so that tests can count the pairs
+of the full pass.
 """
 
 import time
@@ -411,6 +413,15 @@ def unpruned_term_fields(terms, slack=0.0, jobs=None):
     """Drop-in for ``pseudospec.TermFields`` that evaluates every needed
     (contribution, point) pair, through ``reference_term_fields``."""
     return partial(reference_term_fields, terms, jobs=jobs)
+
+
+def exhaustive_bounded(fields, points, levels, guess, want=None):
+    """Drop-in for ``ps.TermFields.bounded`` that evaluates every wanted
+    (contribution, point) pair, through ``reference_term_fields``: the
+    exact term values where ``want`` marks them, NaN elsewhere."""
+    terms = [[(None, *fields.items[k]) for k in idx] for idx in fields.members]
+    out = reference_term_fields(terms, points, want, fields.jobs)
+    return out if want is None else np.where(want, out, np.nan)
 
 
 class KernelPairs:

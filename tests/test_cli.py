@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,11 @@ from specincl.ingest import (
     write_matrix_market,
 )
 
-from support import KernelPairs, per_n_verify_containment
+from support import (
+    KernelPairs,
+    exhaustive_bounded,
+    per_n_verify_containment,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +66,18 @@ def test_verify_containment_adversarial_flags_violations():
     ((1, 12, (6, 16)), {"penalty_scale": 0.5}),
     ((1, 12, (6, 16)), {"max_n": 3}),
     ((1, 12, (6, 16)), {"eps_values": (0.0,)}),
-], ids=["bench-shape", "cli-default", "penalty-scale", "max-n", "one-eps"])
+    ((1, 20, (6, 16)), {"penalty_scale": 0.5}),
+    ((1, 6, (20, 40)), {}),
+    ((1, 6, (20, 40)), {"penalty_scale": 0.5, "max_n": 4}),
+    ((1, 12, (6, 16)), {"eps_values": (0.0, 0.1, 0.2)}),
+], ids=["bench-shape", "cli-default", "penalty-scale", "max-n", "one-eps",
+        "readme-adversarial", "orders-20-40", "orders-20-40-adversarial",
+        "three-eps"])
 def test_verify_containment_equals_per_n_reference(corpus, options):
-    # one batched pass per item gives the records, margins included, of the
-    # verifier that evaluates each (matrix, n) on its own
+    # one batched pass per item, which evaluates a (contribution, point) pair
+    # only where it can change a record, gives the records, margins
+    # included, of the verifier that evaluates each (matrix, n) on its own;
+    # orders 20-40 mix uniform partitions with 3/4 ones, which have no pi
     seed, count, orders = corpus
     items = build_corpus(seed=seed, count=count, orders=orders)
     expected = per_n_verify_containment(items, **options)
@@ -98,6 +111,49 @@ def test_verify_one_kernel_pass_per_item(monkeypatch):
         at_eigenvalues = [count for (_, z), count in spy.pairs.items()
                           if z in eigenvalues]
         assert at_eigenvalues and max(at_eigenvalues) == 1
+
+
+def test_verify_values_above_the_level_are_exact(monkeypatch):
+    # with halved penalties some tau1 maxima lie above their level; a tau1
+    # set then needs the exact value at every eigenvalue above the level,
+    # not only at the largest one, and the values are cut there: with every
+    # level at +inf fewer pairs are evaluated and the records change
+    from specincl import pseudospec as ps
+
+    items = build_corpus(seed=1, count=20, orders=(6, 16))
+    spy = KernelPairs()
+    monkeypatch.setattr(ps, "smin_fields", spy)
+    records = verify_containment(items, penalty_scale=0.5)
+    assert sum(not r.contained for r in records) == 101
+    assert any(r.method == "tau1" and not r.contained for r in records)
+    cut = sum(spy.pairs.values())
+    spy.pairs.clear()
+    bounded = ps.TermFields.bounded
+
+    def uncut(fields, points, levels, guess, want=None):
+        top = np.full(len(fields.members), np.inf)
+        return bounded(fields, points, top, guess, want)
+
+    monkeypatch.setattr(ps.TermFields, "bounded", uncut)
+    assert verify_containment(items, penalty_scale=0.5) != records
+    assert sum(spy.pairs.values()) < cut
+
+
+def test_verify_kernel_pairs_budget(monkeypatch):
+    # on the benchmark's shape the verifier evaluates at most half the
+    # (matrix, point) pairs of the full pass, none of them twice
+    from specincl import pseudospec as ps
+
+    items = build_corpus(seed=641987627, count=11, orders=(12, 12))
+    spy = KernelPairs()
+    monkeypatch.setattr(ps, "smin_fields", spy)
+    records = verify_containment(items)
+    pruned = Counter(spy.pairs)
+    spy.pairs.clear()
+    monkeypatch.setattr(ps.TermFields, "bounded", exhaustive_bounded)
+    assert verify_containment(items) == records
+    assert max(pruned.values()) == 1
+    assert 2 * sum(pruned.values()) <= sum(spy.pairs.values())
 
 
 def test_verify_levels_once_per_n(monkeypatch):
@@ -423,6 +479,8 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["include", "--builtin", "jordan", "--M", "8", "--method", "gersh",
      "--grid", "40000000000000,2"],
     ["include", "--input", "out-of-memory.mtx", "--method", "gersh"],
+    ["verify", "--count", "1", "--order-min", "4", "--order-max", "4",
+     "--eps", "0,0.0"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -436,7 +494,7 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "mtx-extra-token", "mtx-extra-non-ascii", "mtx-size-too-big",
         "grid-nx-overflow", "grid-too-big", "converge-grid-nodes-overflow",
         "M-too-big", "M-overflow", "schedule-M-too-big", "grid-out-of-memory",
-        "mtx-out-of-memory"])
+        "mtx-out-of-memory", "verify-eps-repeated"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     if argv[-1].startswith("SPECINCL_JOBS="):
         monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])

@@ -8,6 +8,8 @@ masks, band fields (NaN positions included), reports and CSV bytes of the two
 must be equal bit for bit, and the pruned sweep must evaluate fewer pairs.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from specincl.cli import main
 from specincl.ingest import write_matrix_market
 from specincl.matrixcore import BlockPartition, make_view, resolve_partition
 
-from support import KernelPairs, unpruned_term_fields
+from support import KernelPairs, reference_term_fields, unpruned_term_fields
 
 
 def rand_complex(rng, shape):
@@ -139,6 +141,58 @@ def test_pruned_membership_equals_oracle(monkeypatch):
         oracle, oracle_pairs = counted(monkeypatch, run, oracle=True)
         assert np.array_equal(pruned, oracle)
         assert pairs == oracle_pairs
+
+
+@pytest.mark.parametrize("name", list(VIEWS))
+def test_bounded_fields_decide_maxima_and_levels(name, monkeypatch):
+    # whatever the guess: u is at least each term's value, equals it above
+    # the level and has the same maximum, bit for bit, NaN where not
+    # wanted; no pair is evaluated twice, and the level cut only adds pairs.
+    # With guesses that order the contributions exactly, every level below
+    # a term's maximum adds pairs, and the pass skips some
+    view = VIEWS[name]()
+    terms = [term for m, n, t in RUNS for term in inc.family(view, m, n, t)]
+    rng = np.random.default_rng(4)
+    # distinct points (the block-diagonal eigenvalues repeat), so that a
+    # pair counted twice was evaluated twice
+    points = np.unique(np.concatenate([ps.eig(view.matrix),
+                                       rand_complex(rng, 12)]))
+    exact = reference_term_fields(terms, points)
+    low, high = exact.min(axis=1), exact.max(axis=1)
+    levels = low + rng.uniform(0.2, 0.9, len(terms)) * (high - low)
+    mask = rng.random(exact.shape) < 0.6
+    per_point = levels[:, None] + rng.uniform(-0.2, 0.2, exact.shape)
+    values = {ps._content_key(E, embed): ps.smin_fields([(E, embed)],
+                                                        points)[0]
+              for term in terms for _, E, embed in term}
+    guesses = {
+        "first entry": lambda contribs, at: np.array(
+            [np.abs(E.flat[0] - points[at]) for _, E, _ in contribs]),
+        "exact": lambda contribs, at: np.array(
+            [values[ps._content_key(*c[1:])][at] for c in contribs]),
+    }
+    for kind, guess in guesses.items():
+        for want, lv in ((None, levels), (mask, per_point)):
+            def run(lv=lv, guess=guess, want=want):
+                return ps.TermFields(terms).bounded(points, lv, guess, want)
+
+            u, pairs = counted(monkeypatch, run)
+            _, uncut = counted(monkeypatch, partial(
+                run, np.full(len(terms), np.inf)))
+            _, full = counted(monkeypatch, lambda: reference_term_fields(
+                terms, points, want))
+            w = np.ones(exact.shape, dtype=bool) if want is None else want
+            assert np.isnan(u[~w]).all() and (u[w] >= exact[w]).all()
+            cut = np.broadcast_to(np.reshape(lv, (len(terms), -1)), u.shape)
+            above = w & (u > cut)
+            assert above.any()
+            assert np.array_equal(u[above], exact[above])
+            assert np.array_equal(np.where(w, u, -np.inf).max(axis=1),
+                                  np.where(w, exact, -np.inf).max(axis=1))
+            assert max(pairs.values()) == 1
+            assert set(uncut) <= set(pairs) <= set(full)
+            if kind == "exact":
+                assert set(uncut) < set(pairs) < set(full)
 
 
 def test_pruned_include_all_evaluates_under_45_percent(tmp_path,
