@@ -261,12 +261,15 @@ def _block_radii(view: BlockMatrixView) -> list[float]:
     """r_k of every block row: the sum of the spectral norms of its
     off-diagonal blocks, in column order.  Only the blocks holding a nonzero
     entry are summed; a zero block adds 0.0, which is exact."""
-    block_of = np.repeat(np.arange(view.block_count), view.partition.sizes)
+    count = view.block_count
+    block_of = np.repeat(np.arange(count), view.partition.sizes)
     rows, cols = np.nonzero(view.matrix)
-    pairs = np.unique(np.column_stack([block_of[rows], block_of[cols]]),
-                      axis=0)
-    radii = [0.0] * view.block_count
-    for i, j in pairs.tolist():
+    # the distinct (block row, block column) pairs, in order (np.unique
+    # would import numpy.ma)
+    pairs = np.sort(block_of[rows] * count + block_of[cols])
+    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+    radii = [0.0] * count
+    for i, j in (divmod(key, count) for key in pairs.tolist()):
         if i != j:
             radii[i] += ps.spectral_norm(view.block(i, j))
     return radii

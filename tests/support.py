@@ -16,7 +16,9 @@ contribution of a term wherever the term is needed; the library skips the
 contributions that cannot be a term's minimum, and tests compare the masks,
 band fields and CSV bytes bit for bit.  ``exhaustive_bounded`` stands in
 for ``TermFields.bounded`` the same way, so that tests can count the pairs
-of the full pass.
+of the full pass.  ``reference_nearest_distance`` queries a scipy k-d tree
+of every masked node; the library's ``hausdorff`` and ``covers_points``
+search grid columns in numpy, and tests compare the results bit for bit.
 """
 
 import time
@@ -362,6 +364,38 @@ def reference_render_svg(region: Region, eigenvalues=None, title: str = "",
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# nearest-node distances
+# ---------------------------------------------------------------------------
+
+def reference_nearest_distance(nodes, points):
+    """Distance from each complex point to its nearest complex node, from a
+    k-d tree (``scipy.spatial.cKDTree``) of the nodes."""
+    from scipy.spatial import cKDTree
+
+    nodes = np.asarray(nodes, dtype=np.complex128).ravel()
+    points = np.asarray(points, dtype=np.complex128).ravel()
+    tree = cKDTree(np.column_stack([nodes.real, nodes.imag]))
+    return tree.query(np.column_stack([points.real, points.imag]))[0]
+
+
+def reference_hausdorff(a, b):
+    """Hausdorff distance between the masked node sets of two regions, from
+    ``reference_nearest_distance`` over every node of each."""
+    pa, pb = ps.region_points(a), ps.region_points(b)
+    return float(max(reference_nearest_distance(pa, pb).max(),
+                     reference_nearest_distance(pb, pa).max()))
+
+
+def reference_covers_points(region, points, cells=1.0):
+    """``ps.covers_points`` from ``reference_nearest_distance``."""
+    points = np.asarray(points, dtype=np.complex128).ravel()
+    if region.is_empty:
+        return np.zeros(points.shape, dtype=bool)
+    d = reference_nearest_distance(ps.region_points(region), points)
+    return d <= cells * region.grid.cell_diag * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -638,21 +638,25 @@ codes = [main(["include", "--builtin", "jordan", "--M", "16", "--method", "all",
                "--out-dir", out + "/verify"]),
          main(["include", "--input", out + "/m.mtx", "--method", "tau",
                "--n", "2", "--eps", "0.1", "--grid", "24,24",
-               "--no-timestamp", "--out-dir", out + "/mtx"])]
+               "--no-timestamp", "--out-dir", out + "/mtx"]),
+         main(["include", "--builtin", "jordan", "--M", "16", "--method",
+               "block-gersh", "--grid", "24,24", "--no-timestamp",
+               "--out-dir", out + "/bgersh"])]
 cold = sorted(m for m in sys.modules if m.startswith("scipy"))
 codes += [main(["converge", "--builtin", "jordan", "--eps", "0.15",
                 "--schedule", "24:2:1,24:4:1", "--grid-nodes", "32",
                 "--out-dir", out + "/converge"])]
-warm = sorted({"scipy.io", "scipy.spatial"} & set(sys.modules))
-print(json.dumps({"cold": cold, "warm": warm, "codes": codes}))
+warm = sorted(m for m in sys.modules if m.startswith("scipy"))
+print(json.dumps({"cold": cold, "warm": warm, "codes": codes,
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
 def test_cold_process_loads_scipy_on_first_use_only(tmp_path):
     # a fresh interpreter: in this one an earlier test may have imported
-    # scipy already.  include --builtin, verify and a Matrix Market input
-    # load no scipy module; converge (Hausdorff distances) loads
-    # scipy.spatial when it first needs it
+    # scipy or numpy.ma already.  include --method all (builtin and Matrix
+    # Market input), block Gershgorin, verify and converge (Hausdorff
+    # distances) load no scipy module, nor numpy.ma
     write_matrix_market(tmp_path / "m.mtx", np.diag(np.arange(1.0, 7.0), 1))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -662,5 +666,5 @@ def test_cold_process_loads_scipy_on_first_use_only(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"cold": [], "warm": ["scipy.spatial"],
-                      "codes": [0, 0, 0, 0]}, proc.stderr
+    assert result == {"cold": [], "warm": [], "codes": [0, 0, 0, 0, 0],
+                      "numpy.ma": False}, proc.stderr

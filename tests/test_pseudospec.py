@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -33,6 +35,8 @@ from specincl.toeplitz import jordan, jordan_alpha, laplacian
 
 from support import (
     assert_band_of,
+    reference_covers_points,
+    reference_hausdorff,
     reference_pseudospectrum,
     reference_term_fields,
 )
@@ -289,6 +293,61 @@ def test_kernel_block_plan(monkeypatch):
     assert ps._workers(None) == 1 and ps._workers(1) == 1
     with pytest.raises(DomainError):
         ps._workers(0)
+
+
+def test_kernel_pool_outlives_a_call_and_every_block_ends_before_a_raise(
+        monkeypatch):
+    # many small blocks on two threads; the first block fails at once while
+    # the others are still running
+    monkeypatch.setattr(ps, "_BLOCK_BYTES", 16 * 12 * 12 * 7)
+    monkeypatch.setattr(ps, "_MIN_BLOCK_FLOPS", 1.0)
+    monkeypatch.setattr(ps, "usable_cpus", lambda: 2)
+    rng = np.random.default_rng(5)
+    points = rand_complex(rng, 30)
+    items = [(rand_complex(rng, (12, 12)), None) for _ in range(3)]
+    smin_grid(items[0][0], points, jobs=2)
+    workers = set(ps._pool(2)._threads)
+    assert workers and all(t.is_alive() for t in workers)
+    assert smin_grid(items[1][0], points, jobs=2).shape == (30,)
+    assert set(ps._pool(2)._threads) == workers
+    assert all(t.is_alive() for t in workers)
+    finished = []
+    sweep = ps._sweep_block
+
+    def slow_or_failing(stack, *args):
+        if np.isnan(stack).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        time.sleep(0.01)
+        sweep(stack, *args)
+        finished.append(args[-1].size)
+
+    monkeypatch.setattr(ps, "_sweep_block", slow_or_failing)
+    bad = np.full((4, 4), np.nan + 0j)
+    with pytest.raises(np.linalg.LinAlgError):
+        ps.smin_fields([(bad, None)] + items, points, jobs=2)
+    assert sum(finished) == len(items) * points.size
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_kernel_pool_in_a_forked_child(monkeypatch):
+    # the child inherits the parent's pool object but none of its threads;
+    # a sweep there must start its own instead of waiting on them forever
+    monkeypatch.setattr(ps, "_MIN_BLOCK_FLOPS", 1.0)
+    monkeypatch.setattr(ps, "usable_cpus", lambda: 2)
+    E = rand_complex(np.random.default_rng(9), (12, 12))
+    points = np.linspace(-1, 1, 40) + 0.5j
+    ref = smin_grid(E, points, jobs=2)
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0 if np.array_equal(smin_grid(E, points, jobs=2), ref) else 1)
+    deadline = time.monotonic() + 60
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's sweep did not finish")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +635,122 @@ def test_covers_points():
     disc = make_disc(grid, 0, 1.0)
     assert covers_points(disc, [0.0, 0.5 + 0.5j, 0.99]).all()
     assert not covers_points(disc, [1.8 + 0.9j]).any()
+
+
+def test_covers_points_rejects_non_finite_points():
+    grid = GridSpec(-1, 1, -1, 1, 11, 11)
+    disc = make_disc(grid, 0, 0.5)
+    empty = Region(grid, np.zeros((11, 11), dtype=bool))
+    for region in (disc, empty):
+        for bad in (np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)):
+            with pytest.raises(DomainError):
+                covers_points(region, [0.0, bad])
+    assert covers_points(disc, []).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# nearest-node queries: bit for bit against a k-d tree
+# ---------------------------------------------------------------------------
+
+# grids with dx != dy, a square one, and the smallest one
+ORACLE_GRIDS = [GridSpec(-2, 2, -1.5, 1.5, 57, 41),
+                GridSpec(-0.3, 1.7, -1, 1, 33, 33),
+                GridSpec(0, 1, 0, 3, 2, 2)]
+
+
+def single_node(grid, iy, ix):
+    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+    mask[iy, ix] = True
+    return Region(grid, mask)
+
+
+def oracle_points(region):
+    """Points on the masked nodes, exactly one cell diagonal (and one cell
+    diagonal along each axis) away from them, and random points in and
+    around the grid box."""
+    grid = region.grid
+    rng = np.random.default_rng(grid.nx * grid.ny)
+    nodes = ps.region_points(region)[:40]
+    d = grid.cell_diag
+    box = (rng.uniform(grid.re_min - 1, grid.re_max + 1, 60)
+           + 1j * rng.uniform(grid.im_min - 1, grid.im_max + 1, 60))
+    return np.concatenate([nodes, nodes + complex(grid.dx, grid.dy),
+                           nodes - complex(grid.dx, grid.dy), nodes + d,
+                           nodes - 1j * d, grid.nodes().ravel()[::7], box])
+
+
+def assert_matches_kdtree(a, b):
+    assert hausdorff(a, b) == reference_hausdorff(a, b)
+    assert hausdorff(b, a) == reference_hausdorff(a, b)
+    for region in (a, b):
+        pts = oracle_points(a if region is b else b)
+        for cells in (0.0, 1.0, 2.5):
+            np.testing.assert_array_equal(
+                covers_points(region, pts, cells),
+                reference_covers_points(region, pts, cells))
+
+
+@pytest.mark.parametrize("chunk", [None, 37], ids=["one-batch", "batches"])
+@pytest.mark.parametrize("grid", ORACLE_GRIDS, ids=["57x41", "33x33", "2x2"])
+def test_nearest_queries_match_kdtree_on_speckle(grid, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(ps, "_QUERY_CHUNK", chunk)
+    rng = np.random.default_rng(grid.nx)
+    for density in (0.02, 0.1, 0.5, 0.9):
+        a = Region(grid, rng.random((grid.ny, grid.nx)) < density)
+        b = Region(grid, rng.random((grid.ny, grid.nx)) < 0.3)
+        if not (a.is_empty or b.is_empty):
+            assert_matches_kdtree(a, b)
+
+
+@pytest.mark.parametrize("centers, radii", [
+    ((0.1, 0.1), (0.4, 1.3)),        # nested
+    ((-1.2, 1.1 + 0.4j), (0.5, 0.4)),  # disjoint
+    ((-0.9j, 0.9j), (0.45, 0.45)),   # disjoint, one above the other
+    ((2.0, -2 - 1.5j), (0.7, 0.9)),  # cut by a grid edge and a corner
+    ((-2.0, 2.0), (0.3, 0.3)),       # touching opposite edges
+], ids=["nested", "disjoint", "stacked", "edge-corner", "edges"])
+def test_nearest_queries_match_kdtree_on_discs(centers, radii):
+    grid = ORACLE_GRIDS[0]
+    a, b = (make_disc(grid, c, r) for c, r in zip(centers, radii))
+    assert_matches_kdtree(a, b)
+
+
+def test_nearest_queries_match_kdtree_on_single_nodes():
+    for grid in ORACLE_GRIDS:
+        corners = [single_node(grid, iy, ix)
+                   for iy in (0, grid.ny - 1) for ix in (0, grid.nx - 1)]
+        for a in corners:
+            for b in corners:
+                assert_matches_kdtree(a, b)
+        middle = single_node(grid, grid.ny // 2, grid.nx // 3)
+        corner = complex(grid.re_min, grid.im_min)
+        assert_matches_kdtree(middle, make_disc(grid, corner, grid.cell_diag))
+
+
+def test_nearest_queries_match_kdtree_on_every_2x2_pair():
+    grid = ORACLE_GRIDS[2]
+    masks = [np.array(bits, dtype=bool).reshape(2, 2)
+             for bits in np.ndindex(2, 2, 2, 2) if any(bits)]
+    for a in masks:
+        for b in masks:
+            assert_matches_kdtree(Region(grid, a), Region(grid, b))
+
+
+@pytest.mark.parametrize("chunk", [None, 1000], ids=["one-batch", "batches"])
+def test_hausdorff_matches_kdtree_on_far_apart_discs(chunk, monkeypatch):
+    # a larger grid, where each directed distance first settles a sample of
+    # its nodes and then drops the nodes that cannot be farthest, in one
+    # batch of points or carrying the largest exact value across batches
+    if chunk:
+        monkeypatch.setattr(ps, "_QUERY_CHUNK", chunk)
+    grid = GridSpec(-1, 1, -1, 1, 192, 160)
+    for c in (0.6, 0.6j, 0.6 + 0.6j):
+        a, b = make_disc(grid, -c, 0.3), make_disc(grid, c, 0.3)
+        assert hausdorff(a, b) == reference_hausdorff(a, b)
+    ring = Region(grid, np.abs(np.abs(grid.nodes()) - 0.8) < 0.02)
+    full = make_disc(grid, 0, 0.95)
+    assert hausdorff(full, ring) == reference_hausdorff(full, ring)
 
 
 # ---------------------------------------------------------------------------
