@@ -48,8 +48,6 @@ from .pseudospec import (
     hausdorff,
     level_mask,
     pseudospectrum,
-    region_intersect,
-    region_union,
     smin,
     smin_shifted,
 )

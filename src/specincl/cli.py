@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -92,14 +91,10 @@ def _parse_grid(text, A, pad, default_nodes=256):
 
 
 def _jobs_default(value) -> int:
-    option = "--jobs"
     if value is None:
-        env = os.environ.get("SPECINCL_JOBS")
-        if not env:
-            return ps.usable_cpus()
-        option, value = "SPECINCL_JOBS", _parse_number(env, int, "SPECINCL_JOBS")
+        return ps.usable_cpus()
     if value < 1:
-        raise UsageError(f"{option} must be at least 1, got {value}")
+        raise UsageError(f"--jobs must be at least 1, got {value}")
     return value
 
 

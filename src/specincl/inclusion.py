@@ -10,15 +10,19 @@ test and the corpus verifier are all built on these three.  Duplicate
 submatrices (ubiquitous for Toeplitz inputs) are detected by content and
 computed once.
 
-Every grid set here comes from the one constructor ``ps.certified_regions``,
-which takes the terms.  A grid method makes one certified sweep over all its
-terms at all its eps levels and intersects them, so each (contribution,
-node) pair is evaluated at most once, only near the level curves, and only
-where the contribution can be its term's minimum; its regions carry the band
-field, completed at their contour corners, and ``method_mask`` returns the
-mask alone.  Block Gershgorin is the union of the certified pseudospectra of
-the distinct diagonal blocks, and the sandwich set of ``tau1_method`` is a
-``pseudospectrum``.
+Every swept grid set here comes from the one constructor
+``ps.certified_regions``, which takes the terms.  A grid method makes one
+certified sweep over all its terms at all its eps levels and intersects
+them, so each (contribution, node) pair is evaluated at most once, only near
+the level curves, and only where the contribution can be its term's
+minimum.  Its regions carry one band field each, completed at their contour
+corners: the term's field for one term, and for the two tau terms their
+maximum after shifting each to the larger level, so that every set is
+contoured from a field.  ``method_mask`` returns the mask alone.  Block
+Gershgorin is the mask-only union of the certified pseudospectra of the
+distinct diagonal blocks, the sandwich set of ``tau1_method`` is a
+``pseudospectrum``, and the classical Gershgorin discs are marked
+analytically, with no sweep.
 """
 
 from __future__ import annotations

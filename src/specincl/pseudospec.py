@@ -1,21 +1,24 @@
-"""Smallest-singular-value engine, grid pseudospectra, and region algebra.
+"""Smallest-singular-value engine, grid pseudospectra, and grid sets.
 
 A Region is a boolean mask over a rectangular grid of complex nodes,
-optionally carrying the field of smallest singular values it was thresholded
-from.  ``level_mask`` gives the masks at several levels at once from far
-fewer nodes than a full sweep, certified by the Lipschitz continuity of smin,
-together with a band field: the values where they were evaluated, NaN
-elsewhere.  ``fill_corners`` completes a band field at the nodes
-``contour_extract`` reads.  ``TermFields`` evaluates terms, each the least
-smin over a list of matrices, at grid nodes or at any points, and each
-matrix only where it can be its term's minimum; ``TermFields.bounded``
-only where it can change a term's maximum or a comparison with a level.
-``certified_regions`` is the one constructor of grid sets: the sublevel
-sets of several terms from one ``level_mask`` sweep of their
-``TermFields``, at the allowance ``smin_slack`` of their matrices, combined
-by union or intersection, with a completed band field or mask-only.  Every
-grid set of the package comes from it, ``pseudospectrum`` included, which
-returns a band field.
+optionally carrying a field and a level: the set is the field's sublevel
+set, and the mask its sampling at the nodes.  ``level_mask`` gives the
+masks at several levels at once from far fewer nodes than a full sweep,
+certified by the Lipschitz continuity of smin, together with a band field:
+the values where they were evaluated, NaN elsewhere.  ``fill_corners``
+completes a band field at the nodes ``contour_extract`` reads.
+``TermFields`` evaluates terms, each the least smin over a list of
+matrices, at grid nodes or at any points, and each matrix only where it can
+be its term's minimum; ``TermFields.bounded`` only where it can change a
+term's maximum or a comparison with a level.  ``certified_regions`` is the
+one constructor of swept grid sets: the sublevel sets of several terms from
+one ``level_mask`` sweep of their ``TermFields``, at the allowance
+``smin_slack`` of their matrices, combined by union or intersection into
+one set with one field and one level, or mask-only.  Every swept grid set
+of the package comes from it, ``pseudospectrum`` included, which returns a
+band field.  The others are masks alone: ``region_from_points`` marks the
+nodes nearest to a point set, and ``inclusion.gershgorin`` its discs,
+computed analytically.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over the (matrix x node)
@@ -42,7 +45,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import cache, partial, reduce
+from functools import cache, partial
 
 import numpy as np
 
@@ -63,8 +66,6 @@ __all__ = [
     "level_mask",
     "fill_corners",
     "certified_regions",
-    "region_union",
-    "region_intersect",
     "region_from_points",
     "region_points",
     "covers_points",
@@ -338,8 +339,9 @@ class Region:
     """Discretized subset of the complex plane on a fixed grid.
 
     ``mask[iy, ix]`` marks node ``xs[ix] + 1j*ys[iy]``.  ``values`` holds the
-    smin field the mask was thresholded from (at ``level``), when available;
-    a band field from ``level_mask`` is NaN where it was not evaluated.
+    field whose sublevel set at ``level`` the mask samples, when available:
+    an smin field, or the field of a combination of them
+    (``certified_regions``); a band field is NaN where it was not evaluated.
     """
 
     grid: GridSpec
@@ -677,23 +679,22 @@ def _around(lattice: np.ndarray, idx: np.ndarray):
 
 
 def level_mask(field, grid: GridSpec, levels, slack: float):
-    """Masks ``field(grid.nodes()) <= level`` at every level, from the field
-    at as few nodes as certify them all.
+    """Masks ``f_i(grid.nodes()) <= level`` of each component f_i of a field
+    at each of its levels, from the field at as few nodes as certify them
+    all.
 
-    ``field(points)`` maps a 1-D array of k grid nodes to their values, an
-    array of shape (k,), and ``levels`` is a 1-D sequence of levels.  A field
-    of F components takes levels of shape (F, L), one row per component, and
-    is called as ``field(points, want)``, ``want`` being an (F, k) boolean
-    array of the values needed; it returns shape (F, k), NaN where it
-    evaluated nothing.  Any two computed values of one component must obey
-    ``|f(a) - f(b)| <= |a - b| + slack``, with |a - b| measured from the
-    nodes' index offsets: the exact field is 1-Lipschitz in z, and ``slack``
-    allows for rounding (``smin_slack`` gives it for smin fields and their
-    pointwise minima).
+    ``levels`` has shape (F, L), one row of levels per component of the
+    field.  ``field(points, want)`` takes a 1-D array of k grid nodes and an
+    (F, k) boolean array of the values needed, and returns shape (F, k), NaN
+    where it evaluated nothing.  Any two computed values of one component
+    must obey ``|f(a) - f(b)| <= |a - b| + slack``, with |a - b| measured
+    from the nodes' index offsets: the exact field is 1-Lipschitz in z, and
+    ``slack`` allows for rounding (``smin_slack`` gives it for smin fields
+    and their pointwise minima).
 
-    Returns ``(masks, band)``: the masks, of shape ``levels.shape + (ny,
-    nx)``, and the band field, of shape ``levels.shape[:-1] + (ny, nx)``,
-    which holds the values where the field was evaluated and NaN elsewhere.
+    Returns ``(masks, band)``: the masks, of shape (F, L, ny, nx), and the
+    band field, of shape (F, ny, nx), which holds the values where the field
+    was evaluated and NaN elsewhere.
 
     The field is evaluated on the lattice of every 2^k-th node (and the last
     row and column); then the stride is halved down to 1.  An evaluated
@@ -709,9 +710,8 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
     the band.
     """
     nodes = grid.nodes()
-    lv = np.asarray(levels, dtype=np.float64)
-    comps = lv.reshape(-1, lv.shape[-1])
-    slack = slack + _nudge(float(np.abs(lv).max()))
+    comps = np.asarray(levels, dtype=np.float64)
+    slack = slack + _nudge(float(np.abs(comps).max()))
     inside = np.zeros(comps.shape + nodes.shape, dtype=bool)
     band = np.full(comps.shape[:1] + nodes.shape, np.nan)
     margin = np.full(band.shape, -np.inf)
@@ -721,9 +721,7 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
         if not cols.any():
             return
         iy, ix, want = iy[cols], ix[cols], want[:, cols]
-        pts = nodes[iy, ix]
-        vals = field(pts) if lv.ndim == 1 else field(pts, want)
-        vals = np.asarray(vals, dtype=np.float64).reshape(len(comps), -1)
+        vals = np.asarray(field(nodes[iy, ix], want), dtype=np.float64)
         fs, js = np.nonzero(~np.isnan(vals))
         v, y, x = vals[fs, js], iy[js], ix[js]
         band[fs, y, x] = v
@@ -760,8 +758,7 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
         inside[:, :, iy, ix] = np.swapaxes(copied, 1, 2) & done[:, None]
         evaluate(iy, ix, ~done)
         ly, lx = fy, fx
-    return (inside.reshape(lv.shape + nodes.shape),
-            band.reshape(lv.shape[:-1] + nodes.shape))
+    return inside, band
 
 
 def fill_corners(regions, field) -> list:
@@ -771,76 +768,24 @@ def fill_corners(regions, field) -> list:
     are the only values it reads).
 
     ``regions`` lie on one grid and carry one field (the same values, NaN
-    where unknown), such as the regions of one ``level_mask`` component at
-    its levels; ``field(points)`` evaluates it.  Regions without a field or
-    a level, whose contours follow the mask, are returned as they are.  The
-    band must hold every value within the nudge of a level (``level_mask``
-    bands do).
+    where unknown) and each a level, such as the regions of one
+    ``level_mask`` component at its levels; ``field(need)`` returns its
+    values at the nodes a boolean (ny, nx) array marks, in row-major order.
+    The band must hold every value within the nudge of a level (the bands
+    of ``level_mask`` and of ``certified_regions`` do).
     """
     regions = list(regions)
-    live = [i for i, r in enumerate(regions)
-            if r.values is not None and r.level is not None]
-    if not live:
-        return regions
-    first = regions[live[0]]
+    first = regions[0]
     need = np.zeros(first.mask.shape, dtype=bool)
-    for i in live:
-        need |= (_contour_corners(np.pad(regions[i].mask, 1))
-                 | _contour_corners(_contour_input(regions[i])[0]))
+    for r in regions:
+        need |= (_contour_corners(np.pad(r.mask, 1))
+                 | _contour_corners(_contour_input(r)[0]))
     need &= np.isnan(first.values)
     if not need.any():
         return regions
     vals = first.values.copy()
-    vals[need] = field(first.grid.nodes()[need])
-    for i in live:
-        r = regions[i]
-        regions[i] = Region(r.grid, r.mask, vals, r.level)
-    return regions
-
-
-def _check_same_grid(a: Region, b: Region) -> None:
-    if a.grid != b.grid:
-        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
-
-
-def region_union(regions) -> Region:
-    """Pointwise OR; smin fields combine by pointwise min (NaN, unknown,
-    where any is unknown)."""
-    regions = list(regions)
-    if not regions:
-        raise DomainError("union of no regions")
-    first = regions[0]
-    mask = first.mask.copy()
-    vals = None if first.values is None else first.values.copy()
-    level = first.level
-    for r in regions[1:]:
-        _check_same_grid(first, r)
-        mask |= r.mask
-        if vals is not None and r.values is not None:
-            np.minimum(vals, r.values, out=vals)
-        else:
-            vals = None
-        if level != r.level:
-            level = None
-    return Region(first.grid, mask, vals, level)
-
-
-def region_intersect(a: Region, b: Region) -> Region:
-    """Pointwise AND; smin fields combine by pointwise max (NaN, unknown,
-    where either is unknown)."""
-    _check_same_grid(a, b)
-    vals = None
-    if a.values is not None and b.values is not None:
-        vals = np.maximum(a.values, b.values)
-    level = a.level if a.level == b.level else None
-    return Region(a.grid, a.mask & b.mask, vals, level)
-
-
-# regions and field of the components combined, by combine rule
-_COMBINE = {
-    "intersect": (lambda regions: reduce(region_intersect, regions), np.max),
-    "union": (region_union, np.min),
-}
+    vals[need] = field(need)
+    return [Region(r.grid, r.mask, vals, r.level) for r in regions]
 
 
 def certified_regions(terms, grid: GridSpec, levels, jobs: int | None = None,
@@ -850,37 +795,71 @@ def certified_regions(terms, grid: GridSpec, levels, jobs: int | None = None,
     sweep of their ``TermFields``.
 
     ``terms`` is a list of F terms as ``TermFields`` takes them, one
-    component each, and ``levels`` has shape (F, L).  The sweep's slack is
-    ``smin_slack`` of every matrix of the terms, and ``jobs`` passes on to
-    the kernel.  Returns one region per level column j: the components at
-    their levels ``levels[:, j]``, combined by ``region_intersect``
-    ("intersect"; the field is the pointwise maximum of the components) or
-    ``region_union`` ("union"; the minimum).  Its mask is the full sweep's,
-    bit for bit.  With ``with_field`` it carries the band field, completed
-    by ``fill_corners``, and ``parts`` completes each component from its own
-    field before combining and returns ``(parts, regions)``, ``parts[i][j]``
-    being component i at ``levels[i, j]``; without, it is mask-only.
+    component f_i each, and ``levels`` has shape (F, L).  The sweep's slack
+    is ``smin_slack`` of every matrix of the terms, and ``jobs`` passes on
+    to the kernel.  Returns one region per level column j: the sets
+    {f_i <= l_i}, l_i = ``levels[i, j]``, intersected ("intersect") or
+    united ("union").  Its mask joins the components' masks, the full
+    sweep's bit for bit.  Its level is l_0 = max_i l_i and its field
+
+        G = max_i (f_i - (l_i - l_0))   (the min for "union"),
+
+    which is 1-Lipschitz and nonnegative, with {G <= l_0} the set; one term
+    gives G = f_0.  The shifts l_i - l_0 come from column j alone, so G does
+    not depend on the other columns.  Where rounding in G disagrees with
+    the mask at a tie, the mask wins: ``contour_extract`` takes each cell's
+    case from the mask.
+
+    With ``with_field`` the sweep evaluates every component wherever it
+    evaluates one, and the region carries G where the band knows it (NaN
+    elsewhere), completed by ``fill_corners``.  A value of G within the
+    contour nudge of l_0 is one of a component near its level, so the band
+    holds it.  ``parts`` completes each component from its own field before
+    combining and returns ``(parts, regions)``, ``parts[i][j]`` being
+    component i at ``levels[i, j]``.  Without ``with_field`` the sweep
+    evaluates each component only where it must, and the region is
+    mask-only.
     """
     lv = np.asarray(levels, dtype=np.float64)
     slack = smin_slack([mat for contribs in terms for _, mat, _ in contribs],
                        grid)
     field = TermFields(terms, slack, jobs)
-    masks, band = level_mask(field, grid, lv, slack)
-    comps = [[Region(grid, mask, band[i] if with_field else None, float(level))
-              for mask, level in zip(masks[i], lv[i])] for i in range(len(lv))]
-    join, pick = _COMBINE[combine]
+    sweep = field if not with_field else lambda points, want: field(
+        points, np.broadcast_to(want.any(axis=0), want.shape))
+    masks, band = level_mask(sweep, grid, lv, slack)
+    join, pick = ((np.logical_and, np.max) if combine == "intersect"
+                  else (np.logical_or, np.min))
+    top = lv.max(axis=0)
+    regions = [Region(grid, join.reduce(masks[:, j]), None, float(top[j]))
+               for j in range(lv.shape[1])]
     if not with_field:
-        return [join(column) for column in zip(*comps)]
+        return regions
 
-    def values(points, rows=slice(None)):
-        want = np.zeros((len(lv), points.size), dtype=bool)
-        want[rows] = True
-        return pick(field(points, want)[rows], axis=0)
+    def values(need, shift, rows=slice(None)):
+        # every component at the nodes where none is known yet, kept in the
+        # band, so that no later fill evaluates a node again
+        new = need & np.isnan(band[0])
+        band[:, new] = field(grid.nodes()[new])
+        return pick(band[rows][:, need] - shift[:, None], axis=0)
 
     if parts:
-        comps = [fill_corners(row, partial(values, rows=[i]))
-                 for i, row in enumerate(comps)]
-    regions = fill_corners([join(column) for column in zip(*comps)], values)
+        comps = [fill_corners([Region(grid, mask, own, float(level))
+                               for mask, level in zip(masks[i], lv[i])],
+                              partial(values, shift=np.zeros(1), rows=[i]))
+                 for i, own in enumerate(band.copy())]
+    # the columns of equal shifts share one field
+    shifts = lv - top
+    columns: dict[bytes, list[int]] = {}
+    for j, shift in enumerate(shifts.T):
+        columns.setdefault(shift.tobytes(), []).append(j)
+    for cols in columns.values():
+        shift = shifts[:, cols[0]]
+        g = pick(band - shift[:, None, None], axis=0)
+        done = fill_corners([Region(grid, regions[j].mask, g,
+                                    regions[j].level) for j in cols],
+                            partial(values, shift=shift))
+        for j, region in zip(cols, done):
+            regions[j] = region
     return (comps, regions) if parts else regions
 
 
@@ -1016,7 +995,8 @@ def hausdorff(a: Region, b: Region) -> float:
     64 x 64 study masks, and under 0.1 s at 512 x 512 for two random
     half-full masks, two far-apart discs or a disc around a thin ring.
     """
-    _check_same_grid(a, b)
+    if a.grid != b.grid:
+        raise GridMismatch(f"grids differ: {a.grid} vs {b.grid}")
     if a.is_empty or b.is_empty:
         raise EmptyRegionError("hausdorff needs two nonempty regions")
     grid = a.grid
@@ -1066,9 +1046,12 @@ def default_grid(A, pad: float = 0.0, nx: int = 256, ny: int = 256) -> GridSpec:
 def contour_extract(region: Region) -> list[np.ndarray]:
     """Closed boundary polylines of the mask.
 
-    Runs marching squares on the smin field at the region's level when both
-    are available (sub-cell accurate), otherwise on the 0/1 mask.  The case
-    of each cell comes from the mask, and the field is read only at the
+    Runs marching squares on the region's field at its level when it has
+    both (sub-cell accurate): every region of ``certified_regions`` with a
+    field, combined sets included.  The regions that are masks alone
+    (Gershgorin discs, block Gershgorin, ``method_mask``,
+    ``region_from_points``) are contoured from the 0/1 mask.  The case of
+    each cell comes from the mask, and the field is read only at the
     corners of boundary cells, so a band field completed by ``fill_corners``
     gives the contours of the full field.  The grid is padded with one ring
     of outside nodes so every contour closes.  Returns a list of (k, 2)

@@ -411,8 +411,6 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["converge", "--builtin", "jordan", "--eps", "small",
      "--schedule", "24:2:1"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
-     "--n", "2", "SPECINCL_JOBS=four"],
-    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
      "--n", "2", "--grid=-inf,1,-1,1,8,8"],
     ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
      "--n", "2", "--eps", "nan"],
@@ -439,8 +437,6 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
      "--n", "2", "--jobs", "0"],
     ["converge", "--builtin", "jordan", "--eps", "0.1",
      "--schedule", "24:2:1", "--jobs", "-4"],
-    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
-     "--n", "2", "SPECINCL_JOBS=0"],
     ["include", "--input", "bad.csv", "--method", "tau", "--n", "1"],
     ["include", "--input", "bad.mtx", "--method", "tau", "--n", "1"],
     ["converge", "--symbol", "no-such-symbol.json", "--eps", "0.1",
@@ -482,12 +478,12 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["verify", "--count", "1", "--order-min", "4", "--order-max", "4",
      "--eps", "0,0.0"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
-        "missing-input", "schedule", "converge-eps", "jobs-env", "grid-inf",
+        "missing-input", "schedule", "converge-eps", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
         "verify-eps-nan", "t-nan", "grid-one-node", "converge-grid-one-node",
         "verify-orders-reversed", "verify-order-negative", "verify-count-0",
         "verify-max-n-0", "verify-max-n-negative", "verify-seed-negative",
-        "jobs-0", "converge-jobs-negative", "jobs-env-0", "csv-cell",
+        "jobs-0", "converge-jobs-negative", "csv-cell",
         "mtx-entry", "symbol-missing", "symbol-no-coeffs", "symbol-json",
         "schedule-n-out-of-range", "csv-non-ascii", "symbol-non-ascii",
         "grid-extent-overflow", "grid-extent-subnormal", "mtx-gz-not-gzip",
@@ -496,8 +492,6 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "M-too-big", "M-overflow", "schedule-M-too-big", "grid-out-of-memory",
         "mtx-out-of-memory", "verify-eps-repeated"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
-    if argv[-1].startswith("SPECINCL_JOBS="):
-        monkeypatch.setenv("SPECINCL_JOBS", argv.pop().split("=", 1)[1])
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("1;2\n3;abc\n")
     (tmp_path / "bad.mtx").write_text(

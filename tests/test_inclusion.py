@@ -71,9 +71,10 @@ def test_sigma_tau_n1_matches_gershgorin_style_union():
     assert hat is None
     level = eps_tau(p)   # r + ||C||
     assert level == pytest.approx(p.r + p.c_norm, abs=1e-14)
-    direct = ps.region_union(
-        [ps.pseudospectrum(view.block(k, k), level, grid) for k in range(4)])
-    assert np.array_equal(sigma.mask, direct.mask)
+    direct = np.logical_or.reduce(
+        [ps.pseudospectrum(view.block(k, k), level, grid).mask
+         for k in range(4)])
+    assert np.array_equal(sigma.mask, direct)
 
 
 def test_sigma_tau_jordan_is_unit_disc_at_eps0():
@@ -317,25 +318,35 @@ def test_grid_methods_carry_completed_band_fields(build):
     def full(terms):
         return reference_term_fields([terms], nodes)[0].reshape(nodes.shape)
 
-    sigma, hat, _ = inc.sigma_tau(view, n, eps, grid=grid)
+    sigma, hat, both = inc.sigma_tau(view, n, eps, grid=grid)
     [tau_main, tau_hat] = inc.family(view, "tau", n)
     gamma, outer = inc.tau1_method(view, n, eps, grid=grid, outer=True)
-    cases = [(sigma, full(tau_main)),
-             (hat, full(tau_hat)),
+    # the tau set joins two terms at different levels l_i: its field is
+    # G = max_i (f_i - (l_i - l_0)) at level l_0 = max_i l_i, and its mask
+    # is the terms' masks joined
+    lvls = np.array(inc.levels(p, "tau", eps))
+    terms = np.array([full(tau_main), full(tau_hat)])
+    top = lvls.max()
+    assert lvls[0] != lvls[1] and both.level == top
+    G = np.max(terms - (lvls - top)[:, None, None], axis=0)
+    inside = np.all(terms <= lvls[:, None, None], axis=0)
+    cases = [(sigma, full(tau_main), None),
+             (hat, full(tau_hat), None),
+             (both, G, inside),
              (inc.pi_method(view, n, t, eps, grid=grid),
-              full(inc.family(view, "pi", n, t)[0])),
-             (gamma, full(inc.family(view, "tau1", n)[0])),
-             (outer, ps.smin_grid(view.matrix, nodes))]
-    for region, full in cases:
+              full(inc.family(view, "pi", n, t)[0]), None),
+             (gamma, full(inc.family(view, "tau1", n)[0]), None),
+             (outer, ps.smin_grid(view.matrix, nodes), None)]
+    for region, full, mask in cases:
         level = region.level
+        mask = full <= level if mask is None else mask
         known = ~np.isnan(region.values)
-        assert np.array_equal(region.mask, full <= level)
+        assert np.array_equal(region.mask, mask)
         assert np.array_equal(region.values[known], full[known])
         assert known.sum() < full.size / 2
         assert not np.any(boundary_corners(region.mask) & ~known)
         loops = ps.contour_extract(region)
-        expected = ps.contour_extract(ps.Region(grid, full <= level, full,
-                                                level))
+        expected = ps.contour_extract(ps.Region(grid, mask, full, level))
         assert len(loops) == len(expected) > 0
         assert all(np.array_equal(a, b) for a, b in zip(loops, expected))
 

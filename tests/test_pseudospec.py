@@ -22,10 +22,8 @@ from specincl.pseudospec import (
     pseudospectrum,
     region_from_json,
     region_from_points,
-    region_intersect,
     region_to_csv,
     region_to_json,
-    region_union,
     smin,
     smin_grid,
     smin_shifted,
@@ -206,9 +204,9 @@ def test_direct_sum_law():
     grid = GridSpec(-3, 3, -3, 3, 33, 33)
     eps = 0.27
     whole = pseudospectrum(E, eps, grid)
-    parts = region_union([pseudospectrum(E1, eps, grid),
-                          pseudospectrum(E2, eps, grid)])
-    assert np.array_equal(whole.mask, parts.mask)
+    parts = pseudospectrum(E1, eps, grid).mask | pseudospectrum(E2, eps,
+                                                               grid).mask
+    assert np.array_equal(whole.mask, parts)
 
 
 def test_pseudospectrum_jobs_deterministic():
@@ -360,9 +358,9 @@ class CountingField:
     def __init__(self, field):
         self.field, self.seen = field, []
 
-    def __call__(self, points):
+    def __call__(self, points, want):
         self.seen.append(points)
-        return self.field(points)
+        return [self.field(points)]
 
     @property
     def nodes(self):
@@ -403,8 +401,8 @@ def test_level_mask_equals_full_sweep(case, levels):
     full = field(grid.nodes())
     for level in levels:
         counted = CountingField(field)
-        [mask], _ = level_mask(counted, grid, [level],
-                               smin_slack(matrices, grid))
+        [[mask]], _ = level_mask(counted, grid, [[level]],
+                                 smin_slack(matrices, grid))
         assert np.array_equal(mask, full <= level)
         assert 0 < mask.sum() < mask.size
         assert counted.nodes < mask.size / 2
@@ -425,7 +423,7 @@ def test_level_mask_ties_are_evaluated():
     slack = smin_slack([shift], grid)
     for level in (below, 1.0):
         counted = CountingField(lambda pts: smin_grid(shift, pts))
-        [mask], _ = level_mask(counted, grid, [level], slack)
+        [[mask]], _ = level_mask(counted, grid, [[level]], slack)
         assert np.array_equal(mask, full <= level)
         assert 0 in np.concatenate(counted.seen)
         assert counted.nodes < mask.size
@@ -441,7 +439,8 @@ def test_level_mask_small_and_uniform_grids():
                  GridSpec(-1, 1, -1, 1, 256, 256)):
         full = field(grid.nodes())
         for level in (0.0, 0.5, 5.0):
-            [mask], _ = level_mask(field, grid, [level], 1e-12)
+            [[mask]], _ = level_mask(lambda pts, want: [field(pts)], grid,
+                                     [[level]], 1e-12)
             assert np.array_equal(mask, full <= level)
 
 
@@ -454,7 +453,7 @@ def test_level_mask_several_levels_one_sweep():
     slack = smin_slack([A], grid)
     levels = (0.05, 0.3, 0.8)
     counted = CountingField(lambda pts: smin_grid(A, pts))
-    masks, band = level_mask(counted, grid, levels, slack)
+    [masks], [band] = level_mask(counted, grid, [levels], slack)
     assert masks.shape == (3,) + full.shape and band.shape == full.shape
     for mask, level in zip(masks, levels):
         assert np.array_equal(mask, full <= level)
@@ -528,9 +527,10 @@ def test_band_field_contours_equal_full_field(case, tmp_path):
     A, grid, levels = case()
     field = lambda pts: smin_grid(A, pts)
     full = field(grid.nodes())
-    masks, band = level_mask(field, grid, levels, smin_slack([A], grid))
+    [masks], [band] = level_mask(lambda pts, want: [field(pts)], grid,
+                                 [levels], smin_slack([A], grid))
     regions = [Region(grid, m, band, level) for m, level in zip(masks, levels)]
-    filled = ps.fill_corners(regions, field)
+    filled = ps.fill_corners(regions, lambda need: field(grid.nodes()[need]))
     for region, done, level in zip(regions, filled, levels):
         whole = Region(grid, full <= level, full, level)
         known = ~np.isnan(done.values)
@@ -566,7 +566,7 @@ def test_smin_slack_scales_with_norm_and_grid():
 
 
 # ---------------------------------------------------------------------------
-# region algebra
+# Hausdorff distance
 # ---------------------------------------------------------------------------
 
 def make_disc(grid, center, radius):
@@ -574,38 +574,12 @@ def make_disc(grid, center, radius):
     return Region(grid, dist <= radius, dist, radius)
 
 
-def test_union_intersect_identities():
-    grid = GridSpec(-2, 2, -2, 2, 41, 41)
-    disc = make_disc(grid, 0.0, 1.0)
-    empty = Region(grid, np.zeros((41, 41), dtype=bool))
-    u = region_union([disc, empty])
-    assert np.array_equal(u.mask, disc.mask)
-    i = region_intersect(disc, disc)
-    assert np.array_equal(i.mask, disc.mask)
-
-
-def test_union_min_intersect_max_values():
-    grid = GridSpec(-2, 2, -2, 2, 21, 21)
-    a = make_disc(grid, -0.5, 0.8)
-    b = make_disc(grid, 0.5, 0.8)
-    u = region_union([a, b])
-    assert np.array_equal(u.values, np.minimum(a.values, b.values))
-    i = region_intersect(a, b)
-    assert np.array_equal(i.values, np.maximum(a.values, b.values))
-
-
 def test_grid_mismatch():
     a = make_disc(GridSpec(-2, 2, -2, 2, 21, 21), 0, 1)
     b = make_disc(GridSpec(-2, 2, -2, 2, 31, 31), 0, 1)
     with pytest.raises(GridMismatch):
-        region_union([a, b])
-    with pytest.raises(GridMismatch):
         hausdorff(a, b)
 
-
-# ---------------------------------------------------------------------------
-# Hausdorff distance
-# ---------------------------------------------------------------------------
 
 def test_hausdorff_identical_zero():
     grid = GridSpec(-2, 2, -2, 2, 61, 61)
