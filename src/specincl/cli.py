@@ -149,10 +149,7 @@ def cmd_include(args) -> int:
         stems[stem] = eps
 
     # one shared grid covering the worst inclusion level over the plan
-    pad = 0.0
-    if needs_n:
-        p = inc.penalty_params(view, args.n)
-        pad = max(max(inc.levels(p, m, max(eps_list))) for m in methods)
+    pad = max(inc.grid_pad(view, m, args.n, max(eps_list)) for m in methods)
     grid = _parse_grid(args.grid, A, pad)
 
     out_dir = Path(args.out_dir)

@@ -10,7 +10,7 @@ kernel calls: two at the eigenvalues, two at the probes and one sweep of the
 full matrix.  A record reads a term only through its largest value and its
 comparisons with a level, so ``TermFields.bounded`` evaluates a
 (contribution, point) pair only where it can change one of them: on the
-benchmark's seed-1 corpus (11 matrices of order 12) that is 20,868 SVDs at
+benchmark's seed-1 corpus (11 matrices of order 12) that is 17,404 SVDs at
 the eigenvalues and probes instead of 53,356.  An adversarial mode
 rescales the penalties to confirm that the harness actually detects
 violations.
@@ -133,22 +133,17 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
     so ``TermFields.bounded`` gives the fields at the eigenvalues in two
     kernel calls: it skips a (contribution, eigenvalue) pair wherever the
     term's least value found there is already at or below both an exact
-    value of the term and its level at the least eps.  Its guesses, which
-    only order the work, are the residuals of the eigenvectors cut to each
-    contribution's column window (``_residuals``).
+    value of the term and its level at the least eps.
 
     The probes are drawn in the (n, eps) order of the records, each draw
     made only when an eigenvalue lies in the tau1 set, so the random stream
-    does not depend on the probe values.  Two kernel calls then decide
-    which probes of every n lie in the tau1 set: the contribution of least
-    guess at each probe (the residual of the nearest eigenvalue's
-    eigenvector), and the others only at the probes it leaves above the
-    level.  One sweep of the full matrix serves every sandwich record.
+    does not depend on the probe values.  Two more ``bounded`` kernel calls
+    then decide which probes of every n lie in the tau1 set.  One sweep of
+    the full matrix serves every sandwich record.
     """
     A = item.matrix
     view = make_view(A, item.partition)
     lams = ps.eig(A)
-    vectors = np.linalg.eig(A)[1]
     plan = [("tau", None)]
     if view.partition.uniform:
         plan += [("pi", t) for t in t_values]
@@ -168,7 +163,7 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
             lows += [low + lvl + _LEVEL_SLACK for lvl in base[n][m]]
         tau1_row[n] = len(terms) - 1
     fields = ps.TermFields(terms)
-    at_lams = iter(fields.bounded(lams, lows, _residuals(view, lams, vectors)))
+    at_lams = iter(fields.bounded(lams, lows))
     row_sum = np.abs(A).sum(axis=1).max()
 
     records, draws = [], []
@@ -199,8 +194,7 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
     for (_, n, _, level, _, _), cols in zip(draws, spans):
         want[tau1_row[n], cols] = True
         cut[tau1_row[n], cols] = level + _LEVEL_SLACK
-    near = vectors[:, np.abs(extras[:, None] - lams).argmin(axis=1)]
-    inner = fields.bounded(extras, cut, _residuals(view, extras, near), want)
+    inner = fields.bounded(extras, cut, want)
     sandwiches, probes = [], [lams]
     for (at, n, eps, level, inside, extra), cols in zip(draws, spans):
         extra = extra[inner[tau1_row[n], cols] <= level + _LEVEL_SLACK]
@@ -217,28 +211,3 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
                                    eps, ok, float(outer_level - vals.max()))
     return records
 
-
-def _residuals(view, points, vectors):
-    """Guesses of ``smin(E - z I+)`` for ``TermFields.bounded``: the
-    residual ``||(E - z I+) x_w|| / ||x_w||``, x being the column of
-    ``vectors`` that belongs to the point z, cut to the contribution's
-    column window (its descriptor ``(kind, n, k)`` starts it at block k).
-    Every nonzero x_w makes the residual an upper bound of that smin in
-    exact arithmetic; a zero x_w gives no guess (NaN or inf)."""
-    def guess(contribs, at):
-        z, vecs = points[at], vectors[:, at]
-        out = np.empty((len(contribs), at.size))
-        groups: dict[tuple, list[int]] = {}
-        for i, (_, E, embed) in enumerate(contribs):
-            groups.setdefault((E.shape, embed is None), []).append(i)
-        for (shape, square), idx in groups.items():
-            start = np.array([view.offsets[contribs[i][0][2]] for i in idx])
-            x = vecs[start[:, None] + np.arange(shape[1])]
-            moved = x if square else np.stack(
-                [contribs[i][2] for i in idx]) @ x
-            res = np.stack([contribs[i][1] for i in idx]) @ x - z * moved
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out[idx] = (np.linalg.norm(res, axis=1)
-                            / np.linalg.norm(x, axis=1))
-        return out
-    return guess

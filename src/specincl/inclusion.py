@@ -56,6 +56,7 @@ __all__ = [
     "gershgorin",
     "gershgorin_block",
     "tau1_outer_level",
+    "grid_pad",
     "method_reports",
     "run_method",
 ]
@@ -144,9 +145,24 @@ def membership(view: BlockMatrixView, method: str, n: int, eps: float,
     """Exact pointwise membership in a family method's inclusion set."""
     _check_method_n(view, n)
     pts = np.asarray(points, dtype=np.complex128).ravel()
-    lvls = levels(penalty_params(view, n), method, eps)
-    fields = ps.TermFields(family(view, method, n, t))(pts)
-    return np.all(fields <= np.array(lvls)[:, None], axis=0)
+    lvls = np.array(levels(penalty_params(view, n), method, eps))
+    fields = ps.TermFields(family(view, method, n, t)).bounded(pts, lvls)
+    return np.all(fields <= lvls[:, None], axis=0)
+
+
+def grid_pad(view: BlockMatrixView, method: str, n: int | None = None,
+             eps: float = 0.0, outer: bool = False) -> float:
+    """Pad of a method's default grid: the largest level at the largest eps
+    (levels grow with eps), the sandwich level when ``outer``, the largest
+    block radius for block Gershgorin, and 0 for the Gershgorin discs."""
+    if method == "gersh":
+        return 0.0
+    if method == "block-gersh":
+        return max(view.block_radii)
+    p = penalty_params(view, n)
+    if outer:
+        return tau1_outer_level(p, eps)
+    return max(levels(p, method, eps))
 
 
 def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
@@ -156,15 +172,14 @@ def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
     intersected (``kwargs`` pass on to it).
 
     Returns the penalty inputs, the ``family`` terms, the grid and what the
-    constructor returns.  Without a grid, the default one is padded by the
-    largest level (by the sandwich level when ``outer``).
+    constructor returns.  Without a grid, the default one is padded by
+    ``grid_pad``.
     """
     _check_method_n(view, n)
     p = penalty_params(view, n)
     lvls = np.array([levels(p, method, eps) for eps in eps_list]).T
     if grid is None:
-        pad = (tau1_outer_level(p, max(eps_list)) if outer
-               else float(lvls.max()))
+        pad = grid_pad(view, method, n, max(eps_list), outer)
         grid = ps.default_grid(view.matrix, pad=pad)
     terms = family(view, method, n, t)
     sets = ps.certified_regions(terms, grid, lvls, jobs, **kwargs)
@@ -261,24 +276,6 @@ def gershgorin(A, grid: ps.GridSpec | None = None, nx: int = 256,
     return ps.Region(grid, mask), discs
 
 
-def _block_radii(view: BlockMatrixView) -> list[float]:
-    """r_k of every block row: the sum of the spectral norms of its
-    off-diagonal blocks, in column order.  Only the blocks holding a nonzero
-    entry are summed; a zero block adds 0.0, which is exact."""
-    count = view.block_count
-    block_of = np.repeat(np.arange(count), view.partition.sizes)
-    rows, cols = np.nonzero(view.matrix)
-    # the distinct (block row, block column) pairs, in order (np.unique
-    # would import numpy.ma)
-    pairs = np.sort(block_of[rows] * count + block_of[cols])
-    pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
-    radii = [0.0] * count
-    for i, j in (divmod(key, count) for key in pairs.tolist()):
-        if i != j:
-            radii[i] += ps.spectral_norm(view.block(i, j))
-    return radii
-
-
 # most (component x node) pairs of one block Gershgorin sweep, which holds
 # a few tens of bytes per pair
 _GERSH_PAIRS = 1 << 21
@@ -295,11 +292,10 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
     (``ps.certified_regions``) of at most ``_GERSH_PAIRS`` (component x
     node) pairs each.  The region is mask-only.
     """
-    radii = _block_radii(view)
     if grid is None:
-        grid = ps.default_grid(view.matrix, pad=max(radii))
+        grid = ps.default_grid(view.matrix, pad=grid_pad(view, "block-gersh"))
     comps: dict[bytes, list] = {}
-    for i, radius in enumerate(radii):
+    for i, radius in enumerate(view.block_radii):
         block = view.block(i, i)
         entry = comps.setdefault(block.tobytes(), [block, radius])
         entry[1] = max(entry[1], radius)

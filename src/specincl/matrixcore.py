@@ -95,8 +95,8 @@ class BlockPartition:
 @dataclass(frozen=True)
 class BlockMatrixView:
     """A matrix together with a partition, exposing the blocks ``a_ij``;
-    B (bordered, every truncation is a slice of it) and the penalty inputs
-    are derived once per view."""
+    B (bordered, every truncation is a slice of it), the penalty inputs and
+    the block Gershgorin radii are derived once per view."""
 
     matrix: np.ndarray
     partition: BlockPartition
@@ -155,6 +155,24 @@ class BlockMatrixView:
         r_L, r_U, _ = offdiag_norms(self)
         _, C = split_tridiagonal(self)
         return r_L, r_U, remaining_norm(C, self.cnorm_mode)
+
+    @cached_property
+    def block_radii(self) -> tuple[float, ...]:
+        """r_k of every block row: the sum of the spectral norms of its
+        off-diagonal blocks, in column order.  Only the blocks holding a
+        nonzero entry are summed; a zero block adds 0.0, which is exact."""
+        count = self.block_count
+        block_of = np.repeat(np.arange(count), self.partition.sizes)
+        rows, cols = np.nonzero(self.matrix)
+        # the distinct (block row, block column) pairs, in order (np.unique
+        # would import numpy.ma)
+        pairs = np.sort(block_of[rows] * count + block_of[cols])
+        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+        radii = [0.0] * count
+        for i, j in (divmod(key, count) for key in pairs.tolist()):
+            if i != j:
+                radii[i] += spectral_norm(self.block(i, j))
+        return tuple(radii)
 
 
 def make_view(A, p: BlockPartition) -> BlockMatrixView:

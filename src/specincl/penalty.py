@@ -62,12 +62,42 @@ def _theta_equation(t: float, n: int, q: float) -> float:
         + q * math.sin((n - 1) * t)
 
 
+def bisect(f, lo: float, hi: float, flo: float | None = None) -> float:
+    """A root of f on ``[lo, hi]``, where f changes sign: the midpoint of
+    the bracket once it is narrower than 1e-15, or a point where f
+    vanishes.  ``flo`` stands for f(lo), of which only the sign is read."""
+    flo = f(lo) if flo is None else flo
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if flo * fhi > 0.0:
+        raise DomainError("no sign change on bracket")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fmid = f(mid)
+        if fmid == 0.0 or (hi - lo) < 1e-15:
+            return mid
+        if flo * fmid <= 0.0:
+            hi = mid
+        else:
+            lo, flo = mid, fmid
+    return 0.5 * (lo + hi)
+
+
 def solve_theta(n: int, r_L: float, r_U: float) -> float:
     """Root angle of the square-truncation penalty.
 
-    Solves ``2 sin(t/2) cos((n + 1/2) t) + (r_L r_U / r^2) sin((n-1) t) = 0``
-    on the bracket ``[pi/(2n+1), pi/(n+2)]`` by bisection with a secant
-    polish, to well under 1e-12 absolute.  With one off-diagonal absent the
+    Solves ``f(t) = 2 sin(t/2) cos((n + 1/2) t) + q sin((n-1) t) = 0``,
+    q = r_L r_U / r^2 <= 1/4, on the bracket ``[pi/(2n+1), pi/(n+2)]`` by
+    bisection with a secant polish, to well under 1e-12 absolute.  The
+    bracket holds a sign change for every n >= 2: f(pi/(2n+1)) = q sin((n-1)
+    pi/(2n+1)) > 0, and f(pi/(n+2)) < 0 with a margin of a quarter, because
+    sin(1.5 t) <= 3 sin(t/2).  Below q of about 1e-16 the computed
+    f(pi/(2n+1)) can round to 0 or below; it is then taken as positive, and
+    the bisection point, in (pi/(2n+1), pi/(2n+1) + 1e-15], is returned
+    unpolished, at or above the root.  With one off-diagonal absent the
     product term vanishes and the root is the left endpoint exactly; n = 1
     collapses the bracket to pi/3.
     """
@@ -84,46 +114,22 @@ def solve_theta(n: int, r_L: float, r_U: float) -> float:
         return math.pi / (2 * n + 1)
 
     q = (r_L * r_U) / (r * r)
-    lo = math.pi / (2 * n + 1)
-    hi = math.pi / (n + 2)
-    flo = _theta_equation(lo, n, q)
-    fhi = _theta_equation(hi, n, q)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        # the root is interior and unique; locate a sign change by scanning
-        ts = np.linspace(lo, hi, 257)
-        fs = np.array([_theta_equation(t, n, q) for t in ts])
-        idx = np.nonzero(fs[:-1] * fs[1:] <= 0)[0]
-        if idx.size == 0:
-            raise DomainError(
-                f"no sign change for theta equation at n={n}, q={q}"
-            )
-        lo, hi = float(ts[idx[0]]), float(ts[idx[0] + 1])
-        flo = _theta_equation(lo, n, q)
-        fhi = _theta_equation(hi, n, q)
-
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fmid = _theta_equation(mid, n, q)
-        if fmid == 0.0 or (hi - lo) < 1e-15:
-            lo = hi = mid
-            break
-        if flo * fmid <= 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-    t = 0.5 * (lo + hi)
-    # secant polish squeezes the last bits out of the bisection interval
-    t0, t1 = lo, hi if hi > lo else lo + 1e-15
+    first, last = math.pi / (2 * n + 1), math.pi / (n + 2)
+    flo = _theta_equation(first, n, q)
+    t = bisect(lambda t: _theta_equation(t, n, q), first, last,
+               flo if flo > 0.0 else 1.0)
+    if flo <= 0.0:
+        # rounding hid the sign at the left end, and so it hides the root,
+        # which lies closer to it than the bisection point
+        return t
+    # secant polish squeezes the last bits out of the bisection point
+    t0, t1 = t, t + 1e-15
     f0, f1 = _theta_equation(t0, n, q), _theta_equation(t1, n, q)
     for _ in range(4):
         if f1 == f0:
             break
         t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        if not (math.pi / (2 * n + 1) <= t2 <= math.pi / (n + 2)):
+        if not (first <= t2 <= last):
             break
         t0, f0, t1, f1 = t1, f1, t2, _theta_equation(t2, n, q)
         t = t2

@@ -450,12 +450,12 @@ class TermFields:
     contributions.
 
     A term is a list of ``(descriptor, E, embed)`` contributions (the
-    descriptor is hashable, and only ``bounded`` passes it on), and its
-    value at z is the least ``smin(E - z I)`` (``smin(E - z embed)`` with an
-    embedding) over them; contributions of equal content are evaluated
-    once.  ``field(points, want)`` returns the terms' values at the points,
-    stacked along the first axis.  ``want`` (all True by default) has one
-    boolean row per term.  A term is evaluated at its wanted points, and
+    descriptor is report data and is not read here), and its value at z is
+    the least ``smin(E - z I)`` (``smin(E - z embed)`` with an embedding)
+    over them; contributions of equal content are evaluated once.
+    ``field(points, want)`` returns the terms' values at the points, stacked
+    along the first axis.  ``want`` (all True by default) has one boolean
+    row per term.  A term is evaluated at its wanted points, and
     also where the contributions other terms need there cover it; it is NaN
     elsewhere.
 
@@ -498,21 +498,20 @@ class TermFields:
     def __init__(self, terms, slack: float = math.inf,
                  jobs: int | None = None):
         index: dict[bytes, int] = {}
-        self.items, self.members, self.sources = [], [], []
+        self.items, self.members = [], []
         for contribs in terms:
             term = {}
-            for contrib in contribs:
-                key = _content_key(*contrib[1:])
+            for _, E, embed in contribs:
+                key = _content_key(E, embed)
                 if key not in index:
                     index[key] = len(self.items)
-                    self.items.append(contrib[1:])
-                    self.sources.append({})
-                self.sources[index[key]].setdefault(contrib[0], contrib)
+                    self.items.append((E, embed))
                 term[index[key]] = None
             self.members.append(np.array(list(term), dtype=np.intp))
         self.slack = slack
         self.jobs = jobs
         self.anchors = None
+        self.spectra = None
 
     def __call__(self, points, want=None) -> np.ndarray:
         points = np.asarray(points).ravel()
@@ -534,16 +533,17 @@ class TermFields:
                 row[cols] = np.fmin.reduce(vals[idx][:, cols], axis=0)
         return out
 
-    def bounded(self, points, levels, guess, want=None) -> np.ndarray:
+    def bounded(self, points, levels, want=None) -> np.ndarray:
         """Upper bounds u of the terms' values at the wanted points (NaN
         elsewhere): u is at least the value, equals it wherever u exceeds
         the term's level, and has the same maximum, bit for bit.  So
         ``u <= level`` and ``u.max()`` answer as the values would.
 
         ``levels`` holds one level per term, or one row of levels per term.
-        ``guess(contribs, at)`` gives an array (len(contribs), len(at)) for
-        the points ``at`` that only orders the work; a contribution takes
-        the least guess of those (one per descriptor) of its content.
+        The guess of a contribution at z, which only orders the work, is
+        the distance from z to its spectrum (to that of ``embed^H E``, the
+        square middle part, with an embedding): ``smin(E - z I)`` does not
+        exceed it, and equals it for a normal E.
 
         Two ``smin_fields`` calls.  The first evaluates, in each term, the
         contribution of least guess at every wanted point, and every
@@ -566,32 +566,19 @@ class TermFields:
         cut = np.broadcast_to(np.asarray(levels, dtype=np.float64).reshape(
             len(self.members), -1), out.shape)
         want, cut = want[terms], cut[terms]
-        # the wanted terms' contributions (``keys``; np.unique would import
-        # numpy.ma, over 1 MB of resident memory), and per term a row of
+        # the wanted terms' contributions (``keys``), and per term a row of
         # indices into them, padded with an extra index that counts as
         # evaluated (+inf) and is guessed last
-        keys = np.zeros(len(self.items), dtype=bool)
-        keys[np.concatenate([self.members[i] for i in terms])] = True
-        keys = np.flatnonzero(keys)
+        keys = self._contributions(terms)
         pad = keys.size
         table = np.full((terms.size, max(self.members[i].size
                                          for i in terms)), pad)
         for row, i in zip(table, terms):
             row[:self.members[i].size] = np.searchsorted(keys, self.members[i])
-        # guesses where a term of two or more contributions is wanted, one
-        # call per set of wanted points
         ranks = np.full((pad + 1, points.size), np.inf)
-        multi: dict[bytes, list[int]] = {}
-        for r in np.flatnonzero((table < pad).sum(axis=1) > 1):
-            multi.setdefault(want[r].tobytes(), []).append(r)
-        for rows in multi.values():
-            used = np.zeros(pad + 1, dtype=bool)
-            used[table[rows]] = True
-            owners = [(j, c) for j in np.flatnonzero(used[:pad])
-                      for c in self.sources[keys[j]].values()]
-            at = np.flatnonzero(want[rows[0]])
-            np.fmin.at(ranks, np.ix_([j for j, _ in owners], at),
-                       guess([c for _, c in owners], at))
+        # one eigenvalue column at a time, in (contributions, points) memory
+        for lam in self._spectra()[keys].T:
+            np.fmin(ranks[:pad], abs(lam[:, None] - points), out=ranks[:pad])
         vals = np.full((pad + 1, points.size), np.nan)
         vals[pad] = np.inf
         first = np.zeros(vals.shape, dtype=bool)
@@ -611,6 +598,31 @@ class TermFields:
         out[terms] = np.where(want, np.fmin.reduce(vals[table], axis=1),
                               np.nan)
         return out
+
+    def _contributions(self, terms) -> np.ndarray:
+        """The distinct contributions of these terms, in index order (not
+        np.unique, which imports numpy.ma: over 1 MB of resident memory)."""
+        keys = np.zeros(len(self.items), dtype=bool)
+        for i in terms:
+            keys[self.members[i]] = True
+        return np.flatnonzero(keys)
+
+    def _spectra(self) -> np.ndarray:
+        """One row per contribution: its eigenvalues (those of ``embed^H E``
+        with an embedding), padded with NaN; computed at the first call, in
+        one ``eigvals`` call per order."""
+        if self.spectra is None:
+            groups: dict[int, list] = {}
+            for k, (E, embed) in enumerate(self.items):
+                square = E if embed is None else embed.conj().T @ E
+                groups.setdefault(len(square), []).append((k, square))
+            self.spectra = np.full((len(self.items), max(groups, default=0)),
+                                   np.nan, dtype=complex)
+            for order, members in groups.items():
+                keys, stack = zip(*members)
+                self.spectra[list(keys), :order] = np.linalg.eigvals(
+                    np.stack(stack))
+        return self.spectra
 
     def _evaluate(self, vals, points, want, keys=None) -> None:
         """Fill ``vals`` at the wanted (contribution, point) pairs, in one
@@ -647,10 +659,7 @@ class TermFields:
         multi = [i for i, idx in enumerate(self.members) if idx.size > 1]
         bound = np.full(vals.shape, -np.inf)
         if multi:
-            # a table, not np.unique, as in ``bounded``
-            keys = np.zeros(vals.shape[0], dtype=bool)
-            keys[np.concatenate([self.members[i] for i in multi])] = True
-            keys = np.flatnonzero(keys)
+            keys = self._contributions(multi)
             cols = np.logical_or.reduce(cover[multi])
             bound[np.ix_(keys, cols)] = self._bounds(points[cols], keys)
         first = np.zeros(vals.shape, dtype=bool)

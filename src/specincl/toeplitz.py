@@ -18,6 +18,7 @@ from . import inclusion as inc
 from . import pseudospec as ps
 from .errors import DomainError
 from .matrixcore import BlockPartition, make_view
+from .penalty import bisect
 
 __all__ = [
     "ToeplitzSpec",
@@ -179,27 +180,6 @@ def laplacian(M: int) -> np.ndarray:
 # Jordan block closed forms
 # ---------------------------------------------------------------------------
 
-def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise DomainError("no sign change on bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0 or (hi - lo) < 1e-15:
-            return mid
-        if flo * fmid <= 0.0:
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
-
-
 def jordan_phi(n: int, s: float) -> float:
     """Root of ``s sin((n+1)t) = sin(nt)`` in [pi/(2n+1), pi/(n+1))."""
     if n < 1:
@@ -210,7 +190,7 @@ def jordan_phi(n: int, s: float) -> float:
     if s == 1.0:
         return lo
     hi = math.pi / (n + 1)
-    return _bisect(lambda t: s * math.sin((n + 1) * t) - math.sin(n * t), lo, hi)
+    return bisect(lambda t: s * math.sin((n + 1) * t) - math.sin(n * t), lo, hi)
 
 
 def jordan_vn(n: int, s: float) -> float:
@@ -247,7 +227,7 @@ def jordan_alpha(n: int, eps: float) -> float:
         raise DomainError("eps must be >= 0")
     eps_n = jordan_eps_n(n)
     if eps < eps_n:
-        return _bisect(lambda s: jordan_vn(n, s) - eps, 0.0, 1.0)
+        return bisect(lambda s: jordan_vn(n, s) - eps, 0.0, 1.0)
     e = eps - eps_n
     if e == 0.0:
         return 1.0
@@ -260,7 +240,7 @@ def jordan_alpha(n: int, eps: float) -> float:
         lo = max(1.0, lower - 1e-9)
     if f(hi) < 0:
         hi = upper + 1e-9
-    return _bisect(f, lo, hi)
+    return bisect(f, lo, hi)
 
 
 def jordan_annulus(n: int, eps: float):
@@ -305,7 +285,7 @@ def laplacian_theta(n: int) -> float:
         return math.pi / 3.0
     lo = math.pi / (n + 3)
     hi = math.pi / (n + 2)
-    return _bisect(
+    return bisect(
         lambda t: 2.0 * math.cos((n + 1) * t / 2.0) - math.cos((n - 1) * t / 2.0),
         lo, hi,
     )

@@ -449,7 +449,7 @@ def unpruned_term_fields(terms, slack=0.0, jobs=None):
     return partial(reference_term_fields, terms, jobs=jobs)
 
 
-def exhaustive_bounded(fields, points, levels, guess, want=None):
+def exhaustive_bounded(fields, points, levels, want=None):
     """Drop-in for ``ps.TermFields.bounded`` that evaluates every wanted
     (contribution, point) pair, through ``reference_term_fields``: the
     exact term values where ``want`` marks them, NaN elsewhere."""

@@ -130,9 +130,9 @@ def test_verify_values_above_the_level_are_exact(monkeypatch):
     spy.pairs.clear()
     bounded = ps.TermFields.bounded
 
-    def uncut(fields, points, levels, guess, want=None):
+    def uncut(fields, points, levels, want=None):
         top = np.full(len(fields.members), np.inf)
-        return bounded(fields, points, top, guess, want)
+        return bounded(fields, points, top, want)
 
     monkeypatch.setattr(ps.TermFields, "bounded", uncut)
     assert verify_containment(items, penalty_scale=0.5) != records
@@ -140,8 +140,10 @@ def test_verify_values_above_the_level_are_exact(monkeypatch):
 
 
 def test_verify_kernel_pairs_budget(monkeypatch):
-    # on the benchmark's shape the verifier evaluates at most half the
-    # (matrix, point) pairs of the full pass, none of them twice
+    # on the benchmark's shape the verifier evaluates at most 37 % of the
+    # (matrix, point) pairs of the full pass, none of them twice: guessing
+    # each contribution's value by the distance to its spectrum sends 18,570
+    # of 54,522 pairs to the kernel
     from specincl import pseudospec as ps
 
     items = build_corpus(seed=641987627, count=11, orders=(12, 12))
@@ -153,7 +155,7 @@ def test_verify_kernel_pairs_budget(monkeypatch):
     monkeypatch.setattr(ps.TermFields, "bounded", exhaustive_bounded)
     assert verify_containment(items) == records
     assert max(pruned.values()) == 1
-    assert 2 * sum(pruned.values()) <= sum(spy.pairs.values())
+    assert 100 * sum(pruned.values()) <= 37 * sum(spy.pairs.values())
 
 
 def test_verify_levels_once_per_n(monkeypatch):
@@ -297,6 +299,41 @@ def test_include_matrix_file_input(tmp_path):
     ])
     assert code == 0
     assert (out / "tau_n2_eps0.1.json").exists()
+
+
+def test_include_tau_tiny_offdiagonal_ratio(tmp_path):
+    # r_L / r_U = 1e-17: the theta root is found, not rejected
+    T = 0.3 * np.eye(40) + np.eye(40, k=1) + 1e-17 * np.eye(40, k=-1)
+    path = tmp_path / "T.csv"
+    write_csv_matrix(path, T)
+    assert main([
+        "include", "--input", str(path), "--method", "tau", "--n", "12",
+        "--eps", "0.1", "--grid", "24,24", "--out-dir", str(tmp_path / "o"),
+        "--no-timestamp",
+    ]) == 0
+
+
+def test_include_block_gersh_grid_holds_the_discs(tmp_path):
+    # every block radius is sqrt(3), the classical Gershgorin box is +-1:
+    # the CLI's default grid is padded as ``gershgorin_block``'s, and the
+    # set stays off its edge
+    A = np.zeros((12, 12))
+    for k in range(3):
+        A[3 * k:3 * k + 3, 3 * k + 3] = 1.0
+    path = tmp_path / "A.csv"
+    write_csv_matrix(path, A)
+    out = tmp_path / "o"
+    assert main([
+        "include", "--input", str(path), "--partition", "uniform:3",
+        "--method", "block-gersh", "--out-dir", str(out), "--no-timestamp",
+    ]) == 0
+    region = specincl.MethodReport.from_json(
+        (out / "block-gersh_n0_eps0.json").read_text(encoding="ascii")).region
+    view = specincl.make_view(A, specincl.BlockPartition((3,) * 4))
+    assert region.grid == specincl.gershgorin_block(view).grid
+    ring = np.ones(region.mask.shape, dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert region.mask.any() and not region.mask[ring].any()
 
 
 def _outputs(out):

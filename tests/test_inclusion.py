@@ -488,7 +488,7 @@ def zero_block_matrix():
 ], ids=["dense", "zero-blocks", "scalar-laplacian"])
 def test_block_radii_equal_all_pairs_sum(build):
     view = build()
-    radii = inc._block_radii(view)
+    radii = view.block_radii
     reference = reference_block_radii(view)
     assert [float(r).hex() for r in radii] == [float(r).hex() for r in reference]
 

@@ -47,6 +47,15 @@ def test_theta_degenerate():
         solve_theta(3, 0.0, 0.0)
 
 
+def test_theta_tiny_offdiagonal_ratio():
+    # at q = 1e-17 the computed theta equation is not positive at the left
+    # end of the bracket, although it is in exact arithmetic; the root is
+    # then the bisection point just above that end
+    lo = math.pi / 25
+    for r_L, r_U in ((1e-17, 1.0), (1.0, 1e-17)):
+        assert lo < solve_theta(12, r_L, r_U) <= lo + 1e-15
+
+
 def test_theta_bracket_and_residual():
     rng = np.random.default_rng(2024)
     count = 0
