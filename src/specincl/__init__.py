@@ -33,7 +33,6 @@ from .penalty import (
     eps_tau1,
     eta,
     functionals,
-    optimal_weights,
     solve_theta,
 )
 from .pseudospec import (
@@ -49,7 +48,6 @@ from .pseudospec import (
     level_mask,
     pseudospectrum,
     smin,
-    smin_shifted,
 )
 from .inclusion import (
     MethodReport,

@@ -156,10 +156,10 @@ def cmd_include(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     lams = ps.eig(A) if A.shape[0] <= 2000 else None
 
-    for method in methods:
-        # one sweep per method serves the whole eps list
-        reports = inc.method_reports(view, method, eps_list, n=args.n, t=t,
-                                     grid=grid, jobs=jobs)
+    # one sweep serves every family method at every eps
+    plan = inc.method_reports(view, methods, eps_list, n=args.n, t=t,
+                              grid=grid, jobs=jobs)
+    for method, reports in zip(methods, plan):
         for eps, report in zip(eps_list, reports):
             stem = f"{method}_n{args.n or 0}_eps{eps:g}"
             (out_dir / f"{stem}.json").write_text(report.to_json() + "\n",

@@ -11,9 +11,10 @@ submatrices (ubiquitous for Toeplitz inputs) are detected by content and
 computed once.
 
 Every swept grid set here comes from the one constructor
-``ps.certified_regions``, which takes the terms.  A grid method makes one
-certified sweep over all its terms at all its eps levels and intersects
-them, so each (contribution, node) pair is evaluated at most once, only near
+``ps.certified_regions``, which takes groups of terms.  A grid method makes
+one certified sweep over all its terms at all its eps levels and intersects
+them, and ``method_reports`` one sweep for all its family methods, one group
+each, so each (contribution, node) pair is evaluated at most once, only near
 the level curves, and only where the contribution can be its term's
 minimum.  Its regions carry one band field each, completed at their contour
 corners: the term's field for one term, and for the two tau terms their
@@ -49,6 +50,7 @@ __all__ = [
     "levels",
     "family",
     "membership",
+    "method_terms",
     "method_mask",
     "sigma_tau",
     "pi_method",
@@ -165,25 +167,36 @@ def grid_pad(view: BlockMatrixView, method: str, n: int | None = None,
     return max(levels(p, method, eps))
 
 
-def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
-                    grid, jobs, t=None, outer: bool = False, **kwargs):
-    """The sets of a family method at every eps of ``eps_list``, from one
-    ``ps.certified_regions`` sweep over its terms at their levels,
-    intersected (``kwargs`` pass on to it).
-
-    Returns the penalty inputs, the ``family`` terms, the grid and what the
-    constructor returns.  Without a grid, the default one is padded by
-    ``grid_pad``.
-    """
+def method_terms(view: BlockMatrixView, method: str, n: int, eps_list,
+                  t=None):
+    """The penalty inputs of a family method, its ``family`` terms and their
+    levels at every eps of ``eps_list``, one column per eps: one group of
+    ``ps.certified_regions``."""
     _check_method_n(view, n)
     p = penalty_params(view, n)
     lvls = np.array([levels(p, method, eps) for eps in eps_list]).T
+    return p, family(view, method, n, t), lvls
+
+
+def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
+                    grid, jobs, t=None, outer: bool = False,
+                    split: bool = False, **kwargs):
+    """The sets of a family method at every eps of ``eps_list``, from one
+    ``ps.certified_regions`` sweep over its terms at their levels,
+    intersected (``kwargs`` pass on to it); with ``split``, each of two or
+    more terms also alone, as further groups of the sweep.
+
+    Returns the penalty inputs, the grid and one region list per group.
+    Without a grid, the default one is padded by ``grid_pad``.
+    """
+    p, terms, lvls = method_terms(view, method, n, eps_list, t)
     if grid is None:
         pad = grid_pad(view, method, n, max(eps_list), outer)
         grid = ps.default_grid(view.matrix, pad=pad)
-    terms = family(view, method, n, t)
-    sets = ps.certified_regions(terms, grid, lvls, jobs, **kwargs)
-    return p, terms, grid, sets
+    groups = [(terms, lvls)]
+    if split and len(terms) > 1:
+        groups += [([term], lvls[i:i + 1]) for i, term in enumerate(terms)]
+    return p, grid, ps.certified_regions(groups, grid, jobs, **kwargs)
 
 
 def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
@@ -195,8 +208,8 @@ def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
     of ``Sigma`` of ``sigma_tau``, ``pi_method`` or ``Gamma`` of
     ``tau1_method``.
     """
-    _, _, _, [region] = _method_regions(view, method, n, [eps], grid, jobs,
-                                        t=t, with_field=False)
+    _, _, [[region]] = _method_regions(view, method, n, [eps], grid, jobs,
+                                       t=t, with_field=False)
     return region
 
 
@@ -213,18 +226,19 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     union at level ``eps + eps_{n-2}`` for n > 2 (else None), and their
     intersection (== sigma for n <= 2).
     """
-    _, _, _, (parts, [both]) = _method_regions(view, "tau", n, [eps], grid,
-                                               jobs, parts=True)
-    sigma_hat = parts[1][0] if len(parts) > 1 else None
-    return parts[0][0], sigma_hat, both
+    _, _, [[both], *alone] = _method_regions(view, "tau", n, [eps], grid,
+                                             jobs, split=True)
+    if not alone:
+        return both, None, both
+    return alone[0][0], alone[1][0], both
 
 
 def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
               grid: ps.GridSpec | None = None,
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
-    _, _, _, [region] = _method_regions(view, "pi", n, [eps], grid, jobs,
-                                        t=t)
+    _, _, [[region]] = _method_regions(view, "pi", n, [eps], grid, jobs,
+                                       t=t)
     return region
 
 
@@ -240,8 +254,8 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     """
     if outer is None:
         outer = view.order <= _OUTER_AUTO_MAX_ORDER
-    p, _, grid, [gamma] = _method_regions(view, "tau1", n, [eps], grid, jobs,
-                                          outer=outer)
+    p, grid, [[gamma]] = _method_regions(view, "tau1", n, [eps], grid,
+                                         jobs, outer=outer)
     outer_region = None
     if outer:
         outer_region = ps.pseudospectrum(view.matrix, tau1_outer_level(p, eps),
@@ -304,9 +318,9 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
     step = max(1, _GERSH_PAIRS // (grid.nx * grid.ny))
     mask = np.zeros((grid.ny, grid.nx), dtype=bool)
     for s in range(0, len(terms), step):
-        [region] = ps.certified_regions(terms[s:s + step], grid,
-                                        bounds[s:s + step], jobs, "union",
-                                        with_field=False)
+        [[region]] = ps.certified_regions(
+            [(terms[s:s + step], bounds[s:s + step])], grid, jobs, "union",
+            with_field=False)
         mask |= region.mask
     return ps.Region(grid, mask)
 
@@ -360,35 +374,47 @@ class MethodReport:
         )
 
 
-def method_reports(view: BlockMatrixView, method: str, eps_list,
+def method_reports(view: BlockMatrixView, methods, eps_list,
                    n: int | None = None, t: complex | None = None,
                    grid: ps.GridSpec | None = None,
-                   jobs: int | None = None) -> list[MethodReport]:
-    """One MethodReport per eps of ``eps_list``, from one pass of the method:
-    a family method sweeps once for every eps, and a Gershgorin baseline,
-    which has no eps, is computed once."""
-    if method in ("tau", "pi", "tau1"):
-        if n is None:
+                   jobs: int | None = None) -> list[list[MethodReport]]:
+    """One MethodReport list per method of ``methods``, with one report per
+    eps of ``eps_list``, on one grid: the family methods from one
+    ``ps.certified_regions`` sweep, one group each, which evaluates each
+    (submatrix, node) pair of the plan at most once, and a Gershgorin
+    baseline, which has no eps, computed once.  Without a grid, the default
+    one is padded by the largest ``grid_pad`` of the methods."""
+    for method in methods:
+        if method not in ("tau", "pi", "tau1", "gersh", "block-gersh"):
+            raise DomainError(f"unknown method {method!r}")
+        if method not in ("gersh", "block-gersh") and n is None:
             raise DomainError(f"method {method!r} needs n")
-        p, terms, _, regions = _method_regions(view, method, n, eps_list,
-                                               grid, jobs, t=t)
-        t = complex(t) if method == "pi" else None
-        descs = tuple(d for d, _, _ in terms[0])
-        penalty = levels(p, method, 0.0)[0]
-        return [MethodReport(method, n, t, eps, penalty, p.c_norm,
-                             view.cnorm_mode, descs, region)
-                for eps, region in zip(eps_list, regions)]
-    if method == "gersh":
-        region, discs = gershgorin(view.matrix, grid)
-        descs = tuple(("gersh", 1, k) for k in range(len(discs)))
-    elif method == "block-gersh":
-        region = gershgorin_block(view, grid, jobs)
-        descs = tuple(("block-gersh", 1, k)
-                      for k in range(view.block_count))
-    else:
-        raise DomainError(f"unknown method {method!r}")
-    return [MethodReport(method, None, None, eps, 0.0, 0.0, view.cnorm_mode,
-                         descs, region) for eps in eps_list]
+    plans = {m: method_terms(view, m, n, eps_list, t) for m in methods
+             if m not in ("gersh", "block-gersh")}
+    if grid is None:
+        pad = max(grid_pad(view, m, n, max(eps_list)) for m in methods)
+        grid = ps.default_grid(view.matrix, pad=pad)
+    sets = dict(zip(plans, ps.certified_regions(
+        list(plan[1:] for plan in plans.values()), grid, jobs)
+        if plans else ()))
+    out = []
+    for method in methods:
+        if method in plans:
+            p, terms, _ = plans[method]
+            out.append([MethodReport(
+                method, n, complex(t) if method == "pi" else None, eps,
+                levels(p, method, 0.0)[0], p.c_norm, view.cnorm_mode,
+                tuple(d for d, _, _ in terms[0]), region)
+                for eps, region in zip(eps_list, sets[method])])
+            continue
+        region, discs = (gershgorin(view.matrix, grid) if method == "gersh"
+                         else (gershgorin_block(view, grid, jobs),
+                               view.block_radii))
+        descs = tuple((method, 1, k) for k in range(len(discs)))
+        out.append([MethodReport(method, None, None, eps, 0.0, 0.0,
+                                 view.cnorm_mode, descs, region)
+                    for eps in eps_list])
+    return out
 
 
 def run_method(view: BlockMatrixView, method: str, n: int | None = None,
@@ -396,4 +422,4 @@ def run_method(view: BlockMatrixView, method: str, n: int | None = None,
                grid: ps.GridSpec | None = None,
                jobs: int | None = None) -> MethodReport:
     """Uniform front end over the five methods, producing a MethodReport."""
-    return method_reports(view, method, [eps], n, t, grid, jobs)[0]
+    return method_reports(view, [method], [eps], n, t, grid, jobs)[0][0]

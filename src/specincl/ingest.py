@@ -21,8 +21,7 @@ Duplicate coordinate entries are summed in file order, and the mirror
 images of the stored off-diagonal entries (transposed, negated or
 conjugated) are added after all of them, so the result equals
 ``scipy.io.mmread`` densified by ``toarray()`` bit for bit.  Anything else
-is a ``DomainError``.  The writer loads ``scipy.io`` when first called, so
-importing this module loads no scipy module.
+is a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from .matrixcore import as_matrix
 
 __all__ = [
     "read_matrix_market",
-    "write_matrix_market",
     "read_csv_matrix",
     "write_csv_matrix",
     "load_matrix",
@@ -175,12 +173,6 @@ def read_matrix_market(path) -> np.ndarray:
     # sums in file order into zeros, as coo_matrix.toarray(): -0 loads as +0
     np.add.at(A, (rows, cols), values)
     return as_matrix(A)
-
-
-def write_matrix_market(path, A) -> None:
-    from scipy.io import mmwrite
-
-    mmwrite(str(path), np.asarray(A, dtype=np.complex128))
 
 
 def _parse_cell(cell: str) -> complex:

@@ -26,7 +26,6 @@ __all__ = [
     "as_weights",
     "functionals",
     "eta",
-    "optimal_weights",
 ]
 
 _R_SUM_TOL = 1e-14
@@ -190,58 +189,3 @@ def eta(w, r_L: float, r_U: float, variant: str) -> float:
     if variant == "tau1":
         return r * math.sqrt(T / S)
     raise DomainError(f"unknown eta variant {variant!r}")
-
-
-def optimal_weights(n: int, variant: str, r_L: float = 1.0,
-                    r_U: float = 1.0) -> np.ndarray:
-    """Minimizer profiles of the eta functionals.
-
-    'pi' and 'tau1' have exact sine-profile minimizers.  For 'tau' the
-    stationarity conditions force an interior sinusoid with boundary-mixed
-    phase: with one off-diagonal absent the profile is the one-sided cosine
-    chain eigenvector (exact), with balanced off-diagonals the cosine
-    centered on the window (exact), and otherwise the phase and frequency of
-    ``sin(j t + phi)`` are tuned numerically, which lands at or below the
-    ``2 r sin(theta_n / 2)`` bound.
-    """
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    j = np.arange(1, n + 1, dtype=np.float64)
-    if variant == "pi":
-        return np.sin((2 * j - 1) * math.pi / (2 * n))
-    if variant == "tau1":
-        return np.sin(j * math.pi / (n + 1))
-    if variant == "tau":
-        if r_U == 0.0 and r_L == 0.0:
-            raise DegenerateError("tau weights undefined when r = 0")
-        if r_L == 0.0 or r_U == 0.0:
-            w = np.cos((j - 0.5) * math.pi / (2 * n + 1))
-            return w[::-1].copy() if r_U == 0.0 else w
-        theta = solve_theta(n, r_L, r_U)
-        if r_L == r_U or n == 1:
-            return np.cos((j - (n + 1) / 2) * theta)
-        return _tuned_tau_weights(n, r_L, r_U, theta)
-    raise DomainError(f"unknown eta variant {variant!r}")
-
-
-def _tuned_tau_weights(n: int, r_L: float, r_U: float,
-                       theta: float) -> np.ndarray:
-    from scipy.optimize import minimize
-
-    j = np.arange(1, n + 1, dtype=np.float64)
-
-    def objective(x):
-        w = np.sin(j * x[0] + x[1])
-        if not np.any(w):
-            return np.inf
-        return eta(w, r_L, r_U, "tau")
-
-    best_val, best_x = np.inf, None
-    for t0 in (theta, 0.75 * theta, 1.25 * theta):
-        for p0 in (0.0, (math.pi - (n + 1) * theta) / 2, 1.2):
-            res = minimize(objective, [t0, p0], method="Nelder-Mead",
-                           options={"xatol": 1e-13, "fatol": 1e-15,
-                                    "maxiter": 4000})
-            if res.fun < best_val:
-                best_val, best_x = res.fun, res.x
-    return np.sin(j * best_x[0] + best_x[1])

@@ -11,14 +11,14 @@ completes a band field at the nodes ``contour_extract`` reads.
 matrices, at grid nodes or at any points, and each matrix only where it can
 be its term's minimum; ``TermFields.bounded`` only where it can change a
 term's maximum or a comparison with a level.  ``certified_regions`` is the
-one constructor of swept grid sets: the sublevel sets of several terms from
-one ``level_mask`` sweep of their ``TermFields``, at the allowance
-``smin_slack`` of their matrices, combined by union or intersection into
-one set with one field and one level, or mask-only.  Every swept grid set
-of the package comes from it, ``pseudospectrum`` included, which returns a
-band field.  The others are masks alone: ``region_from_points`` marks the
-nodes nearest to a point set, and ``inclusion.gershgorin`` its discs,
-computed analytically.
+one constructor of swept grid sets: the sublevel sets of groups of terms
+from one ``level_mask`` sweep of one ``TermFields``, each group at the
+allowance ``smin_slack`` of its own matrices, combined by union or
+intersection into sets with one field and one level, or mask-only.  Every
+swept grid set of the package comes from it, ``pseudospectrum`` included,
+which returns a band field.  The others are masks alone:
+``region_from_points`` marks the nodes nearest to a point set, and
+``inclusion.gershgorin`` its discs, computed analytically.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over the (matrix x node)
@@ -56,7 +56,6 @@ __all__ = [
     "Region",
     "smin",
     "spectral_norm",
-    "smin_shifted",
     "smin_fields",
     "smin_grid",
     "usable_cpus",
@@ -115,25 +114,6 @@ def spectral_norm(E) -> float:
     if not np.any(E):
         return 0.0
     return float(np.linalg.svd(E, compute_uv=False)[0])
-
-
-def smin_shifted(E, lam: complex, embed=None) -> float:
-    """``smin(E - lam*I)``, or ``smin(E - lam*I_plus)`` for rectangular E."""
-    E = np.asarray(E, dtype=np.complex128)
-    if embed is None:
-        if E.ndim != 2 or E.shape[0] != E.shape[1]:
-            raise DomainError(
-                f"square matrix required without an embedding, got {E.shape}"
-            )
-        shifted = E - lam * np.eye(E.shape[0])
-    else:
-        embed = np.asarray(embed, dtype=np.complex128)
-        if embed.shape != E.shape:
-            raise DomainError(
-                f"embedding shape {embed.shape} does not match matrix {E.shape}"
-            )
-        shifted = E - lam * embed
-    return smin(shifted)
 
 
 def usable_cpus() -> int:
@@ -218,9 +198,9 @@ def smin_fields(items, lambdas, jobs: int | None = None,
     an embedding, are stacked and swept in blocks of at most about 4 MiB of
     complex entries, in one batched LAPACK SVD per block.  With ``jobs`` > 1
     the blocks run on at most ``jobs`` threads, never more than
-    ``usable_cpus``; a call forms at least that many blocks when the work
-    allows, and stays on the calling thread when no two blocks would repay
-    the hand-off.
+    ``usable_cpus``, largest SVD work first; a call forms at least that many
+    blocks when the work allows, and stays on the calling thread when no two
+    blocks would repay the hand-off.
     """
     items = list(items)
     lam = np.asarray(lambdas, dtype=np.complex128)
@@ -248,10 +228,13 @@ def smin_fields(items, lambdas, jobs: int | None = None,
                  else np.flatnonzero(want[members]))
         for start, stop in _blocks(units.size, rows, cols, not square,
                                    workers):
-            tasks.append(partial(_sweep_block, stack, embeds, shifts,
-                                 out.reshape(-1), units[start:stop]))
+            tasks.append(((stop - start) * _svd_flops(rows, cols),
+                          partial(_sweep_block, stack, embeds, shifts,
+                                  out.reshape(-1), units[start:stop])))
         flops += units.size * _svd_flops(rows, cols)
     workers = min(workers, len(tasks), int(flops // _MIN_BLOCK_FLOPS))
+    # largest blocks first, so that the small ones fill the threads' tails
+    tasks = [task for _, task in sorted(tasks, key=lambda t: -t[0])]
     if workers > 1:
         futures = [_pool(workers).submit(task) for task in tasks]
         # every block has finished writing ``out`` before any error is raised
@@ -386,8 +369,8 @@ def pseudospectrum(E, eps: float, grid: GridSpec, embed=None,
         raise DomainError("eps must be nonnegative")
     if not isinstance(grid, GridSpec):
         raise DomainError("grid must be a GridSpec")
-    [region] = certified_regions([[(None, E, embed)]], grid, [[eps]], jobs,
-                                 with_field=with_field)
+    [[region]] = certified_regions([([[(None, E, embed)]], [[eps]])], grid,
+                                   jobs, with_field=with_field)
     return region
 
 
@@ -456,8 +439,13 @@ class TermFields:
     ``field(points, want)`` returns the terms' values at the points, stacked
     along the first axis.  ``want`` (all True by default) has one boolean
     row per term.  A term is evaluated at its wanted points, and
-    also where the contributions other terms need there cover it; it is NaN
-    elsewhere.
+    also where the contributions other terms of its group need there cover
+    it; it is NaN elsewhere.  ``groups`` gives the number of terms of each
+    group, in term order (one group of all terms by default): the sets of
+    one sweep, whose contributions are evaluated once however many groups
+    hold them, while each term takes values from its own group's needs
+    only.  With ``memo`` the values of the contributions of several groups
+    are kept, so that no later call evaluates such a pair again.
 
     The first call evaluates every contribution at every point where a term
     holding it is wanted (the coarse lattice of ``level_mask``, in a sweep)
@@ -496,7 +484,7 @@ class TermFields:
     """
 
     def __init__(self, terms, slack: float = math.inf,
-                 jobs: int | None = None):
+                 jobs: int | None = None, groups=None, memo: bool = True):
         index: dict[bytes, int] = {}
         self.items, self.members = [], []
         for contribs in terms:
@@ -508,6 +496,16 @@ class TermFields:
                     self.items.append((E, embed))
                 term[index[key]] = None
             self.members.append(np.array(list(term), dtype=np.intp))
+        ends = np.cumsum([len(self.members)] if groups is None
+                         else groups).tolist()
+        self.groups = [range(a, b) for a, b in zip([0] + ends, ends)]
+        # the contributions of several groups, whose values ``memo`` keeps
+        held = np.zeros((len(self.groups), len(self.items)), dtype=bool)
+        for g, group in enumerate(self.groups):
+            for i in group:
+                held[g, self.members[i]] = True
+        self.shared = (held.sum(axis=0) > 1) & memo
+        self.memo: dict[tuple, float] = {}
         self.slack = slack
         self.jobs = jobs
         self.anchors = None
@@ -518,9 +516,13 @@ class TermFields:
         if want is None:
             want = np.ones((len(self.members), points.size), dtype=bool)
         need = np.zeros((len(self.items), points.size), dtype=bool)
-        for idx, row in zip(self.members, want):
-            need[idx] |= row
-        cover = np.array([need[idx].all(axis=0) for idx in self.members])
+        cover = np.zeros(want.shape, dtype=bool)
+        for group in self.groups:
+            own = np.zeros(need.shape, dtype=bool)
+            for i in group:
+                own[self.members[i]] |= want[i]
+            cover[group] = [own[self.members[i]].all(axis=0) for i in group]
+            need |= own
         vals = np.full(need.shape, np.nan)
         if self.anchors is None:
             self._evaluate(vals, points, need)
@@ -633,11 +635,21 @@ class TermFields:
         if rows.size == 0:
             return
         sub = want[np.ix_(rows, cols)]
-        fields = smin_fields([self.items[k] for k in (
-            rows if keys is None else keys[rows])], points[cols],
-            self.jobs, want=sub)
-        ii, jj = np.nonzero(sub)
-        vals[rows[ii], cols[jj]] = np.array(fields)[ii, jj]
+        items = rows if keys is None else keys[rows]
+        share = np.nonzero(sub & self.shared[items][:, None])
+        pairs = list(zip(items[share[0]].tolist(),
+                         points[cols[share[1]]].tolist()))
+        for i, j, pair in zip(*share, pairs):
+            if pair in self.memo:
+                vals[rows[i], cols[j]] = self.memo[pair]
+                sub[i, j] = False
+        if sub.any():
+            fields = smin_fields([self.items[k] for k in items], points[cols],
+                                 self.jobs, want=sub)
+            ii, jj = np.nonzero(sub)
+            vals[rows[ii], cols[jj]] = np.array(fields)[ii, jj]
+        for i, j, pair in zip(*share, pairs):
+            self.memo[pair] = float(vals[rows[i], cols[j]])
 
     def _bounds(self, points, keys) -> np.ndarray:
         """Lower bounds of contributions ``keys`` at the points, from the
@@ -687,7 +699,7 @@ def _around(lattice: np.ndarray, idx: np.ndarray):
     return below, above
 
 
-def level_mask(field, grid: GridSpec, levels, slack: float):
+def level_mask(field, grid: GridSpec, levels, slack, nudge=None):
     """Masks ``f_i(grid.nodes()) <= level`` of each component f_i of a field
     at each of its levels, from the field at as few nodes as certify them
     all.
@@ -699,7 +711,8 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
     must obey ``|f(a) - f(b)| <= |a - b| + slack``, with |a - b| measured
     from the nodes' index offsets: the exact field is 1-Lipschitz in z, and
     ``slack`` allows for rounding (``smin_slack`` gives it for smin fields
-    and their pointwise minima).
+    and their pointwise minima).  ``slack`` is one allowance for every
+    component or an (F,) array of them.
 
     Returns ``(masks, band)``: the masks, of shape (F, L, ny, nx), and the
     band field, of shape (F, ny, nx), which holds the values where the field
@@ -709,10 +722,12 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
     row and column); then the stride is halved down to 1.  An evaluated
     value v of a component has margin ``min |v - level| - slack - w`` over
     the component's levels, w being the largest ``contour_extract`` nudge
-    of all levels.  A component of a new node at distance d from a node of
-    the coarser lattice whose margin m for it exceeds d is decided without
-    evaluation: its value lies on that node's side of each level, farther
-    than w from it, and it passes on the margin m - d.  The values that no
+    of all levels, or the component's entry of the (F,) array ``nudge``
+    when given (at least the nudge of each of its levels).  A component of
+    a new node at distance d from a node of the coarser lattice whose
+    margin m for it exceeds d is decided without evaluation: its value lies
+    on that node's side of each level, farther than w from it, and it
+    passes on the margin m - d.  The values that no
     neighbour decides go to ``field`` in one call per stride.  A value that
     ties with a level is never decided by a neighbour, so every mask equals
     the full sweep bit for bit, and every value the nudge would move is in
@@ -720,7 +735,8 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
     """
     nodes = grid.nodes()
     comps = np.asarray(levels, dtype=np.float64)
-    slack = slack + _nudge(float(np.abs(comps).max()))
+    nudge = _nudge(float(np.abs(comps).max())) if nudge is None else nudge
+    slack = np.broadcast_to(np.add(slack, nudge), comps.shape[:1])
     inside = np.zeros(comps.shape + nodes.shape, dtype=bool)
     band = np.full(comps.shape[:1] + nodes.shape, np.nan)
     margin = np.full(band.shape, -np.inf)
@@ -735,7 +751,8 @@ def level_mask(field, grid: GridSpec, levels, slack: float):
         v, y, x = vals[fs, js], iy[js], ix[js]
         band[fs, y, x] = v
         inside[fs, :, y, x] = v[:, None] <= comps[fs]
-        margin[fs, y, x] = np.abs(v[:, None] - comps[fs]).min(axis=1) - slack
+        margin[fs, y, x] = (np.abs(v[:, None] - comps[fs]).min(axis=1)
+                            - slack[fs])
 
     ny, nx = nodes.shape
     stride = 1 << max(0, (min(ny, nx) - 1).bit_length() - 3)
@@ -784,32 +801,36 @@ def fill_corners(regions, field) -> list:
     of ``level_mask`` and of ``certified_regions`` do).
     """
     regions = list(regions)
-    first = regions[0]
-    need = np.zeros(first.mask.shape, dtype=bool)
-    for r in regions:
-        need |= (_contour_corners(np.pad(r.mask, 1))
-                 | _contour_corners(_contour_input(r)[0]))
-    need &= np.isnan(first.values)
+    need = _corner_need(regions)
     if not need.any():
         return regions
-    vals = first.values.copy()
+    vals = regions[0].values.copy()
     vals[need] = field(need)
     return [Region(r.grid, r.mask, vals, r.level) for r in regions]
 
 
-def certified_regions(terms, grid: GridSpec, levels, jobs: int | None = None,
-                      combine: str = "intersect", with_field: bool = True,
-                      parts: bool = False):
-    """Combined sublevel sets of terms, from one certified ``level_mask``
-    sweep of their ``TermFields``.
+def _corner_need(regions) -> np.ndarray:
+    """The nodes ``fill_corners`` evaluates for these regions."""
+    need = np.zeros(regions[0].mask.shape, dtype=bool)
+    for r in regions:
+        need |= (_contour_corners(np.pad(r.mask, 1))
+                 | _contour_corners(_contour_input(r)[0]))
+    return need & np.isnan(regions[0].values)
 
-    ``terms`` is a list of F terms as ``TermFields`` takes them, one
-    component f_i each, and ``levels`` has shape (F, L).  The sweep's slack
-    is ``smin_slack`` of every matrix of the terms, and ``jobs`` passes on
-    to the kernel.  Returns one region per level column j: the sets
-    {f_i <= l_i}, l_i = ``levels[i, j]``, intersected ("intersect") or
-    united ("union").  Its mask joins the components' masks, the full
-    sweep's bit for bit.  Its level is l_0 = max_i l_i and its field
+
+def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
+                      combine: str = "intersect",
+                      with_field: bool = True) -> list:
+    """Combined sublevel sets of groups of terms, from one certified
+    ``level_mask`` sweep of one ``TermFields`` over all their terms.
+
+    ``groups`` is a list of ``(terms, levels)`` pairs: F terms as
+    ``TermFields`` takes them, one component f_i each, and ``levels`` of
+    shape (F, L).  Returns one region list per group, with one region per
+    level column j: the sets {f_i <= l_i}, l_i = ``levels[i, j]``,
+    intersected ("intersect") or united ("union").  Its mask joins the
+    components' masks, the full sweep's bit for bit.  Its level is
+    l_0 = max_i l_i and its field
 
         G = max_i (f_i - (l_i - l_0))   (the min for "union"),
 
@@ -819,57 +840,79 @@ def certified_regions(terms, grid: GridSpec, levels, jobs: int | None = None,
     the mask at a tie, the mask wins: ``contour_extract`` takes each cell's
     case from the mask.
 
-    With ``with_field`` the sweep evaluates every component wherever it
-    evaluates one, and the region carries G where the band knows it (NaN
-    elsewhere), completed by ``fill_corners``.  A value of G within the
-    contour nudge of l_0 is one of a component near its level, so the band
-    holds it.  ``parts`` completes each component from its own field before
-    combining and returns ``(parts, regions)``, ``parts[i][j]`` being
-    component i at ``levels[i, j]``.  Without ``with_field`` the sweep
-    evaluates each component only where it must, and the region is
-    mask-only.
+    A (contribution, node) pair is evaluated at most once for all groups,
+    and each group's regions equal those of a call with it alone, bit for
+    bit: its margins use the ``smin_slack`` of its own matrices and the
+    contour nudge of its own levels, its terms take values from its own
+    needs only (``TermFields``), and its last level column is repeated to
+    the widest group's, which changes no margin.  ``jobs`` passes on to the
+    kernel.
+
+    With ``with_field`` the sweep evaluates every component of a group
+    wherever it evaluates one, and the region carries G where the band
+    knows it (NaN elsewhere), completed at the corners ``fill_corners``
+    would evaluate, in one evaluation for all groups.  A value of G within
+    the contour nudge of l_0 is one of a component near its level, so the
+    band holds it.  Without ``with_field`` the regions are mask-only.
     """
-    lv = np.asarray(levels, dtype=np.float64)
-    slack = smin_slack([mat for contribs in terms for _, mat, _ in contribs],
-                       grid)
-    field = TermFields(terms, slack, jobs)
+    groups = [(terms, np.asarray(lv, dtype=np.float64))
+              for terms, lv in groups]
+    sizes = [len(terms) for terms, _ in groups]
+    starts = np.cumsum([0] + sizes[:-1])
+    width = max(lv.shape[1] for _, lv in groups)
+    comps = np.concatenate([np.pad(lv, ((0, 0), (0, width - lv.shape[1])),
+                                   "edge") for _, lv in groups])
+    slacks = [smin_slack([mat for contribs in terms for _, mat, _ in contribs],
+                         grid) for terms, _ in groups]
+    # only the corner fill asks for a pair again
+    field = TermFields([term for terms, _ in groups for term in terms],
+                       max(slacks), jobs, sizes, memo=with_field)
     sweep = field if not with_field else lambda points, want: field(
-        points, np.broadcast_to(want.any(axis=0), want.shape))
-    masks, band = level_mask(sweep, grid, lv, slack)
+        points, np.repeat(np.logical_or.reduceat(want, starts), sizes, axis=0))
+    masks, band = level_mask(
+        sweep, grid, comps, np.repeat(slacks, sizes),
+        np.repeat([_nudge(float(np.abs(lv).max())) for _, lv in groups],
+                  sizes))
     join, pick = ((np.logical_and, np.max) if combine == "intersect"
                   else (np.logical_or, np.min))
-    top = lv.max(axis=0)
-    regions = [Region(grid, join.reduce(masks[:, j]), None, float(top[j]))
-               for j in range(lv.shape[1])]
+    out = []
+    for (terms, lv), a in zip(groups, starts):
+        top = lv.max(axis=0)
+        out.append([Region(grid, join.reduce(masks[a:a + len(terms), j]),
+                           None, float(top[j])) for j in range(lv.shape[1])])
     if not with_field:
-        return regions
+        return out
 
-    def values(need, shift, rows=slice(None)):
-        # every component at the nodes where none is known yet, kept in the
-        # band, so that no later fill evaluates a node again
-        new = need & np.isnan(band[0])
-        band[:, new] = field(grid.nodes()[new])
-        return pick(band[rows][:, need] - shift[:, None], axis=0)
-
-    if parts:
-        comps = [fill_corners([Region(grid, mask, own, float(level))
-                               for mask, level in zip(masks[i], lv[i])],
-                              partial(values, shift=np.zeros(1), rows=[i]))
-                 for i, own in enumerate(band.copy())]
-    # the columns of equal shifts share one field
-    shifts = lv - top
-    columns: dict[bytes, list[int]] = {}
-    for j, shift in enumerate(shifts.T):
-        columns.setdefault(shift.tobytes(), []).append(j)
-    for cols in columns.values():
-        shift = shifts[:, cols[0]]
-        g = pick(band - shift[:, None, None], axis=0)
-        done = fill_corners([Region(grid, regions[j].mask, g,
-                                    regions[j].level) for j in cols],
-                            partial(values, shift=shift))
-        for j, region in zip(cols, done):
-            regions[j] = region
-    return (comps, regions) if parts else regions
+    # the corners each group's fields need, columns of equal shifts sharing
+    # one field; each field keeps the corners of the fields before it.  The
+    # nudged masks read only values near a level, which the sweep's band
+    # holds, so every need is known before one evaluation serves them all
+    want = np.zeros(band.shape, dtype=bool)
+    fills = []
+    for (terms, lv), a, regions in zip(groups, starts, out):
+        rows = slice(a, a + len(terms))
+        known = seen = ~np.isnan(band[a])
+        shifts = lv - lv.max(axis=0)
+        columns: dict[bytes, list[int]] = {}
+        for j, shift in enumerate(shifts.T):
+            columns.setdefault(shift.tobytes(), []).append(j)
+        for cols in columns.values():
+            shift = shifts[:, cols[0], None, None]
+            g = pick(band[rows] - shift, axis=0)
+            seen = seen | _corner_need([Region(grid, regions[j].mask, g,
+                                               regions[j].level)
+                                        for j in cols])
+            fills.append((regions, rows, shift, cols, seen))
+        want[rows] = seen & ~known
+    new = want.any(axis=0)
+    if new.any():
+        band[:, new] = np.where(want[:, new], field(grid.nodes()[new],
+                                                    want[:, new]), band[:, new])
+    for regions, rows, shift, cols, keep in fills:
+        g = np.where(keep, pick(band[rows] - shift, axis=0), np.nan)
+        for j in cols:
+            regions[j] = Region(grid, regions[j].mask, g, regions[j].level)
+    return out
 
 
 def region_from_points(grid: GridSpec, points) -> Region:

@@ -336,9 +336,12 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
     rows from n >= 4 on.
 
     ``hausdorff`` reads masks only, so both sets are certified mask-only
-    regions of ``ps.certified_regions`` (``method_mask``, and
-    ``pseudospectrum`` without its field): the masks of the full sweeps,
-    bit for bit, with no contour pass.
+    regions, all from one ``ps.certified_regions`` sweep: one group per
+    schedule row (the family method's terms, as ``method_mask`` sweeps
+    them) and one per distinct M for the eps > 0 reference (its
+    ``pseudospectrum``).  So each (matrix, node) pair of the study is
+    evaluated at most once, and every mask is the full sweep's, bit for
+    bit.
     """
     if eps < 0:
         raise DomainError("eps must be >= 0")
@@ -348,9 +351,10 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
     if not schedule:
         raise DomainError("empty schedule")
 
-    # one view per (M, w) and one shared grid large enough for every row
+    # one view per (M, w), one group per row, and one shared grid large
+    # enough for every row
     views = {}
-    pads = []
+    groups = []
     methods = []
     for M, n, w in schedule:
         if (M, w) not in views:
@@ -362,33 +366,25 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
                               f"{view.block_count - 1}")
         method = "tau" if wiener_tail(spec, w) == 0.0 else "tau1"
         methods.append(method)
-        pads.append(inc.levels(inc.penalty_params(view, n), method, eps)[0])
-    M_big = max(M for M, _, _ in schedule)
-    A_big = build_toeplitz(spec, M_big)
-    grid = ps.default_grid(A_big, pad=max(pads), nx=grid_nodes, ny=grid_nodes)
+        groups.append(inc.method_terms(view, method, n, [eps])[1:])
+    A_big = build_toeplitz(spec, max(M for M, _, _ in schedule))
+    pad = max(float(lvls[0, 0]) for _, lvls in groups)
+    grid = ps.default_grid(A_big, pad=pad, nx=grid_nodes, ny=grid_nodes)
 
-    references: dict[int, ps.Region] = {}
+    orders = list(dict.fromkeys(M for M, _, _ in schedule))
+    if eps > 0:
+        groups += [([[(None, build_toeplitz(spec, M), None)]], [[eps]])
+                   for M in orders]
+    regions = [region for region, in ps.certified_regions(
+        groups, grid, jobs, with_field=False)]
+    references = dict(zip(orders, regions[len(schedule):] if eps > 0 else (
+        ps.region_from_points(grid, ps.eig(build_toeplitz(spec, M)))
+        for M in orders)))
 
-    def reference(M: int) -> ps.Region:
-        if M not in references:
-            A = build_toeplitz(spec, M)
-            if eps > 0:
-                references[M] = ps.pseudospectrum(A, eps, grid, jobs=jobs,
-                                                  with_field=False)
-            else:
-                references[M] = ps.region_from_points(grid, ps.eig(A))
-        return references[M]
-
-    rows = []
-    for (M, n, w), method in zip(schedule, methods):
-        region = inc.method_mask(views[(M, w)], method, n, eps, grid=grid,
-                                 jobs=jobs)
-        d = ps.hausdorff(region, reference(M))
-        rows.append(StudyRow(M, n, w, eps, method, d, grid.cell_diag))
-
-    monotone = True
+    rows = [StudyRow(M, n, w, eps, method, ps.hausdorff(region, references[M]),
+                     grid.cell_diag)
+            for (M, n, w), method, region in zip(schedule, methods, regions)]
     slack = 2.0 * grid.cell_diag
-    for prev, cur in zip(rows, rows[1:]):
-        if prev.n >= 4 and cur.d_h > prev.d_h + slack:
-            monotone = False
+    monotone = not any(prev.n >= 4 and cur.d_h > prev.d_h + slack
+                       for prev, cur in zip(rows, rows[1:]))
     return StudyResult(tuple(rows), monotone)

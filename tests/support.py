@@ -19,11 +19,16 @@ for ``TermFields.bounded`` the same way, so that tests can count the pairs
 of the full pass.  ``reference_nearest_distance`` queries a scipy k-d tree
 of every masked node; the library's ``hausdorff`` and ``covers_points``
 search grid columns in numpy, and tests compare the results bit for bit.
+``optimal_weights``, ``smin_shifted`` and ``write_matrix_market`` are
+oracles and fixtures that no product path calls: the minimizing weight
+profiles (scipy for tau with unequal norms), one shifted smallest singular
+value, and a Matrix Market writer (``scipy.io.mmwrite``).
 """
 
+import math
 import time
 from collections import Counter
-from functools import partial, reduce
+from functools import reduce
 from itertools import product, repeat
 
 import numpy as np
@@ -31,9 +36,9 @@ import numpy as np
 from specincl import inclusion as inc
 from specincl import pseudospec as ps
 from specincl.corpus import _LEVEL_SLACK, VerifyRecord
-from specincl.errors import DomainError, PiMethodUnsupported
+from specincl.errors import DegenerateError, DomainError, PiMethodUnsupported
 from specincl.matrixcore import make_view
-from specincl.penalty import optimal_weights
+from specincl.penalty import eta, solve_theta
 from specincl.pseudospec import Region, contour_extract
 from specincl.viz import _H, _MARGIN, _W
 
@@ -64,6 +69,86 @@ def sampled_minimum(n, r_L, r_U, variant, samples=10_000, seed=0):
     cands = [optimal_weights(n, v, r_L, r_U) for v in ("pi", "tau1", "tau")]
     W = np.vstack([W] + [c / np.linalg.norm(c) for c in cands])
     return float(np.min(eta_batch(W, r_L, r_U, variant)))
+
+
+def optimal_weights(n: int, variant: str, r_L: float = 1.0,
+                    r_U: float = 1.0) -> np.ndarray:
+    """Minimizer profiles of the eta functionals.
+
+    'pi' and 'tau1' have exact sine-profile minimizers.  For 'tau' the
+    stationarity conditions force an interior sinusoid with boundary-mixed
+    phase: with one off-diagonal absent the profile is the one-sided cosine
+    chain eigenvector (exact), with balanced off-diagonals the cosine
+    centered on the window (exact), and otherwise the phase and frequency of
+    ``sin(j t + phi)`` are tuned numerically, which lands at or below the
+    ``2 r sin(theta_n / 2)`` bound.
+    """
+    if n < 1:
+        raise DomainError("n must be >= 1")
+    j = np.arange(1, n + 1, dtype=np.float64)
+    if variant == "pi":
+        return np.sin((2 * j - 1) * math.pi / (2 * n))
+    if variant == "tau1":
+        return np.sin(j * math.pi / (n + 1))
+    if variant == "tau":
+        if r_U == 0.0 and r_L == 0.0:
+            raise DegenerateError("tau weights undefined when r = 0")
+        if r_L == 0.0 or r_U == 0.0:
+            w = np.cos((j - 0.5) * math.pi / (2 * n + 1))
+            return w[::-1].copy() if r_U == 0.0 else w
+        theta = solve_theta(n, r_L, r_U)
+        if r_L == r_U or n == 1:
+            return np.cos((j - (n + 1) / 2) * theta)
+        return _tuned_tau_weights(n, r_L, r_U, theta)
+    raise DomainError(f"unknown eta variant {variant!r}")
+
+
+def _tuned_tau_weights(n: int, r_L: float, r_U: float,
+                       theta: float) -> np.ndarray:
+    from scipy.optimize import minimize
+
+    j = np.arange(1, n + 1, dtype=np.float64)
+
+    def objective(x):
+        w = np.sin(j * x[0] + x[1])
+        if not np.any(w):
+            return np.inf
+        return eta(w, r_L, r_U, "tau")
+
+    best_val, best_x = np.inf, None
+    for t0 in (theta, 0.75 * theta, 1.25 * theta):
+        for p0 in (0.0, (math.pi - (n + 1) * theta) / 2, 1.2):
+            res = minimize(objective, [t0, p0], method="Nelder-Mead",
+                           options={"xatol": 1e-13, "fatol": 1e-15,
+                                    "maxiter": 4000})
+            if res.fun < best_val:
+                best_val, best_x = res.fun, res.x
+    return np.sin(j * best_x[0] + best_x[1])
+
+
+def smin_shifted(E, lam: complex, embed=None) -> float:
+    """``smin(E - lam*I)``, or ``smin(E - lam*I_plus)`` for rectangular E."""
+    E = np.asarray(E, dtype=np.complex128)
+    if embed is None:
+        if E.ndim != 2 or E.shape[0] != E.shape[1]:
+            raise DomainError(
+                f"square matrix required without an embedding, got {E.shape}"
+            )
+        shifted = E - lam * np.eye(E.shape[0])
+    else:
+        embed = np.asarray(embed, dtype=np.complex128)
+        if embed.shape != E.shape:
+            raise DomainError(
+                f"embedding shape {embed.shape} does not match matrix {E.shape}"
+            )
+        shifted = E - lam * embed
+    return ps.smin(shifted)
+
+
+def write_matrix_market(path, A) -> None:
+    from scipy.io import mmwrite
+
+    mmwrite(str(path), np.asarray(A, dtype=np.complex128))
 
 
 def masks_agree_off_boundary(region, analytic_dist, level, slack):
@@ -443,10 +528,21 @@ def reference_term_fields(terms, points, want=None, jobs=None):
     return out
 
 
-def unpruned_term_fields(terms, slack=0.0, jobs=None):
+def unpruned_term_fields(terms, slack=0.0, jobs=None, groups=None,
+                         memo=True):
     """Drop-in for ``pseudospec.TermFields`` that evaluates every needed
-    (contribution, point) pair, through ``reference_term_fields``."""
-    return partial(reference_term_fields, terms, jobs=jobs)
+    (contribution, point) pair, through one ``reference_term_fields`` call
+    per group of terms."""
+    ends = np.cumsum([len(terms)] if groups is None else groups).tolist()
+
+    def field(points, want=None):
+        if want is None:
+            want = np.ones((len(terms), np.size(points)), dtype=bool)
+        return np.concatenate([
+            reference_term_fields(terms[a:b], points, want[a:b], jobs)
+            for a, b in zip([0] + ends, ends)])
+
+    return field
 
 
 def exhaustive_bounded(fields, points, levels, want=None):

@@ -17,13 +17,13 @@ from specincl.ingest import (
     load_matrix,
     read_csv_matrix,
     write_csv_matrix,
-    write_matrix_market,
 )
 
 from support import (
     KernelPairs,
     exhaustive_bounded,
     per_n_verify_containment,
+    write_matrix_market,
 )
 
 
@@ -681,6 +681,34 @@ warm = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps({"cold": cold, "warm": warm, "codes": codes,
                   "numpy.ma": "numpy.ma" in sys.modules}))
 """
+
+
+_ALL_MODULES = """
+import importlib, json, pkgutil, sys
+import specincl
+names = [m.name for m in pkgutil.walk_packages(specincl.__path__, "specincl.")]
+for name in names:
+    importlib.import_module(name)
+print(json.dumps({"modules": names,
+                  "scipy": sorted(m for m in sys.modules
+                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only declared dependency: a fresh interpreter that
+    # imports every specincl module has loaded no scipy module
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(specincl.__file__).parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _ALL_MODULES],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "specincl.pseudospec" in result["modules"]
+    assert len(result["modules"]) >= 10
+    assert result["scipy"] == []
 
 
 def test_cold_process_loads_scipy_on_first_use_only(tmp_path):

@@ -11,9 +11,10 @@ from specincl.penalty import (
     eps_tau1,
     eta,
     functionals,
-    optimal_weights,
     solve_theta,
 )
+
+from support import optimal_weights
 
 
 def theta_residual(t, n, r_L, r_U):

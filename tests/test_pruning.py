@@ -16,7 +16,6 @@ import pytest
 from specincl import inclusion as inc
 from specincl import pseudospec as ps
 from specincl.cli import main
-from specincl.ingest import write_matrix_market
 from specincl.matrixcore import BlockPartition, make_view, resolve_partition
 
 from support import (
@@ -24,6 +23,7 @@ from support import (
     exhaustive_bounded,
     reference_term_fields,
     unpruned_term_fields,
+    write_matrix_market,
 )
 
 
@@ -100,8 +100,8 @@ def test_pruned_reports_equal_oracle(name, method, n, t, tmp_path,
     grid = ps.default_grid(view.matrix, pad=1.0, nx=41, ny=37)
     for jobs in (1, 2):
         def run():
-            return inc.method_reports(view, method, [0.0, 0.1], n, t, grid,
-                                      jobs)
+            return inc.method_reports(view, [method], [0.0, 0.1], n, t,
+                                      grid, jobs)[0]
 
         pruned, pairs = counted(monkeypatch, run)
         oracle, oracle_pairs = counted(monkeypatch, run, oracle=True)
@@ -118,8 +118,8 @@ def test_pruned_reports_equal_oracle(name, method, n, t, tmp_path,
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("name", list(VIEWS))
 def test_pruned_sigma_tau_parts_equal_oracle(name, n, tmp_path, monkeypatch):
-    # the parts path completes each term from its own field before the
-    # intersection is completed
+    # sigma and sigma_hat are groups of the sweep that makes their
+    # intersection, each completed from its own field
     view = VIEWS[name]()
     grid = ps.default_grid(view.matrix, pad=1.0, nx=41, ny=37)
     for jobs in (1, 2):

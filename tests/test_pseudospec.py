@@ -26,7 +26,6 @@ from specincl.pseudospec import (
     region_to_json,
     smin,
     smin_grid,
-    smin_shifted,
     smin_slack,
 )
 from specincl.toeplitz import jordan, jordan_alpha, laplacian
@@ -37,6 +36,7 @@ from support import (
     reference_hausdorff,
     reference_pseudospectrum,
     reference_term_fields,
+    smin_shifted,
 )
 
 

@@ -24,7 +24,7 @@ def _band_region(grid):
     # completed at the contour corners
     A = jordan(12)
     view = make_view(A, resolve_partition("uniform:1", A))
-    [report] = inc.method_reports(view, "tau", [0.1], n=3, grid=grid)
+    [[report]] = inc.method_reports(view, ["tau"], [0.1], n=3, grid=grid)
     return report.region
 
 
