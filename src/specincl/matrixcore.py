@@ -40,6 +40,8 @@ __all__ = [
 
 _UNIT_MODULUS_TOL = 1e-12
 _CNORM_EXACT_MAX_ORDER = 1024
+# most blocks whose norms ``block_radii`` stacks at once
+_NORM_BATCH = 1 << 14
 
 
 def as_matrix(a) -> np.ndarray:
@@ -160,7 +162,9 @@ class BlockMatrixView:
     def block_radii(self) -> tuple[float, ...]:
         """r_k of every block row: the sum of the spectral norms of its
         off-diagonal blocks, in column order.  Only the blocks holding a
-        nonzero entry are summed; a zero block adds 0.0, which is exact."""
+        nonzero entry are summed; a zero block adds 0.0, which is exact.
+        The norms come from ``_spectral_norms``, at most ``_NORM_BATCH``
+        blocks at a time."""
         count = self.block_count
         block_of = np.repeat(np.arange(count), self.partition.sizes)
         rows, cols = np.nonzero(self.matrix)
@@ -168,10 +172,14 @@ class BlockMatrixView:
         # would import numpy.ma)
         pairs = np.sort(block_of[rows] * count + block_of[cols])
         pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+        keys = [divmod(key, count) for key in pairs.tolist()
+                if key // count != key % count]
         radii = [0.0] * count
-        for i, j in (divmod(key, count) for key in pairs.tolist()):
-            if i != j:
-                radii[i] += spectral_norm(self.block(i, j))
+        for start in range(0, len(keys), _NORM_BATCH):
+            batch = keys[start:start + _NORM_BATCH]
+            norms = _spectral_norms([self.block(i, j) for i, j in batch])
+            for (i, _), norm in zip(batch, norms):
+                radii[i] += norm
         return tuple(radii)
 
 
@@ -283,17 +291,33 @@ def embedding_selector(n: int, k: int, view: BlockMatrixView) -> np.ndarray:
                   k=b[k] - b[k + 1], dtype=np.complex128)
 
 
+def _spectral_norms(blocks) -> list[float]:
+    """``spectral_norm`` of every block, bit for bit, from one stacked SVD
+    per block shape: numpy's batched SVD runs LAPACK on each matrix of a
+    stack as on a single one.  An all-zero block stays exactly 0.0."""
+    norms = [0.0] * len(blocks)
+    shapes: dict[tuple, list[int]] = {}
+    for k, block in enumerate(blocks):
+        if np.any(block):
+            shapes.setdefault(block.shape, []).append(k)
+    for members in shapes.values():
+        stack = np.stack([blocks[k] for k in members], dtype=np.complex128)
+        top = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        for k, norm in zip(members, top.tolist()):
+            norms[k] = norm
+    return norms
+
+
 def offdiag_norms(view: BlockMatrixView) -> tuple[float, float, float]:
     """Max spectral norms on the first block sub/superdiagonal.
 
     Returns ``(r_L, r_U, r)`` with ``r = r_L + r_U``.
     """
     N = view.block_count
-    r_L = 0.0
-    r_U = 0.0
-    for i in range(N - 1):
-        r_L = max(r_L, spectral_norm(view.block(i + 1, i)))
-        r_U = max(r_U, spectral_norm(view.block(i, i + 1)))
+    norms = _spectral_norms([view.block(i + 1, i) for i in range(N - 1)]
+                            + [view.block(i, i + 1) for i in range(N - 1)])
+    r_L = max([0.0] + norms[:N - 1])
+    r_U = max([0.0] + norms[N - 1:])
     return r_L, r_U, r_L + r_U
 
 

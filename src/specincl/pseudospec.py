@@ -14,11 +14,14 @@ term's maximum or a comparison with a level.  ``certified_regions`` is the
 one constructor of swept grid sets: the sublevel sets of groups of terms
 from one ``level_mask`` sweep of one ``TermFields``, each group at the
 allowance ``smin_slack`` of its own matrices, combined by union or
-intersection into sets with one field and one level, or mask-only.  Every
-swept grid set of the package comes from it, ``pseudospectrum`` included,
-which returns a band field.  The others are masks alone:
-``region_from_points`` marks the nodes nearest to a point set, and
-``inclusion.gershgorin`` its discs, computed analytically.
+intersection into sets with one field and one level, or mask-only.  A
+mask-only sweep decides a component of one square matrix from certified
+bounds on its smin wherever they lie on one side of every level, and sends
+only the other nodes to the SVD.  Every swept grid set of the package
+comes from it, ``pseudospectrum`` included, which returns a band field.
+The others are masks alone: ``region_from_points`` marks the nodes
+nearest to a point set, and ``inclusion.gershgorin`` its discs, computed
+analytically.
 
 All sweeps run through one batched-SVD kernel, ``smin_fields``.  It stacks
 the shifted copies of every matrix of one shape, over the (matrix x node)
@@ -389,6 +392,12 @@ def _nudge(level: float) -> float:
     return (abs(level) + 1.0) * 1e-7
 
 
+def _radius(grid: GridSpec) -> float:
+    """Largest modulus of a point of the grid's box."""
+    return math.hypot(max(abs(grid.re_min), abs(grid.re_max)),
+                      max(abs(grid.im_min), abs(grid.im_max)))
+
+
 def smin_slack(matrices, grid: GridSpec) -> float:
     """Rounding allowance of ``smin_grid`` values of ``matrices`` on ``grid``.
 
@@ -415,12 +424,77 @@ def smin_slack(matrices, grid: GridSpec) -> float:
     such fields obeys the same bound with the largest allowance of its
     matrices.
     """
-    radius = math.hypot(max(abs(grid.re_min), abs(grid.re_max)),
-                        max(abs(grid.im_min), abs(grid.im_max)))
+    radius = _radius(grid)
     delta = max((_SLACK_C * E.shape[0] * E.shape[1] + 1) * _U
                 * (float(np.linalg.norm(E)) + radius)
                 for E in map(np.asarray, matrices))
     return 2.0 * delta + 8.0 * _U * radius
+
+
+def _smin_bounds(E, radius: float):
+    """Bounds ``lo <= f~(z) <= hi`` of the value f~ that ``smin_fields``
+    computes for f(z) = smin(E - z I), E square of order n, at nodes z of
+    modulus at most R = ``radius``.  Returns ``bounds(points, slack)``,
+    ``slack`` being at least 2 delta, delta the error bound |f~ - f| of
+    ``smin_slack`` (whose allowance is such a slack).
+
+    Exact bounds.  Let r_i and c_i be the sums of |e_ij| over the
+    off-diagonal entries of row i and of column i, h_i = (r_i + c_i) / 2,
+    and rho_i the lesser 2-norm of those two off-diagonal parts.  Johnson's
+    Gershgorin-type bound (*Linear Algebra Appl.* 112, 1989) gives
+        f(z) >= min_i |e_ii - z| - h_i,
+    and column i of E - zI, and row i (a square matrix and its adjoint have
+    the same singular values), give
+        f(z) <= min_i hypot(|e_ii - z|, rho_i).
+    For E equal to E^H bit for bit, E is normal and f(z) is the distance
+    from z to its eigenvalues (Trefethen & Embree, *Spectra and
+    Pseudospectra*, 2005, ch. 2).  ``eigvalsh`` is backward stable: its
+    eigenvalues are those of a Hermitian matrix within eta = (c n^2 + 1) u
+    ||E||_F of E in 2-norm (the c of ``smin_slack``), so by Weyl's
+    inequality each is within eta of an exact one, and the distance to
+    them is within eta of f(z).  This replaces both bounds above: the terms
+    become |lambda_i - z|, with h_i = rho_i = 0.
+
+    Rounding.  With S = R + max_i (|e_ii| + h_i) (R + ||E||_F for E = E^H),
+    every quantity formed is at most S, since rho_i <= h_i.  The sums and
+    norms of n - 1 entries carry at most (n + 2) u of relative error, the
+    difference e_ii - z with its modulus 3u, hypot and the difference of a
+    term u each, so each computed term is within kappa = (n + 8) u S of its
+    exact one to first order (kappa = eta + 4 u S for E = E^H).  lo and hi
+    are the least terms shifted by a = W (slack + 2 kappa), W = 1 + 2^-30 as
+    in ``TermFields``: the second kappa covers the second-order terms and
+    the final shift's rounding, at most u (S + a).  So lo <= f - slack <=
+    f~ and hi >= f + slack >= f~ at every node.
+    """
+    E = np.asarray(E, dtype=np.complex128)
+    n = len(E)
+    if np.array_equal(E, E.conj().T):
+        norm = float(np.linalg.norm(E))
+        kappa = ((_SLACK_C * n * n + 1) * norm + 4.0 * (radius + norm)) * _U
+        centres = np.linalg.eigvalsh(E)
+        half = rest = np.zeros(n)
+    else:
+        off = np.abs(E)
+        np.fill_diagonal(off, 0.0)
+        centres = np.diag(E)
+        half = (off.sum(axis=0) + off.sum(axis=1)) / 2.0
+        rest = np.minimum(np.linalg.norm(off, axis=0),
+                          np.linalg.norm(off, axis=1))
+        kappa = (n + 8) * _U * (radius + float((abs(centres) + half).max()))
+    # equal diagonal entries of equal rows and columns are one term
+    terms = dict.fromkeys(zip(centres.tolist(), half.tolist(), rest.tolist()))
+
+    def bounds(points, slack):
+        lo = np.full(points.shape, np.inf)
+        hi = np.full(points.shape, np.inf)
+        for centre, h, rho in terms:
+            gap = np.abs(points - centre)
+            np.fmin(lo, gap - h, out=lo)
+            np.fmin(hi, np.hypot(gap, rho), out=hi)
+        allow = (slack + 2.0 * kappa) * _DIST_WIDEN
+        return lo - allow, hi + allow
+
+    return bounds
 
 
 def _content_key(mat, embed) -> bytes:
@@ -818,6 +892,44 @@ def _corner_need(regions) -> np.ndarray:
     return need & np.isnan(regions[0].values)
 
 
+def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
+    """``field`` as ``level_mask`` calls it, with the pairs that bounds
+    decide taken from them.
+
+    A component whose term holds one distinct square matrix gets the bounds
+    ``lo <= f~ <= hi`` of ``_smin_bounds`` at its own ``slacks`` entry.  A
+    wanted pair with hi at most every level of its row of ``levels`` is
+    inside at all of them, and takes hi as its value; one with lo above
+    every level is outside, and takes lo, unless ``field`` returns f~ there
+    for another term of its group.  Either bound lies on the side of each
+    level that f~ does, no nearer to it, so ``level_mask``'s margins still
+    bound f~ at the neighbours.  The other pairs, ties included, go to
+    ``field``.  Terms of several contributions keep every pair, so
+    ``TermFields`` keeps its anchors.
+    """
+    radius = _radius(grid)
+    bounds = {}
+    for i, idx in enumerate(field.members):
+        E, embed = field.items[idx[0]]
+        shape = np.shape(E)
+        if (idx.size == 1 and embed is None and len(shape) == 2
+                and shape[0] == shape[1]):
+            bounds[i] = _smin_bounds(E, radius)
+    low, high = levels.min(axis=1), levels.max(axis=1)
+
+    def sweep(points, want):
+        value = np.full(want.shape, np.nan)
+        for i, bound in bounds.items():
+            at = np.flatnonzero(want[i])
+            lo, hi = bound(points[at], slacks[i])
+            value[i, at] = np.where(hi <= low[i], hi,
+                                    np.where(lo > high[i], lo, np.nan))
+        vals = field(points, want & np.isnan(value))
+        return np.where(np.isnan(vals), value, vals)
+
+    return sweep
+
+
 def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
                       combine: str = "intersect",
                       with_field: bool = True) -> list:
@@ -853,7 +965,9 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
     knows it (NaN elsewhere), completed at the corners ``fill_corners``
     would evaluate, in one evaluation for all groups.  A value of G within
     the contour nudge of l_0 is one of a component near its level, so the
-    band holds it.  Without ``with_field`` the regions are mask-only.
+    band holds it.  Without ``with_field`` the regions are mask-only, and
+    the components of one distinct square matrix take the nodes their
+    certified bounds decide from the bounds, with no SVD (``_bounds_tier``).
     """
     groups = [(terms, np.asarray(lv, dtype=np.float64))
               for terms, lv in groups]
@@ -867,8 +981,11 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
     # only the corner fill asks for a pair again
     field = TermFields([term for terms, _ in groups for term in terms],
                        max(slacks), jobs, sizes, memo=with_field)
-    sweep = field if not with_field else lambda points, want: field(
-        points, np.repeat(np.logical_or.reduceat(want, starts), sizes, axis=0))
+    if with_field:
+        sweep = lambda points, want: field(points, np.repeat(
+            np.logical_or.reduceat(want, starts), sizes, axis=0))
+    else:
+        sweep = _bounds_tier(field, comps, np.repeat(slacks, sizes), grid)
     masks, band = level_mask(
         sweep, grid, comps, np.repeat(slacks, sizes),
         np.repeat([_nudge(float(np.abs(lv).max())) for _, lv in groups],

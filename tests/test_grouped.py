@@ -21,10 +21,12 @@ from specincl.matrixcore import make_view, resolve_partition
 from specincl.toeplitz import (
     StudyResult,
     StudyRow,
+    build_toeplitz,
     convergence_study,
     jordan,
     jordan_symbol,
     laplacian,
+    laplacian_symbol,
 )
 
 from support import KernelPairs
@@ -154,6 +156,27 @@ def test_converge_jordan_kernel_budget(monkeypatch):
         jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64, jobs=2))
     assert max(pairs.values()) == 1
     assert sum(pairs.values()) <= 5487
+
+
+def test_converge_jordan_reference_units(monkeypatch):
+    # 158 of the 374 order-96 reference pairs lie just outside the set,
+    # where Johnson's lower bound decides them without an SVD
+    pairs = kernel_pairs(monkeypatch, lambda: convergence_study(
+        jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64, jobs=2))
+    reference = ps._content_key(build_toeplitz(jordan_symbol(), 96), None)
+    assert 0 < sum(n for (key, _), n in pairs.items()
+                   if key == reference) <= 216
+
+
+def test_laplacian_study_sends_no_reference_pair(monkeypatch):
+    # the Laplacian is Hermitian, so its references are decided from the
+    # distance to its eigenvalues; the 898 pairs a sweep sent are all gone
+    schedule = [(64, 2, 1), (64, 4, 1), (128, 4, 1)]
+    pairs = kernel_pairs(monkeypatch, lambda: convergence_study(
+        laplacian_symbol(), 0.1, schedule, grid_nodes=128))
+    references = {ps._content_key(build_toeplitz(laplacian_symbol(), M), None)
+                  for M in (64, 128)}
+    assert pairs and not any(key in references for key, _ in pairs)
 
 
 @pytest.mark.parametrize("nodes", [64, 128])

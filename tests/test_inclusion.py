@@ -471,6 +471,25 @@ def test_gershgorin_block_equals_full_sweep(seed, monkeypatch):
     assert np.array_equal(inc.gershgorin_block(view, grid=grid).mask, full)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: jordan(12),
+    lambda: laplacian(16),
+    lambda: banded_matrix(24, 3, seed=4),
+    lambda: rand_complex(np.random.default_rng(44), (10, 10)),
+    lambda: (np.diag(rand_complex(np.random.default_rng(45), 8))
+             + 0.05 * rand_complex(np.random.default_rng(46), (8, 8))),
+], ids=["jordan", "laplacian", "banded", "dense", "near-diagonal"])
+def test_gershgorin_block_scalar_partition_equals_full_sweep(build):
+    # every component is a 1x1 block, which the bounds tier decides away
+    # from its level: the masks are those of an SVD at every node
+    view = scalar_view(build())
+    grid = ps.default_grid(view.matrix, pad=max(view.block_radii),
+                           nx=48, ny=48)
+    full = reference_gershgorin_block(view, grid)
+    assert np.array_equal(inc.gershgorin_block(view, grid=grid).mask, full)
+    assert full.any()
+
+
 def zero_block_matrix():
     # blocks (0, 2), (1, 0) and (2, 1) are zero; so is all of block row 3
     rng = np.random.default_rng(43)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from specincl import pseudospec as ps
 from specincl.errors import DomainError, PartitionError, PiMethodUnsupported
 from specincl.matrixcore import (
     BlockPartition,
@@ -375,6 +376,34 @@ def test_offdiag_norms_examples():
     block_diag = np.kron(np.eye(3), np.array([[1.0, 2.0], [0.0, 1.0]]))
     view = make_view(block_diag, BlockPartition((2, 2, 2)))
     assert offdiag_norms(view) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_block_norms_equal_one_svd_per_block(seed):
+    # one stacked SVD per block shape gives the per-block loop's bits, with
+    # all-zero blocks (some of -0.0 entries) exactly 0.0 and the radii
+    # summed in column order
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        sizes = tuple(rng.integers(1, 7, size=rng.integers(2, 9)).tolist())
+        M = sum(sizes)
+        A = rand_complex(rng, (M, M))
+        A[rng.random((M, M)) < 0.5] = 0.0
+        A[rng.random((M, M)) < 0.1] = -0.0
+        view = make_view(A, BlockPartition(sizes))
+        N = len(sizes)
+        radii = [0.0] * N
+        for i in range(N):
+            for j in range(N):
+                if i != j:
+                    radii[i] += ps.spectral_norm(view.block(i, j))
+        r_L = max([0.0] + [ps.spectral_norm(view.block(i + 1, i))
+                           for i in range(N - 1)])
+        r_U = max([0.0] + [ps.spectral_norm(view.block(i, i + 1))
+                           for i in range(N - 1)])
+        assert [r.hex() for r in view.block_radii] == [r.hex() for r in radii]
+        assert [r.hex() for r in offdiag_norms(view)] == [
+            r.hex() for r in (r_L, r_U, r_L + r_U)]
 
 
 def test_offdiag_norms_blockdiag_unitary_invariance():

@@ -31,6 +31,7 @@ from specincl.pseudospec import (
 from specincl.toeplitz import jordan, jordan_alpha, laplacian
 
 from support import (
+    KernelPairs,
     assert_band_of,
     reference_covers_points,
     reference_hausdorff,
@@ -563,6 +564,108 @@ def test_smin_slack_scales_with_norm_and_grid():
     assert smin_slack([100 * J], grid) > 50 * small
     assert smin_slack([J], GridSpec(-1e3, 1e3, -1, 1, 9, 9)) > 50 * small
     assert smin_slack([J, jordan(2)], grid) == small
+
+
+# ---------------------------------------------------------------------------
+# bounds tier of mask-only sweeps
+# ---------------------------------------------------------------------------
+
+def hermitian_random(n, seed):
+    X = rand_complex(np.random.default_rng(seed), (n, n))
+    H = (X + X.conj().T) / 2
+    assert np.array_equal(H, H.conj().T)
+    return H
+
+
+BOUND_CASES = {
+    **{f"random-{n}": (lambda n=n: rand_complex(np.random.default_rng(n),
+                                                  (n, n)) / math.sqrt(n))
+       for n in (1, 2, 3, 5, 8, 12, 16)},
+    "hermitian-8": lambda: hermitian_random(8, 5),
+    "laplacian-9": lambda: laplacian(9),
+    "diagonal-6": lambda: np.diag(rand_complex(np.random.default_rng(6), 6)),
+    "jordan-10": lambda: jordan(10),
+    "scalar": lambda: np.array([[0.3 - 0.7j]]),
+    "scalar-real": lambda: np.array([[0.3 + 0j]]),
+}
+
+
+def exact_smin(mp, E, z):
+    """smin(E - zI) at 50 digits: the shift is formed in mpmath, exactly."""
+    with mp.workdps(50):
+        M = mp.matrix(np.asarray(E).tolist())
+        for i in range(len(E)):
+            M[i, i] -= mp.mpc(z)
+        return min(mp.svd_c(M, compute_uv=False))
+
+
+@pytest.mark.parametrize("build", BOUND_CASES.values(), ids=BOUND_CASES)
+def test_smin_bounds_enclose_exact_and_computed_smin(build):
+    # lo <= smin <= hi for the exact value (at slack 0) and for the kernel's
+    # value (at the sweep's slack), at sampled nodes and at the diagonal
+    # entries, where the bounds are tightest
+    mp = pytest.importorskip("mpmath")
+    E = np.asarray(build(), dtype=np.complex128)
+    grid = default_grid(E, pad=0.5, nx=9, ny=9)
+    rng = np.random.default_rng(len(E))
+    nodes = grid.nodes().ravel()
+    points = np.concatenate([rng.choice(nodes, 5, replace=False),
+                             nodes[np.abs(nodes - np.diag(E)[:, None])
+                                   .argmin(axis=1)]])
+    bounds = ps._smin_bounds(E, ps._radius(grid))
+    lo, hi = bounds(points, 0.0)
+    for z, a, b in zip(points.tolist(), lo.tolist(), hi.tolist()):
+        exact = exact_smin(mp, E, z)
+        assert mp.mpf(a) <= exact <= mp.mpf(b)
+    lo, hi = bounds(points, smin_slack([E], grid))
+    computed = smin_grid(E, points)
+    assert np.all((lo <= computed) & (computed <= hi))
+
+
+@pytest.mark.parametrize("E, level, node", [
+    (np.array([[0.5 + 0j]]), 0.25, 0.5 + 0.25j),
+    (np.array([[0.5j]]), 0.25, 0.25 + 0.5j),
+    (np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex), 0.25, 0.5 + 0j),
+], ids=["scalar-real", "scalar-imaginary", "hermitian"])
+def test_bounds_tier_sends_ties_to_the_kernel(E, level, node, monkeypatch):
+    # |a - z|, or the distance from z to the eigenvalues 0.25 and 0.75,
+    # equals the level at a node: the bounds straddle it, so the kernel
+    # decides that node, and the mask is the full sweep's
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
+    assert node in grid.nodes()
+    spy = KernelPairs()
+    monkeypatch.setattr(ps, "smin_fields", spy)
+    region = pseudospectrum(E, level, grid, with_field=False)
+    monkeypatch.undo()
+    assert spy.pairs[(ps._content_key(E, None), node)] == 1
+    full = reference_pseudospectrum(E, level, grid)
+    assert full.values[grid.nodes() == node] == level
+    assert np.array_equal(region.mask, full.mask)
+
+
+MASK_CASES = {
+    "laplacian-128": (lambda: laplacian(128), 0.1),
+    "jordan-96": (lambda: jordan(96), 0.15),
+    "hermitian-40": (lambda: hermitian_random(40, 40) / math.sqrt(40), 0.3),
+    "diagonal-30": (lambda: np.diag(rand_complex(np.random.default_rng(30),
+                                                  30)), 0.2),
+    "dense-30": (lambda: rand_complex(np.random.default_rng(31), (30, 30))
+                 / math.sqrt(30), 0.3),
+    "scalar": (lambda: np.array([[0.3 - 0.7j]]), 0.4),
+}
+
+
+@pytest.mark.parametrize("nodes", [64, 129])
+@pytest.mark.parametrize("case", MASK_CASES.values(), ids=MASK_CASES)
+def test_mask_only_pseudospectrum_equals_full_sweep(case, nodes):
+    build, eps = case
+    E = build()
+    grid = default_grid(E, pad=eps, nx=nodes, ny=nodes)
+    region = pseudospectrum(E, eps, grid, with_field=False)
+    full = reference_pseudospectrum(E, eps, grid)
+    assert np.array_equal(region.mask, full.mask)
+    assert 0 < full.mask.sum() < full.mask.size
+    assert region.values is None
 
 
 # ---------------------------------------------------------------------------
