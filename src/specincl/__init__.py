@@ -43,7 +43,6 @@ from .pseudospec import (
     covers_points,
     default_grid,
     eig,
-    fill_corners,
     hausdorff,
     level_mask,
     pseudospectrum,

@@ -228,6 +228,7 @@ def cmd_verify(args) -> int:
     if not 2 <= args.order_min <= args.order_max:
         raise UsageError("orders need 2 <= --order-min <= --order-max, got "
                          f"{args.order_min} and {args.order_max}")
+    check_dense_shape((args.order_max, args.order_max), "--order-max")
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
     if args.max_n is not None and args.max_n < 1:

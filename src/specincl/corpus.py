@@ -18,12 +18,14 @@ violations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import inclusion as inc
 from . import pseudospec as ps
+from .errors import DomainError
 from .matrixcore import BlockPartition, make_view
 from .toeplitz import build_toeplitz, toeplitz_spec
 
@@ -164,7 +166,7 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
         tau1_row[n] = len(terms) - 1
     fields = ps.TermFields(terms)
     at_lams = iter(fields.bounded(lams, lows))
-    row_sum = np.abs(A).sum(axis=1).max()
+    row_sum = float(np.abs(A).sum(axis=1).max())
 
     records, draws = [], []
     for n in ns:
@@ -181,6 +183,9 @@ def _item_records(item, eps_values, t_values, scale, max_n, rng):
             inside = f_n[-1][0] <= level + _LEVEL_SLACK
             if inside.any():
                 box = row_sum + eps
+                if not math.isfinite(2.0 * box):
+                    raise DomainError(f"eps {eps!r} overflows the probe box "
+                                      "of the tau1 sandwich check")
                 extra = (rng.uniform(-box, box, 8)
                          + 1j * rng.uniform(-box, box, 8))
                 draws.append((len(records), n, eps, level, inside, extra))

@@ -21,8 +21,8 @@ corners: the term's field for one term, and for the two tau terms their
 maximum after shifting each to the larger level, so that every set is
 contoured from a field.  ``method_mask`` returns the mask alone.  Block
 Gershgorin is the mask-only union of the certified pseudospectra of the
-distinct diagonal blocks, the sandwich set of ``tau1_method`` is a
-``pseudospectrum``, and the classical Gershgorin discs are marked
+distinct diagonal blocks, the sandwich set of ``tau1_method`` is one more
+group of its sweep, and the classical Gershgorin discs are marked
 analytically, with no sweep.
 """
 
@@ -184,10 +184,12 @@ def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
     """The sets of a family method at every eps of ``eps_list``, from one
     ``ps.certified_regions`` sweep over its terms at their levels,
     intersected (``kwargs`` pass on to it); with ``split``, each of two or
-    more terms also alone, as further groups of the sweep.
+    more terms also alone, and with ``outer``, the pseudospectrum of the
+    full matrix at the sandwich level ``tau1_outer_level``, as further
+    groups of the sweep.
 
-    Returns the penalty inputs, the grid and one region list per group.
-    Without a grid, the default one is padded by ``grid_pad``.
+    Returns one region list per group.  Without a grid, the default one is
+    padded by ``grid_pad``.
     """
     p, terms, lvls = method_terms(view, method, n, eps_list, t)
     if grid is None:
@@ -196,7 +198,10 @@ def _method_regions(view: BlockMatrixView, method: str, n: int, eps_list,
     groups = [(terms, lvls)]
     if split and len(terms) > 1:
         groups += [([term], lvls[i:i + 1]) for i, term in enumerate(terms)]
-    return p, grid, ps.certified_regions(groups, grid, jobs, **kwargs)
+    if outer:
+        groups.append(([[(None, view.matrix, None)]],
+                       [[tau1_outer_level(p, eps) for eps in eps_list]]))
+    return ps.certified_regions(groups, grid, jobs, **kwargs)
 
 
 def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
@@ -208,8 +213,8 @@ def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
     of ``Sigma`` of ``sigma_tau``, ``pi_method`` or ``Gamma`` of
     ``tau1_method``.
     """
-    _, _, [[region]] = _method_regions(view, method, n, [eps], grid, jobs,
-                                       t=t, with_field=False)
+    [[region]] = _method_regions(view, method, n, [eps], grid, jobs, t=t,
+                                 with_field=False)
     return region
 
 
@@ -226,8 +231,8 @@ def sigma_tau(view: BlockMatrixView, n: int, eps: float,
     union at level ``eps + eps_{n-2}`` for n > 2 (else None), and their
     intersection (== sigma for n <= 2).
     """
-    _, _, [[both], *alone] = _method_regions(view, "tau", n, [eps], grid,
-                                             jobs, split=True)
+    [[both], *alone] = _method_regions(view, "tau", n, [eps], grid, jobs,
+                                       split=True)
     if not alone:
         return both, None, both
     return alone[0][0], alone[1][0], both
@@ -237,8 +242,7 @@ def pi_method(view: BlockMatrixView, n: int, t: complex, eps: float,
               grid: ps.GridSpec | None = None,
               jobs: int | None = None) -> ps.Region:
     """Periodised-truncation inclusion set (uniform partitions only)."""
-    _, _, [[region]] = _method_regions(view, "pi", n, [eps], grid, jobs,
-                                       t=t)
+    [[region]] = _method_regions(view, "pi", n, [eps], grid, jobs, t=t)
     return region
 
 
@@ -248,19 +252,15 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
     """Rectangular-truncation inclusion set and its sandwich companion.
 
     Returns ``(Gamma, outer_region)``.  The sandwich set
-    ``Spec_{eps + eps''_n + 2||C||}(A)`` is the ``pseudospectrum`` of the
-    full matrix, made only when ``outer`` is True, or by default for orders
-    <= 512; pass ``outer=False`` to skip it.
+    ``Spec_{eps + eps''_n + 2||C||}(A)`` is the pseudospectrum of the full
+    matrix, a group of the same sweep as Gamma, made only when ``outer`` is
+    True, or by default for orders <= 512; pass ``outer=False`` to skip it.
     """
     if outer is None:
         outer = view.order <= _OUTER_AUTO_MAX_ORDER
-    p, grid, [[gamma]] = _method_regions(view, "tau1", n, [eps], grid,
-                                         jobs, outer=outer)
-    outer_region = None
-    if outer:
-        outer_region = ps.pseudospectrum(view.matrix, tau1_outer_level(p, eps),
-                                         grid, jobs=jobs)
-    return gamma, outer_region
+    [[gamma], *sandwich] = _method_regions(view, "tau1", n, [eps], grid,
+                                           jobs, outer=outer)
+    return gamma, sandwich[0][0] if sandwich else None
 
 
 # ---------------------------------------------------------------------------

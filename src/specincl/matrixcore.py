@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, PartitionError, PiMethodUnsupported
-from .pseudospec import spectral_norm
 
 __all__ = [
     "as_matrix",
@@ -292,9 +291,10 @@ def embedding_selector(n: int, k: int, view: BlockMatrixView) -> np.ndarray:
 
 
 def _spectral_norms(blocks) -> list[float]:
-    """``spectral_norm`` of every block, bit for bit, from one stacked SVD
-    per block shape: numpy's batched SVD runs LAPACK on each matrix of a
-    stack as on a single one.  An all-zero block stays exactly 0.0."""
+    """``np.linalg.norm(block, 2)`` of every block, bit for bit, from one
+    stacked SVD per block shape: numpy's batched SVD runs LAPACK on each
+    matrix of a stack as on a single one.  An all-zero block stays exactly
+    0.0."""
     norms = [0.0] * len(blocks)
     shapes: dict[tuple, list[int]] = {}
     for k, block in enumerate(blocks):
@@ -331,7 +331,7 @@ def remaining_norm(C, mode: str = "exact") -> float:
     if C.size == 0 or not np.any(C):
         return 0.0
     if mode == "exact":
-        return spectral_norm(C)
+        return float(np.linalg.norm(C, 2))
     if mode == "mixed":
         absC = np.abs(C)
         one = float(absC.sum(axis=0).max())

@@ -5,21 +5,21 @@ optionally carrying a field and a level: the set is the field's sublevel
 set, and the mask its sampling at the nodes.  ``level_mask`` gives the
 masks at several levels at once from far fewer nodes than a full sweep,
 certified by the Lipschitz continuity of smin, together with a band field:
-the values where they were evaluated, NaN elsewhere.  ``fill_corners``
-completes a band field at the nodes ``contour_extract`` reads.
-``TermFields`` evaluates terms, each the least smin over a list of
-matrices, at grid nodes or at any points, and each matrix only where it can
-be its term's minimum; ``TermFields.bounded`` only where it can change a
-term's maximum or a comparison with a level.  ``certified_regions`` is the
-one constructor of swept grid sets: the sublevel sets of groups of terms
-from one ``level_mask`` sweep of one ``TermFields``, each group at the
-allowance ``smin_slack`` of its own matrices, combined by union or
-intersection into sets with one field and one level, or mask-only.  A
-mask-only sweep decides a component of one square matrix from certified
-bounds on its smin wherever they lie on one side of every level, and sends
-only the other nodes to the SVD.  Every swept grid set of the package
-comes from it, ``pseudospectrum`` included, which returns a band field.
-The others are masks alone: ``region_from_points`` marks the nodes
+the values where they were evaluated, NaN elsewhere.  ``TermFields``
+evaluates terms, each the least smin over a list of matrices, at grid nodes
+or at any points, and each matrix only where it can be its term's minimum;
+``TermFields.bounded`` only where it can change a term's maximum or a
+comparison with a level.  ``certified_regions`` is the one constructor of
+swept grid sets: the sublevel sets of groups of terms from one
+``level_mask`` sweep of one ``TermFields``, each group at the allowance
+``smin_slack`` of its own matrices, combined by union or intersection into
+sets with one field and one level, or mask-only.  It completes the band
+fields at the nodes ``contour_extract`` reads, in one evaluation for all
+groups.  A mask-only sweep decides a component of one square matrix from
+certified bounds on its smin wherever they lie on one side of every level,
+and sends only the other nodes to the SVD.  Every swept grid set of the
+package comes from it, ``pseudospectrum`` included, which returns a band
+field.  The others are masks alone: ``region_from_points`` marks the nodes
 nearest to a point set, and ``inclusion.gershgorin`` its discs, computed
 analytically.
 
@@ -43,7 +43,6 @@ Nothing here imports scipy.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -58,7 +57,6 @@ __all__ = [
     "GridSpec",
     "Region",
     "smin",
-    "spectral_norm",
     "smin_fields",
     "smin_grid",
     "usable_cpus",
@@ -66,7 +64,6 @@ __all__ = [
     "smin_slack",
     "TermFields",
     "level_mask",
-    "fill_corners",
     "certified_regions",
     "region_from_points",
     "region_points",
@@ -78,8 +75,6 @@ __all__ = [
     "region_to_csv",
     "region_doc",
     "region_from_doc",
-    "region_to_json",
-    "region_from_json",
 ]
 
 # largest block of stacked shifted copies (and their embedded shifts), in
@@ -107,16 +102,6 @@ def smin(E) -> float:
     if E.shape[0] < E.shape[1]:
         raise DomainError(f"smin needs rows >= cols, got shape {E.shape}")
     return float(np.linalg.svd(E, compute_uv=False)[-1])
-
-
-def spectral_norm(E) -> float:
-    """Largest singular value; 0 for an all-zero or degenerate block."""
-    E = np.asarray(E, dtype=np.complex128)
-    if E.size == 0:
-        return 0.0
-    if not np.any(E):
-        return 0.0
-    return float(np.linalg.svd(E, compute_uv=False)[0])
 
 
 def usable_cpus() -> int:
@@ -861,30 +846,12 @@ def level_mask(field, grid: GridSpec, levels, slack, nudge=None):
     return inside, band
 
 
-def fill_corners(regions, field) -> list:
-    """The regions with their shared band field evaluated at every unknown
-    corner of their boundary cells: the cells whose corners are not all on
-    one side of the mask, or of the mask ``contour_extract`` nudges (those
-    are the only values it reads).
-
-    ``regions`` lie on one grid and carry one field (the same values, NaN
-    where unknown) and each a level, such as the regions of one
-    ``level_mask`` component at its levels; ``field(need)`` returns its
-    values at the nodes a boolean (ny, nx) array marks, in row-major order.
-    The band must hold every value within the nudge of a level (the bands
-    of ``level_mask`` and of ``certified_regions`` do).
-    """
-    regions = list(regions)
-    need = _corner_need(regions)
-    if not need.any():
-        return regions
-    vals = regions[0].values.copy()
-    vals[need] = field(need)
-    return [Region(r.grid, r.mask, vals, r.level) for r in regions]
-
-
 def _corner_need(regions) -> np.ndarray:
-    """The nodes ``fill_corners`` evaluates for these regions."""
+    """The unknown corners of the regions' boundary cells, of the mask or
+    of the mask ``contour_extract`` nudges: the only values it reads.
+    ``regions`` lie on one grid and share one field (NaN where unknown),
+    which must hold every value within the nudge of a level, as the bands
+    of ``level_mask`` do."""
     need = np.zeros(regions[0].mask.shape, dtype=bool)
     for r in regions:
         need |= (_contour_corners(np.pad(r.mask, 1))
@@ -962,8 +929,8 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
 
     With ``with_field`` the sweep evaluates every component of a group
     wherever it evaluates one, and the region carries G where the band
-    knows it (NaN elsewhere), completed at the corners ``fill_corners``
-    would evaluate, in one evaluation for all groups.  A value of G within
+    knows it (NaN elsewhere), completed at the corners ``_corner_need``
+    names, in one evaluation for all groups.  A value of G within
     the contour nudge of l_0 is one of a component near its level, so the
     band holds it.  Without ``with_field`` the regions are mask-only, and
     the components of one distinct square matrix take the nodes their
@@ -1221,10 +1188,11 @@ def contour_extract(region: Region) -> list[np.ndarray]:
     (Gershgorin discs, block Gershgorin, ``method_mask``,
     ``region_from_points``) are contoured from the 0/1 mask.  The case of
     each cell comes from the mask, and the field is read only at the
-    corners of boundary cells, so a band field completed by ``fill_corners``
-    gives the contours of the full field.  The grid is padded with one ring
-    of outside nodes so every contour closes.  Returns a list of (k, 2)
-    float arrays of (re, im) vertices; first vertex == last.
+    corners of boundary cells, so a band field completed by
+    ``certified_regions`` gives the contours of the full field.  The grid
+    is padded with one ring of outside nodes so every contour closes.
+    Returns a list of (k, 2) float arrays of (re, im) vertices; first
+    vertex == last.
     """
     if region.is_empty:
         raise EmptyRegionError("no contours in an empty region")
@@ -1301,7 +1269,7 @@ def _marching_squares(inside, f, xs, ys, level) -> np.ndarray:
     v = np.where(ring, np.max(v[~ring]) + abs(level) + 1.0, v)
     if np.isnan(v).any():
         raise DomainError("the field is unknown at a corner of a boundary "
-                          "cell; complete it with fill_corners")
+                          "cell; complete it with certified_regions")
     corners = np.stack([xs[cols], ys[rows]], axis=2)
     vp, vq = v[:, _FROM], v[:, _TO]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1403,22 +1371,10 @@ def region_doc(region: Region) -> dict:
     }
 
 
-def region_from_doc(doc: dict, level: float | None = None) -> Region:
+def region_from_doc(doc: dict) -> Region:
     """Inverse of ``region_doc``: a region from a document's grid and mask."""
     g = doc["grid"]
     grid = GridSpec(g["re_min"], g["re_max"], g["im_min"], g["im_max"],
                     g["nx"], g["ny"])
     mask = _mask_from_rle(doc["mask_rle"], (grid.ny, grid.nx))
-    return Region(grid, mask, None, level)
-
-
-def region_to_json(region: Region, params: dict | None = None) -> str:
-    """Self-describing JSON: grid metadata, run parameters, RLE mask."""
-    doc = {**region_doc(region), "level": region.level,
-           "params": params or {}}
-    return json.dumps(doc, sort_keys=True)
-
-
-def region_from_json(text: str) -> Region:
-    doc = json.loads(text)
-    return region_from_doc(doc, doc.get("level"))
+    return Region(grid, mask)

@@ -191,8 +191,8 @@ def reference_block_radii(view):
     """r_k of every block row: the spectral norms of all its off-diagonal
     blocks, summed in column order."""
     N = view.block_count
-    return [sum(ps.spectral_norm(view.block(i, j)) for j in range(N) if j != i)
-            for i in range(N)]
+    return [sum(np.linalg.norm(view.block(i, j), 2)
+                for j in range(N) if j != i) for i in range(N)]
 
 
 def reference_gershgorin_block(view, grid):

@@ -514,6 +514,9 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["include", "--input", "out-of-memory.mtx", "--method", "gersh"],
     ["verify", "--count", "1", "--order-min", "4", "--order-max", "4",
      "--eps", "0,0.0"],
+    ["verify", "--count", "1", "--eps", "9e307"],
+    ["verify", "--count", "1", "--order-max", "9" * 20],
+    ["verify", "--count", "1", "--order-max", "3000000000"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -527,7 +530,8 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "mtx-extra-token", "mtx-extra-non-ascii", "mtx-size-too-big",
         "grid-nx-overflow", "grid-too-big", "converge-grid-nodes-overflow",
         "M-too-big", "M-overflow", "schedule-M-too-big", "grid-out-of-memory",
-        "mtx-out-of-memory", "verify-eps-repeated"])
+        "mtx-out-of-memory", "verify-eps-repeated", "verify-eps-overflow",
+        "verify-order-max-overflow", "verify-order-max-too-big"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("1;2\n3;abc\n")

@@ -200,6 +200,11 @@ def test_tau1_jordan_disc_and_sandwich():
     assert masks_agree_off_boundary(gamma, dist, alpha, grid.cell_diag)
     assert outer is not None
     assert not np.any(gamma.mask & ~outer.mask)
+    # the sandwich group of the sweep is the lone pseudospectrum, bit for bit
+    lone = ps.pseudospectrum(view.matrix, inc.tau1_outer_level(p, eps), grid)
+    assert np.array_equal(outer.mask, lone.mask)
+    assert np.array_equal(outer.values, lone.values, equal_nan=True)
+    assert outer.level == lone.level
 
 
 def test_tau1_laplacian_edge_case_single_shape():

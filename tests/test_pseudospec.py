@@ -20,10 +20,8 @@ from specincl.pseudospec import (
     hausdorff,
     level_mask,
     pseudospectrum,
-    region_from_json,
     region_from_points,
     region_to_csv,
-    region_to_json,
     smin,
     smin_grid,
     smin_slack,
@@ -531,7 +529,7 @@ def test_band_field_contours_equal_full_field(case, tmp_path):
     [masks], [band] = level_mask(lambda pts, want: [field(pts)], grid,
                                  [levels], smin_slack([A], grid))
     regions = [Region(grid, m, band, level) for m, level in zip(masks, levels)]
-    filled = ps.fill_corners(regions, lambda need: field(grid.nodes()[need]))
+    [filled] = ps.certified_regions([([[(None, A, None)]], [levels])], grid)
     for region, done, level in zip(regions, filled, levels):
         whole = Region(grid, full <= level, full, level)
         known = ~np.isnan(done.values)
@@ -948,8 +946,8 @@ def first_node_only(shape):
 def test_region_json_roundtrip(make_mask):
     grid = GridSpec(-2, 2, -2, 2, 31, 29)
     mask = make_mask(grid)
-    text = region_to_json(Region(grid, mask), params={"eps": 0.7})
-    back = region_from_json(text)
+    text = json.dumps(ps.region_doc(Region(grid, mask)))
+    back = ps.region_from_doc(json.loads(text))
     assert back.grid == grid
     assert np.array_equal(back.mask, mask)
     runs = json.loads(text)["mask_rle"]
