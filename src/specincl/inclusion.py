@@ -20,10 +20,10 @@ minimum.  Its regions carry one band field each, completed at their contour
 corners: the term's field for one term, and for the two tau terms their
 maximum after shifting each to the larger level, so that every set is
 contoured from a field.  ``method_mask`` returns the mask alone.  Block
-Gershgorin is the mask-only union of the certified pseudospectra of the
-distinct diagonal blocks, the sandwich set of ``tau1_method`` is one more
-group of its sweep, and the classical Gershgorin discs are marked
-analytically, with no sweep.
+Gershgorin unites the masks of the certified pseudospectra of the distinct
+diagonal blocks, each one mask-only group.  The sandwich set of
+``tau1_method`` is one more group of its sweep, and the classical
+Gershgorin discs are marked analytically, with no sweep.
 """
 
 from __future__ import annotations
@@ -267,8 +267,7 @@ def tau1_method(view: BlockMatrixView, n: int, eps: float,
 # Gershgorin baselines
 # ---------------------------------------------------------------------------
 
-def gershgorin(A, grid: ps.GridSpec | None = None, nx: int = 256,
-               ny: int = 256):
+def gershgorin(A, grid: ps.GridSpec | None = None):
     """Classical Gershgorin discs.
 
     Returns ``(region, discs)`` where discs is the list of (center, radius)
@@ -282,7 +281,7 @@ def gershgorin(A, grid: ps.GridSpec | None = None, nx: int = 256,
     radii = np.abs(A).sum(axis=1) - np.abs(d)
     discs = [(complex(c), float(r)) for c, r in zip(d, radii)]
     if grid is None:
-        grid = ps.default_grid(A, pad=0.0, nx=nx, ny=ny)
+        grid = ps.default_grid(A)
     nodes = grid.nodes()
     mask = np.zeros(nodes.shape, dtype=bool)
     for c, r in discs:
@@ -301,10 +300,10 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
     diagonal blocks, with r_k the sum of spectral norms of the off-diagonal
     blocks in block row k.
 
-    Equal diagonal blocks are one component, at the largest of their radii;
-    the components are combined by union in certified sweeps
-    (``ps.certified_regions``) of at most ``_GERSH_PAIRS`` (component x
-    node) pairs each.  The region is mask-only.
+    Equal diagonal blocks are one pseudospectrum, at the largest of their
+    radii, swept as one mask-only group (as ``ps.pseudospectrum`` would) in
+    ``ps.certified_regions`` calls of at most ``_GERSH_PAIRS`` (block x
+    node) pairs each; the region is the union of their masks.
     """
     if grid is None:
         grid = ps.default_grid(view.matrix, pad=grid_pad(view, "block-gersh"))
@@ -313,15 +312,14 @@ def gershgorin_block(view: BlockMatrixView, grid: ps.GridSpec | None = None,
         block = view.block(i, i)
         entry = comps.setdefault(block.tobytes(), [block, radius])
         entry[1] = max(entry[1], radius)
-    terms = [[(None, block, None)] for block, _ in comps.values()]
-    bounds = [[radius] for _, radius in comps.values()]
+    groups = [([[(None, block, None)]], [[radius]])
+              for block, radius in comps.values()]
     step = max(1, _GERSH_PAIRS // (grid.nx * grid.ny))
     mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-    for s in range(0, len(terms), step):
-        [[region]] = ps.certified_regions(
-            [(terms[s:s + step], bounds[s:s + step])], grid, jobs, "union",
-            with_field=False)
-        mask |= region.mask
+    for s in range(0, len(groups), step):
+        for [region] in ps.certified_regions(groups[s:s + step], grid, jobs,
+                                             with_field=False):
+            mask |= region.mask
     return ps.Region(grid, mask)
 
 

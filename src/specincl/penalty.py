@@ -28,8 +28,6 @@ __all__ = [
     "eta",
 ]
 
-_R_SUM_TOL = 1e-14
-
 
 @dataclass(frozen=True)
 class PenaltyParams:
@@ -37,7 +35,6 @@ class PenaltyParams:
 
     r_L: float
     r_U: float
-    r: float
     c_norm: float
     n: int
 
@@ -45,15 +42,16 @@ class PenaltyParams:
         vals = (self.r_L, self.r_U, self.r, self.c_norm)
         if any(not math.isfinite(v) or v < 0 for v in vals):
             raise DomainError("penalty parameters must be finite and >= 0")
-        if abs(self.r - (self.r_L + self.r_U)) > _R_SUM_TOL * max(1.0, self.r):
-            raise DomainError("r must equal r_L + r_U")
         if self.n < 1:
             raise DomainError("n must be a positive integer")
 
+    @property
+    def r(self) -> float:
+        return self.r_L + self.r_U
+
     @classmethod
     def from_offdiag(cls, r_L: float, r_U: float, c_norm: float, n: int):
-        return cls(float(r_L), float(r_U), float(r_L) + float(r_U),
-                   float(c_norm), int(n))
+        return cls(float(r_L), float(r_U), float(c_norm), int(n))
 
 
 def _theta_equation(t: float, n: int, q: float) -> float:
@@ -121,14 +119,15 @@ def solve_theta(n: int, r_L: float, r_U: float) -> float:
         # rounding hid the sign at the left end, and so it hides the root,
         # which lies closer to it than the bisection point
         return t
-    # secant polish squeezes the last bits out of the bisection point
+    # secant polish squeezes the last bits out of the bisection point; it
+    # never steps back to the left end, which lies below the root
     t0, t1 = t, t + 1e-15
     f0, f1 = _theta_equation(t0, n, q), _theta_equation(t1, n, q)
     for _ in range(4):
         if f1 == f0:
             break
         t2 = t1 - f1 * (t1 - t0) / (f1 - f0)
-        if not (first <= t2 <= last):
+        if not (first < t2 <= last):
             break
         t0, f0, t1, f1 = t1, f1, t2, _theta_equation(t2, n, q)
         t = t2

@@ -12,8 +12,8 @@ or at any points, and each matrix only where it can be its term's minimum;
 comparison with a level.  ``certified_regions`` is the one constructor of
 swept grid sets: the sublevel sets of groups of terms from one
 ``level_mask`` sweep of one ``TermFields``, each group at the allowance
-``smin_slack`` of its own matrices, combined by union or intersection into
-sets with one field and one level, or mask-only.  It completes the band
+``smin_slack`` of its own matrices, intersected into sets with one
+field and one level, or mask-only.  It completes the band
 fields at the nodes ``contour_extract`` reads, in one evaluation for all
 groups.  A mask-only sweep decides a component of one square matrix from
 certified bounds on its smin wherever they lie on one side of every level,
@@ -496,8 +496,8 @@ class TermFields:
     the least ``smin(E - z I)`` (``smin(E - z embed)`` with an embedding)
     over them; contributions of equal content are evaluated once.
     ``field(points, want)`` returns the terms' values at the points, stacked
-    along the first axis.  ``want`` (all True by default) has one boolean
-    row per term.  A term is evaluated at its wanted points, and
+    along the first axis.  ``want`` has one boolean row per term.  A term
+    is evaluated at its wanted points, and
     also where the contributions other terms of its group need there cover
     it; it is NaN elsewhere.  ``groups`` gives the number of terms of each
     group, in term order (one group of all terms by default): the sets of
@@ -570,10 +570,8 @@ class TermFields:
         self.anchors = None
         self.spectra = None
 
-    def __call__(self, points, want=None) -> np.ndarray:
+    def __call__(self, points, want) -> np.ndarray:
         points = np.asarray(points).ravel()
-        if want is None:
-            want = np.ones((len(self.members), points.size), dtype=bool)
         need = np.zeros((len(self.items), points.size), dtype=bool)
         cover = np.zeros(want.shape, dtype=bool)
         for group in self.groups:
@@ -898,7 +896,6 @@ def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
 
 
 def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
-                      combine: str = "intersect",
                       with_field: bool = True) -> list:
     """Combined sublevel sets of groups of terms, from one certified
     ``level_mask`` sweep of one ``TermFields`` over all their terms.
@@ -906,12 +903,12 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
     ``groups`` is a list of ``(terms, levels)`` pairs: F terms as
     ``TermFields`` takes them, one component f_i each, and ``levels`` of
     shape (F, L).  Returns one region list per group, with one region per
-    level column j: the sets {f_i <= l_i}, l_i = ``levels[i, j]``,
-    intersected ("intersect") or united ("union").  Its mask joins the
-    components' masks, the full sweep's bit for bit.  Its level is
-    l_0 = max_i l_i and its field
+    level column j: the intersection of the sets {f_i <= l_i}, l_i =
+    ``levels[i, j]``.  Its mask is the intersection of the components'
+    masks, the full sweep's bit for bit.  Its level is l_0 = max_i l_i and
+    its field
 
-        G = max_i (f_i - (l_i - l_0))   (the min for "union"),
+        G = max_i (f_i - (l_i - l_0)),
 
     which is 1-Lipschitz and nonnegative, with {G <= l_0} the set; one term
     gives G = f_0.  The shifts l_i - l_0 come from column j alone, so G does
@@ -957,12 +954,10 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
         sweep, grid, comps, np.repeat(slacks, sizes),
         np.repeat([_nudge(float(np.abs(lv).max())) for _, lv in groups],
                   sizes))
-    join, pick = ((np.logical_and, np.max) if combine == "intersect"
-                  else (np.logical_or, np.min))
     out = []
     for (terms, lv), a in zip(groups, starts):
         top = lv.max(axis=0)
-        out.append([Region(grid, join.reduce(masks[a:a + len(terms), j]),
+        out.append([Region(grid, masks[a:a + len(terms), j].all(axis=0),
                            None, float(top[j])) for j in range(lv.shape[1])])
     if not with_field:
         return out
@@ -982,7 +977,7 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
             columns.setdefault(shift.tobytes(), []).append(j)
         for cols in columns.values():
             shift = shifts[:, cols[0], None, None]
-            g = pick(band[rows] - shift, axis=0)
+            g = (band[rows] - shift).max(axis=0)
             seen = seen | _corner_need([Region(grid, regions[j].mask, g,
                                                regions[j].level)
                                         for j in cols])
@@ -993,7 +988,7 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
         band[:, new] = np.where(want[:, new], field(grid.nodes()[new],
                                                     want[:, new]), band[:, new])
     for regions, rows, shift, cols, keep in fills:
-        g = np.where(keep, pick(band[rows] - shift, axis=0), np.nan)
+        g = np.where(keep, (band[rows] - shift).max(axis=0), np.nan)
         for j in cols:
             regions[j] = Region(grid, regions[j].mask, g, regions[j].level)
     return out
@@ -1184,8 +1179,8 @@ def contour_extract(region: Region) -> list[np.ndarray]:
 
     Runs marching squares on the region's field at its level when it has
     both (sub-cell accurate): every region of ``certified_regions`` with a
-    field, combined sets included.  The regions that are masks alone
-    (Gershgorin discs, block Gershgorin, ``method_mask``,
+    field, intersections of several terms included.  The regions that are
+    masks alone (Gershgorin discs, block Gershgorin, ``method_mask``,
     ``region_from_points``) are contoured from the 0/1 mask.  The case of
     each cell comes from the mask, and the field is read only at the
     corners of boundary cells, so a band field completed by

@@ -44,24 +44,21 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-14
+# cell diagonals by which d_H may rise from one study row to the next
+SLACK_CELLS = 2.0
 
 
 @dataclass(frozen=True)
 class ToeplitzSpec:
-    """Symbol coefficients on a finite window, with band-width metadata.
-
-    ``coeffs`` maps the diagonal offset j to a_j (entry (i, k) of the matrix
-    is a_{i-k}); ``bandwidth`` is the smallest w with a_j = 0 for |j| > w for
-    banded symbols, or the declared truncation window for Wiener-class ones.
+    """Symbol coefficients (offset j, a_j) on a finite window, entry (i, k)
+    of the matrix being a_{i-k}, and whether a_{-j} = conj(a_j) for all j.
     """
 
     coeffs: tuple[tuple[int, complex], ...]
-    bandwidth: int
     hermitian: bool
 
 
-def toeplitz_spec(coeffs, bandwidth: int | None = None,
-                  hermitian: bool | None = None) -> ToeplitzSpec:
+def toeplitz_spec(coeffs, hermitian: bool | None = None) -> ToeplitzSpec:
     """Canonicalize a coefficient table into a ToeplitzSpec.
 
     Zero coefficients are dropped; the Hermitian flag is verified (when
@@ -77,11 +74,6 @@ def toeplitz_spec(coeffs, bandwidth: int | None = None,
         if v != 0:
             table[int(j)] = table.get(int(j), 0.0) + v
     pairs = tuple(sorted((j, v) for j, v in table.items() if v != 0))
-    width = max((abs(j) for j, _ in pairs), default=0)
-    if bandwidth is None:
-        bandwidth = width
-    if bandwidth < 0:
-        raise DomainError("bandwidth must be nonnegative")
     is_herm = all(
         abs(table.get(-j, 0.0) - np.conj(v)) <= _HERMITIAN_TOL
         for j, v in table.items()
@@ -90,13 +82,12 @@ def toeplitz_spec(coeffs, bandwidth: int | None = None,
         hermitian = is_herm
     elif hermitian and not is_herm:
         raise DomainError("coefficients are not Hermitian (a_{-j} != conj(a_j))")
-    return ToeplitzSpec(pairs, int(bandwidth), bool(hermitian))
+    return ToeplitzSpec(pairs, bool(hermitian))
 
 
 def spec_to_json(spec: ToeplitzSpec) -> str:
     doc = {
         "coeffs": [[j, v.real, v.imag] for j, v in spec.coeffs],
-        "bandwidth": spec.bandwidth,
         "hermitian": spec.hermitian,
     }
     return json.dumps(doc, sort_keys=True)
@@ -107,8 +98,7 @@ def spec_from_json(text: str) -> ToeplitzSpec:
     try:
         doc = json.loads(text)
         coeffs = [(int(j), complex(re, im)) for j, re, im in doc["coeffs"]]
-        return toeplitz_spec(coeffs, doc.get("bandwidth"),
-                             doc.get("hermitian"))
+        return toeplitz_spec(coeffs, doc.get("hermitian"))
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed symbol JSON: "
                           f"{type(exc).__name__}: {exc}") from None
@@ -310,7 +300,6 @@ class StudyRow:
 class StudyResult:
     rows: tuple[StudyRow, ...]
     monotone_within_slack: bool
-    slack_cells: float = 2.0
 
     def to_csv(self) -> str:
         lines = ["M,n,w,eps,method,d_H,cell_size"]
@@ -332,8 +321,9 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
     matrix for eps > 0, the rasterized eigenvalues for eps = 0 (Hermitian
     symbols only).  Banded symbols (within w) use the square-truncation
     method, symbols with a tail use the rectangular one.  The monotonicity
-    report checks non-strict decrease (2-cell slack) between consecutive
-    rows from n >= 4 on.
+    report checks non-strict decrease (``SLACK_CELLS`` cells of slack)
+    between consecutive rows from n >= 4 on.  A row whose inclusion set or
+    reference marks no grid node raises DomainError.
 
     ``hausdorff`` reads masks only, so both sets are certified mask-only
     regions, all from one ``ps.certified_regions`` sweep: one group per
@@ -381,10 +371,15 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
         ps.region_from_points(grid, ps.eig(build_toeplitz(spec, M)))
         for M in orders)))
 
+    for (M, n, w), region in zip(schedule, regions):
+        if region.is_empty or references[M].is_empty:
+            raise DomainError(f"schedule row {M}:{n}:{w}: a set marks no node "
+                              f"of the {grid_nodes} x {grid_nodes} grid; use "
+                              "a larger --grid-nodes")
     rows = [StudyRow(M, n, w, eps, method, ps.hausdorff(region, references[M]),
                      grid.cell_diag)
             for (M, n, w), method, region in zip(schedule, methods, regions)]
-    slack = 2.0 * grid.cell_diag
+    slack = SLACK_CELLS * grid.cell_diag
     monotone = not any(prev.n >= 4 and cur.d_h > prev.d_h + slack
                        for prev, cur in zip(rows, rows[1:]))
     return StudyResult(tuple(rows), monotone)

@@ -558,6 +558,36 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert "numeric failure" not in err
 
 
+def test_converge_too_coarse_grid_names_row(tmp_path, capsys):
+    # on a 2 x 2 grid neither the first row's inclusion set nor its
+    # reference marks a node: the error names the row and the way out
+    assert main(["converge", "--builtin", "jordan", "--eps", "0.1",
+                 "--schedule", "4:1:1,4:3:1", "--grid-nodes", "2",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("specincl: ") and err.count("\n") == 1
+    assert "row 4:1:1" in err and "--grid-nodes" in err
+
+
+def test_converge_symbol_with_bandwidth_key(tmp_path):
+    # a symbol JSON written while specs stored their bandwidth: the key is
+    # ignored, and convergence.csv is byte for byte the one written while
+    # the key was still read (rows w = 1 are tau1 by the symbol's tail,
+    # w = 2 is tau)
+    path = tmp_path / "symbol.json"
+    path.write_text('{"bandwidth": 2, "coeffs": [[-1, 1.0, 0.0], '
+                    '[1, 0.25, 0.0], [2, 0.0, 0.5]], "hermitian": false}')
+    out = tmp_path / "o"
+    assert main(["converge", "--symbol", str(path), "--eps", "0.1",
+                 "--schedule", "12:2:1,12:4:1,16:4:2", "--grid-nodes", "32",
+                 "--out-dir", str(out)]) == 0
+    assert (out / "convergence.csv").read_bytes() == (
+        b"M,n,w,eps,method,d_H,cell_size\n"
+        b"12,2,1,0.1,tau1,1.7590711664826655,0.37084476349429757\n"
+        b"12,4,1,0.1,tau1,1.5950636395787217,0.37084476349429757\n"
+        b"16,4,2,0.1,tau,0.9454723427855622,0.37084476349429757\n")
+
+
 def test_include_cnorm_mode_option_is_gone(tmp_path):
     import argparse
 

@@ -50,11 +50,14 @@ def test_theta_degenerate():
 
 def test_theta_tiny_offdiagonal_ratio():
     # at q = 1e-17 the computed theta equation is not positive at the left
-    # end of the bracket, although it is in exact arithmetic; the root is
-    # then the bisection point just above that end
-    lo = math.pi / 25
-    for r_L, r_U in ((1e-17, 1.0), (1.0, 1e-17)):
-        assert lo < solve_theta(12, r_L, r_U) <= lo + 1e-15
+    # end of the bracket at n = 12, although it is in exact arithmetic; the
+    # root is then the bisection point just above that end.  At n = 2 and
+    # 5 it is positive there, and the secant polish must not return the end
+    # itself, which lies below the root
+    for n in (2, 5, 12):
+        lo = math.pi / (2 * n + 1)
+        for r_L, r_U in ((1e-17, 1.0), (1.0, 1e-17)):
+            assert lo < solve_theta(n, r_L, r_U) <= lo + 1e-15
 
 
 def test_theta_bracket_and_residual():
@@ -137,8 +140,7 @@ def test_penalty_monotone_decay_in_n():
 
 
 def test_penalty_params_validation():
-    with pytest.raises(DomainError):
-        PenaltyParams(1.0, 1.0, 3.0, 0.0, 2)      # r != r_L + r_U
+    assert PenaltyParams.from_offdiag(0.7, 1.3, 0.0, 2).r == 0.7 + 1.3
     with pytest.raises(DomainError):
         PenaltyParams.from_offdiag(-1.0, 1.0, 0.0, 2)
     with pytest.raises(DomainError):

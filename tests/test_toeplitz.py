@@ -66,9 +66,20 @@ def test_spec_hermitian_flag_verified():
 
 
 def test_spec_json_roundtrip():
-    s = toeplitz_spec({-2: 0.5j, -1: 1.0, 3: 0.25}, bandwidth=3)
+    s = toeplitz_spec({-2: 0.5j, -1: 1.0, 3: 0.25})
     back = spec_from_json(spec_to_json(s))
     assert back == s
+
+
+def test_spec_json_ignores_bandwidth_key():
+    # documents written while a spec still stored its bandwidth load as the
+    # spec of their coefficients
+    old = ('{"bandwidth": 2, "coeffs": [[-1, 1.0, 0.0], [1, 0.25, 0.0], '
+           '[2, 0.0, 0.5]], "hermitian": false}')
+    s = spec_from_json(old)
+    assert s == toeplitz_spec({-1: 1.0, 1: 0.25, 2: 0.5j})
+    assert s == spec_from_json(old.replace('"bandwidth": 2, ', ""))
+    assert "bandwidth" not in spec_to_json(s)
 
 
 # ---------------------------------------------------------------------------
