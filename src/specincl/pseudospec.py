@@ -16,8 +16,9 @@ swept grid sets: the sublevel sets of groups of terms from one
 field and one level, or mask-only.  It completes the band
 fields at the nodes ``contour_extract`` reads, in one evaluation for all
 groups.  A mask-only sweep decides a component of one square matrix from
-certified bounds on its smin wherever they lie on one side of every level,
-and sends only the other nodes to the SVD.  Every swept grid set of the
+certified bounds on its smin, and for a bidiagonal matrix from a certified
+Sturm count, wherever they put it on one side of every level, and sends only
+the other nodes to the SVD.  Every swept grid set of the
 package comes from it, ``pseudospectrum`` included, which returns a band
 field.  The others are masks alone: ``region_from_points`` marks the nodes
 nearest to a point set, and ``inclusion.gershgorin`` its discs, computed
@@ -482,6 +483,117 @@ def _smin_bounds(E, radius: float):
     return bounds
 
 
+# ``_bidiagonal_test``: a pivot of modulus below _PIVMIN is replaced by
+# -_PIVMIN, and _STURM_LEAST is the least shift it counts at, both in scaled
+# units
+_PIVMIN = 2.0 ** -1000
+_STURM_LEAST = 2.0 ** -480
+
+
+def _bidiagonal_test(E, radius: float, low: float, high: float,
+                     slack: float):
+    """Certified tests ``f~ < low`` and ``f~ > high`` of the value f~ that
+    ``smin_fields`` computes for f(z) = smin(E - z I), at nodes of modulus at
+    most R = ``radius``, for E upper or lower bidiagonal of order M >= 2 and
+    not Hermitian; ``slack`` is at least 2 delta, delta the error bound |f~ -
+    f| of ``smin_slack``.  Returns ``decide(points)``, which gives ``low``
+    where f~ < low is certified, the next float above ``high`` where f~ >
+    high is, and NaN elsewhere; or None for any other E.
+
+    The count.  E - zI is bidiagonal, and diagonal unitary scalings turn it
+    into the real bidiagonal B of the moduli of its entries, of the same
+    singular values s_i.  The Golub-Kahan matrix T of B, of order 2M, has a
+    zero diagonal and the off-diagonals b_1, ..., b_2M-1 = |e_11 - z|, |e_12|,
+    |e_22 - z|, ... (|e_21| for a lower E), and its eigenvalues are +-s_i.  So
+    for sigma > 0, T - sigma I has M + #{s_i < sigma} negative eigenvalues,
+    and by Sylvester's law of inertia as many negative pivots q_1 = -sigma,
+    q_k+1 = -sigma - b_k^2 / q_k: f(z) < sigma exactly when more than M are
+    negative.  The count runs in units scaled by a power of two that puts
+    max(|e_ii| + R, |e_i,i+-1|, the outside shift) in [1/2, 1), so every b_k
+    and every shift is below 1 and no quotient exceeds 2^1000.
+
+    Rounding.  (i) Relative.  Each b_k^2 is formed from scaled parts as a
+    sum of two squares (of differences, on the diagonal) within a factor 1
+    +- 4u of its exact value, u = 2^-53; scaling by a power of two is exact.
+    A step rounds its quotient and its difference (-sigma is exact).
+    Divided by the rounding factor of its difference, which keeps its sign,
+    each computed pivot obeys the recurrence exactly with b_k^2 off by two
+    more factors 1 +- u (Kahan, 1966; Demmel, *Applied Numerical Linear
+    Algebra*, 1997, section 5.3.4).  So the count is exact for the
+    Golub-Kahan matrix of a bidiagonal with entries b_k (1 + psi_k), |psi_k|
+    <= psi = 4u (3u to first order), whose singular values are those of B
+    within the factor alpha = (1 - psi)^-(2M-1) <= 1 + 2 (2M - 1) psi
+    (Demmel & Kahan, "Accurate singular values of bidiagonal matrices",
+    *SIAM J. Sci. Stat. Comput.* 11, 1990, Theorem 2).  (ii) Absolute.  A
+    pivot below _PIVMIN in modulus, replaced by -_PIVMIN, moves a diagonal
+    entry of T by less than 2^-998.  Underflow in the scaled parts, squares
+    and quotients moves b_k^2 by at most 2^-1070, so b_k by at most 2^-535,
+    or a diagonal entry of T by at most 2^-1074.  By Weyl's inequality these
+    move the eigenvalues of T by less than omega = 2^-530.  So
+    a count above M at sigma proves f < alpha (sigma + omega), and one of at
+    most M proves f >= (sigma - omega) / alpha, in scaled units.
+
+    Shifts.  s_in = (low - slack) / gamma and s_out = (high + slack) gamma,
+    scaled, with gamma = (1 + 2 (2M - 1) psi)(1 + 2^-40).  A shift below
+    _STURM_LEAST = 2^-480, or not finite, makes no test, so omega is at most
+    2^-50 of a shift; the factor 1 + 2^-40 covers that and the few roundings
+    in forming the shifts.  A count above M at s_in then proves f < low -
+    slack, so f~ <= f + delta < low; one of at most M at s_out proves f >=
+    high + slack, so f~ >= f - delta > high (delta > 0, E not being zero).
+    Either value returned lies on f~'s side of every level, no farther from
+    it than f~, as ``_bounds_tier`` needs.
+    """
+    E = np.asarray(E, dtype=np.complex128)
+    M = len(E)
+    if M < 2 or np.array_equal(E, E.conj().T):
+        return None
+    if not (np.triu(E, 2).any() or np.tril(E, -1).any()):
+        off = np.diagonal(E, 1)
+    elif not (np.tril(E, -2).any() or np.triu(E, 1).any()):
+        off = np.diagonal(E, -1)
+    else:
+        return None
+    diag = np.diagonal(E)
+    gamma = (1.0 + 8.0 * (2 * M - 1) * _U) * (1.0 + 2.0 ** -40)
+    top = max(float(np.abs(diag).max()) + radius, float(np.abs(off).max()),
+              (high + slack) * gamma)
+    # the scale, at most 2^1000, must be finite
+    if not math.isfinite(top) or top < 2.0 ** -1000:
+        return None
+    scale = math.ldexp(1.0, -math.frexp(top)[1])
+    shifts = np.array([(low - slack) * scale / gamma,
+                       (high + slack) * scale * gamma])
+    made = np.isfinite(shifts) & (shifts >= _STURM_LEAST)
+    if not made.any():
+        return None
+    shifts = shifts[made, None]
+    re, im = diag.real * scale, diag.imag * scale
+    off2 = (off.real * scale) ** 2 + (off.imag * scale) ** 2
+    marks = np.array([low, np.nextafter(high, np.inf)])[made]
+    inside = np.array([True, False])[made, None]
+
+    def decide(points):
+        x, y = points.real * scale, points.imag * scale
+        q = np.repeat(-shifts, x.size, axis=1)
+        negative = np.ones(q.shape, dtype=np.intp)
+        for k in range(2 * M - 1):
+            if k % 2:
+                b2 = off2[k // 2]
+            else:
+                dx, dy = re[k // 2] - x, im[k // 2] - y
+                b2 = dx * dx + dy * dy
+            q = -shifts - b2 / q
+            np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
+            negative += q < 0
+        out = np.full(points.shape, np.nan)
+        # inside where s_in's count exceeds M, outside where s_out's does not
+        for mark, hit in zip(marks, (negative > M) == inside):
+            out[hit] = mark
+        return out
+
+    return decide
+
+
 def _content_key(mat, embed) -> bytes:
     key = np.asarray(mat).tobytes()
     return key if embed is None else key + b"|" + np.asarray(embed).tobytes()
@@ -865,30 +977,39 @@ def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
     ``lo <= f~ <= hi`` of ``_smin_bounds`` at its own ``slacks`` entry.  A
     wanted pair with hi at most every level of its row of ``levels`` is
     inside at all of them, and takes hi as its value; one with lo above
-    every level is outside, and takes lo, unless ``field`` returns f~ there
-    for another term of its group.  Either bound lies on the side of each
-    level that f~ does, no nearer to it, so ``level_mask``'s margins still
-    bound f~ at the neighbours.  The other pairs, ties included, go to
-    ``field``.  Terms of several contributions keep every pair, so
-    ``TermFields`` keeps its anchors.
+    every level is outside, and takes lo.  When the matrix is bidiagonal
+    (and not Hermitian, where the bounds are already tight), the pairs
+    these bounds leave get the Sturm count of ``_bidiagonal_test``: a pair
+    it certifies inside takes the row's least level as its value, one it
+    certifies outside the next float above the greatest.  A value from
+    either test gives way to f~ where ``field`` returns f~ for another term
+    of its group.  Each such value lies on the side of each level that f~
+    does, no farther from it, so ``level_mask``'s margins still bound f~ at
+    the neighbours.  The other pairs, ties included, go to ``field``.  Terms
+    of several contributions keep every pair, so ``TermFields`` keeps its
+    anchors.
     """
     radius = _radius(grid)
-    bounds = {}
+    low, high = levels.min(axis=1), levels.max(axis=1)
+    tests = {}
     for i, idx in enumerate(field.members):
         E, embed = field.items[idx[0]]
         shape = np.shape(E)
         if (idx.size == 1 and embed is None and len(shape) == 2
                 and shape[0] == shape[1]):
-            bounds[i] = _smin_bounds(E, radius)
-    low, high = levels.min(axis=1), levels.max(axis=1)
+            tests[i] = (_smin_bounds(E, radius), _bidiagonal_test(
+                E, radius, float(low[i]), float(high[i]), slacks[i]))
 
     def sweep(points, want):
         value = np.full(want.shape, np.nan)
-        for i, bound in bounds.items():
+        for i, (bound, count) in tests.items():
             at = np.flatnonzero(want[i])
             lo, hi = bound(points[at], slacks[i])
             value[i, at] = np.where(hi <= low[i], hi,
                                     np.where(lo > high[i], lo, np.nan))
+            at = at[np.isnan(value[i, at])]
+            if count is not None and at.size:
+                value[i, at] = count(points[at])
         vals = field(points, want & np.isnan(value))
         return np.where(np.isnan(vals), value, vals)
 
@@ -930,8 +1051,9 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
     names, in one evaluation for all groups.  A value of G within
     the contour nudge of l_0 is one of a component near its level, so the
     band holds it.  Without ``with_field`` the regions are mask-only, and
-    the components of one distinct square matrix take the nodes their
-    certified bounds decide from the bounds, with no SVD (``_bounds_tier``).
+    the components of one distinct square matrix take the nodes that their
+    certified bounds, or a bidiagonal matrix's Sturm count, decide from
+    them, with no SVD (``_bounds_tier``).
     """
     groups = [(terms, np.asarray(lv, dtype=np.float64))
               for terms, lv in groups]

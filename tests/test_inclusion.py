@@ -442,16 +442,21 @@ def test_gershgorin_block_scalar_partition_equals_classical():
 
 
 def test_gershgorin_block_sweeps_each_distinct_block_once(monkeypatch):
-    # Jordan blocks of one order are equal, so the partition (3,3,3,2,1)
-    # has three distinct diagonal blocks; each is swept certified, no
-    # (block, node) pair twice, and the mask matches block-by-block
+    # diagonal blocks of one order of a Toeplitz matrix are equal, so the
+    # partition (3,3,3,2,1) has three distinct diagonal blocks; each is
+    # swept certified, no (block, node) pair twice, and the mask matches
+    # block-by-block.  A sub- and a second superdiagonal keep the blocks of
+    # order 2 and 3 from being bidiagonal, which the bounds tier would
+    # decide without the kernel
     spy = KernelPairs()
-    view = make_view(jordan(12), BlockPartition((3, 3, 3, 2, 1)))
+    A = (jordan(12) + 0.5 * np.eye(12, k=2)
+         + 0.25 * np.eye(12, k=-1)).astype(np.complex128)
+    view = make_view(A, BlockPartition((3, 3, 3, 2, 1)))
     grid = ps.GridSpec(-2.5, 2.5, -2.5, 2.5, 41, 41)
     monkeypatch.setattr(ps, "smin_fields", spy)
     region = inc.gershgorin_block(view, grid=grid)
     monkeypatch.undo()
-    distinct = {jordan(m).astype(np.complex128).tobytes() for m in (1, 2, 3)}
+    distinct = {A[:m, :m].tobytes() for m in (1, 2, 3)}
     assert {block for block, _ in spy.pairs} == distinct
     assert max(spy.pairs.values()) == 1
     assert sum(spy.pairs.values()) < 3 * 41 * 41

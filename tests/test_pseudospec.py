@@ -582,6 +582,10 @@ BOUND_CASES = {
     "hermitian-8": lambda: hermitian_random(8, 5),
     "laplacian-9": lambda: laplacian(9),
     "diagonal-6": lambda: np.diag(rand_complex(np.random.default_rng(6), 6)),
+    "near-diagonal-6": lambda: (np.diag(rand_complex(np.random.default_rng(7),
+                                                     6))
+                                + 1e-9 * rand_complex(np.random.default_rng(8),
+                                                      (6, 6))),
     "jordan-10": lambda: jordan(10),
     "scalar": lambda: np.array([[0.3 - 0.7j]]),
     "scalar-real": lambda: np.array([[0.3 + 0j]]),
@@ -601,7 +605,9 @@ def exact_smin(mp, E, z):
 def test_smin_bounds_enclose_exact_and_computed_smin(build):
     # lo <= smin <= hi for the exact value (at slack 0) and for the kernel's
     # value (at the sweep's slack), at sampled nodes and at the diagonal
-    # entries, where the bounds are tightest
+    # entries, where the bounds are tightest; and the kernel's value lies
+    # within delta of the exact one, delta being the error bound whose
+    # allowance smin_slack returns (2 delta + 8 u R)
     mp = pytest.importorskip("mpmath")
     E = np.asarray(build(), dtype=np.complex128)
     grid = default_grid(E, pad=0.5, nx=9, ny=9)
@@ -612,22 +618,77 @@ def test_smin_bounds_enclose_exact_and_computed_smin(build):
                                    .argmin(axis=1)]])
     bounds = ps._smin_bounds(E, ps._radius(grid))
     lo, hi = bounds(points, 0.0)
-    for z, a, b in zip(points.tolist(), lo.tolist(), hi.tolist()):
+    computed = smin_grid(E, points)
+    slack = smin_slack([E], grid)
+    with mp.workdps(50):
+        delta = (mp.mpf(slack) - 8 * mp.mpf(ps._U) * ps._radius(grid)) / 2
+    for z, a, b, c in zip(points.tolist(), lo.tolist(), hi.tolist(),
+                          computed.tolist()):
         exact = exact_smin(mp, E, z)
         assert mp.mpf(a) <= exact <= mp.mpf(b)
-    lo, hi = bounds(points, smin_slack([E], grid))
-    computed = smin_grid(E, points)
+        assert abs(mp.mpf(c) - exact) <= delta
+    lo, hi = bounds(points, slack)
     assert np.all((lo <= computed) & (computed <= hi))
+
+
+def bidiagonal(n, seed, lower=False):
+    rng = np.random.default_rng(seed)
+    return (np.diag(rand_complex(rng, n))
+            + np.diag(rand_complex(rng, n - 1), -1 if lower else 1))
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=n, lower=lower: bidiagonal(n, n, lower)
+      for n, lower in ((2, False), (3, True), (11, False), (24, True),
+                       (40, False), (40, True))),
+    lambda: jordan(2),
+    lambda: jordan(40),
+], ids=["upper-2", "lower-3", "upper-11", "lower-24", "upper-40", "lower-40",
+        "jordan-2", "jordan-40"])
+def test_bidiagonal_test_agrees_with_exact_smin(build):
+    # levels from 0.75 to 1.5 allowances (slack plus the relative one) above
+    # and below the kernel's value, at a random node and at the node nearest
+    # to e_11, where smin is small: the count decides none within 0.75 and
+    # all beyond 1.5, and each decision holds for the exact value (50
+    # digits), by the slack, and for the kernel's value
+    mp = pytest.importorskip("mpmath")
+    E = np.asarray(build(), dtype=np.complex128)
+    grid = default_grid(E, pad=0.5, nx=9, ny=9)
+    nodes = grid.nodes().ravel()
+    points = np.array([np.random.default_rng(len(E)).choice(nodes),
+                       nodes[np.abs(nodes - E[0, 0]).argmin()]])
+    slack = smin_slack([E], grid)
+    relative = 8 * (2 * len(E) - 1) * ps._U + 2.0 ** -40
+    for z, computed in zip(points, smin_grid(E, points).tolist()):
+        exact = exact_smin(mp, E, z)
+        allow = slack + relative * computed
+        for t in (-1.5, -1.01, -0.75, 0.75, 1.01, 1.5):
+            level = computed + t * allow
+            if level < 0:
+                continue
+            test = ps._bidiagonal_test(E, ps._radius(grid), level, level,
+                                       slack)
+            [value] = test(np.array([z]))
+            if math.isnan(value):
+                assert abs(t) < 1.5
+            elif t > 0:
+                assert t > 1 and value == level
+                assert computed < level and exact < mp.mpf(level) - slack
+            else:
+                assert t < -1 and value == np.nextafter(level, np.inf)
+                assert computed > level and exact > mp.mpf(level) + slack
 
 
 @pytest.mark.parametrize("E, level, node", [
     (np.array([[0.5 + 0j]]), 0.25, 0.5 + 0.25j),
     (np.array([[0.5j]]), 0.25, 0.25 + 0.5j),
     (np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex), 0.25, 0.5 + 0j),
-], ids=["scalar-real", "scalar-imaginary", "hermitian"])
+    (np.array([[0.5, 0.25], [0, 0.5]], dtype=complex), 0.0, 0.5 + 0j),
+], ids=["scalar-real", "scalar-imaginary", "hermitian", "bidiagonal"])
 def test_bounds_tier_sends_ties_to_the_kernel(E, level, node, monkeypatch):
-    # |a - z|, or the distance from z to the eigenvalues 0.25 and 0.75,
-    # equals the level at a node: the bounds straddle it, so the kernel
+    # |a - z|, the distance from z to the eigenvalues 0.25 and 0.75, or the
+    # smin of the singular bidiagonal E - 0.5 I, equals the level at a node:
+    # neither the bounds nor the bidiagonal count decide it, so the kernel
     # decides that node, and the mask is the full sweep's
     grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 9, 9)
     assert node in grid.nodes()
@@ -650,15 +711,26 @@ MASK_CASES = {
     "dense-30": (lambda: rand_complex(np.random.default_rng(31), (30, 30))
                  / math.sqrt(30), 0.3),
     "scalar": (lambda: np.array([[0.3 - 0.7j]]), 0.4),
+    "upper-30": (lambda: bidiagonal(30, 32) / math.sqrt(2), 0.2),
+    "lower-30": (lambda: bidiagonal(30, 33, lower=True) / math.sqrt(2), 0.2),
+    "jordan-40-2^500": (lambda: jordan(40) * 2.0 ** 500, 0.15, 2.0 ** 500),
+    "jordan-40-2^-500": (lambda: jordan(40) * 2.0 ** -500, 0.15,
+                         2.0 ** -500),
 }
 
 
 @pytest.mark.parametrize("nodes", [64, 129])
 @pytest.mark.parametrize("case", MASK_CASES.values(), ids=MASK_CASES)
 def test_mask_only_pseudospectrum_equals_full_sweep(case, nodes):
-    build, eps = case
+    # a case of scale s sweeps s eps on the grid of E / s scaled by s:
+    # default_grid's least span, 1e-6, would hide a set of scale 2^-500
+    build, eps, *scale = case
+    scale = scale[0] if scale else 1.0
     E = build()
-    grid = default_grid(E, pad=eps, nx=nodes, ny=nodes)
+    unit = default_grid(E / scale, pad=eps, nx=nodes, ny=nodes)
+    grid = GridSpec(unit.re_min * scale, unit.re_max * scale,
+                    unit.im_min * scale, unit.im_max * scale, nodes, nodes)
+    eps *= scale
     region = pseudospectrum(E, eps, grid, with_field=False)
     full = reference_pseudospectrum(E, eps, grid)
     assert np.array_equal(region.mask, full.mask)
