@@ -56,7 +56,6 @@ from .inclusion import (
     method_mask,
     method_reports,
     pi_method,
-    run_method,
     sigma_tau,
     tau1_method,
 )

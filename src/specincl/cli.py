@@ -106,11 +106,8 @@ def _load_input(args) -> np.ndarray:
         if not args.M:
             raise UsageError("--builtin needs --M")
         check_dense_shape((args.M, args.M), "--M")
-        if args.builtin == "jordan":
-            return jordan(args.M)
-        if args.builtin == "laplacian":
-            return laplacian(args.M)
-        raise UsageError(f"unknown builtin {args.builtin!r}")
+        # argparse admits only the two builtins
+        return jordan(args.M) if args.builtin == "jordan" else laplacian(args.M)
     if args.input:
         if not Path(args.input).is_file():
             raise UsageError(f"input file not found: {args.input}")

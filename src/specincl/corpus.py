@@ -27,7 +27,7 @@ from . import inclusion as inc
 from . import pseudospec as ps
 from .errors import DomainError
 from .matrixcore import BlockPartition, make_view
-from .toeplitz import build_toeplitz, toeplitz_spec
+from .toeplitz import banded_partition, build_toeplitz, toeplitz_spec
 
 __all__ = ["CorpusItem", "build_corpus", "VerifyRecord", "verify_containment"]
 
@@ -40,17 +40,16 @@ class CorpusItem:
     partition: BlockPartition
 
 
-def _partition_for(order: int, rng) -> BlockPartition:
-    """Scalar partition for small orders, blocks of 3 (or a 3/4 mix when the
-    order is not divisible) otherwise, keeping the block count moderate."""
+def _partition_for(order: int) -> BlockPartition:
+    """Scalar partition for small orders, blocks of 3, 4 or 5 when one of
+    them divides the order, else the 3/4 mix of ``banded_partition(order,
+    3)``, keeping the block count moderate."""
     if order <= 12:
         return BlockPartition((1,) * order)
     for m in (3, 4, 5):
         if order % m == 0:
             return BlockPartition((m,) * (order // m))
-    N = order // 3
-    r = order - 3 * N
-    return BlockPartition((3,) * (N - r) + (4,) * r)
+    return banded_partition(order, 3)
 
 
 def build_corpus(seed: int = 1, count: int = 60,
@@ -82,7 +81,7 @@ def build_corpus(seed: int = 1, count: int = 60,
             A = build_toeplitz(toeplitz_spec(coeffs), order)
         items.append(CorpusItem(f"{kind}-{i:02d}-M{order}", kind,
                                 np.asarray(A, dtype=np.complex128),
-                                _partition_for(order, rng)))
+                                _partition_for(order)))
     return items
 
 

@@ -60,7 +60,6 @@ __all__ = [
     "tau1_outer_level",
     "grid_pad",
     "method_reports",
-    "run_method",
 ]
 
 _OUTER_AUTO_MAX_ORDER = 512
@@ -414,10 +413,3 @@ def method_reports(view: BlockMatrixView, methods, eps_list,
                     for eps in eps_list])
     return out
 
-
-def run_method(view: BlockMatrixView, method: str, n: int | None = None,
-               t: complex | None = None, eps: float = 0.0,
-               grid: ps.GridSpec | None = None,
-               jobs: int | None = None) -> MethodReport:
-    """Uniform front end over the five methods, producing a MethodReport."""
-    return method_reports(view, [method], [eps], n, t, grid, jobs)[0][0]

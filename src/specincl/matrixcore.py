@@ -14,7 +14,7 @@ truncation covers block rows/columns ``k .. k+n-1``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -101,10 +101,11 @@ class BlockMatrixView:
 
     matrix: np.ndarray
     partition: BlockPartition
-    offsets: tuple[int, ...] = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "offsets", self.partition.offsets)
+    @cached_property
+    def offsets(self) -> tuple[int, ...]:
+        """The partition's block boundaries (``BlockPartition.offsets``)."""
+        return self.partition.offsets
 
     @property
     def block_count(self) -> int:
@@ -170,7 +171,7 @@ class BlockMatrixView:
         # the distinct (block row, block column) pairs, in order (np.unique
         # would import numpy.ma)
         pairs = np.sort(block_of[rows] * count + block_of[cols])
-        pairs = pairs[np.append(True, pairs[1:] != pairs[:-1])]
+        pairs = pairs[np.diff(pairs, prepend=-1) != 0]
         keys = [divmod(key, count) for key in pairs.tolist()
                 if key // count != key % count]
         radii = [0.0] * count
@@ -252,12 +253,11 @@ def submatrix_pi(view: BlockMatrixView, n: int, k: int, t: complex) -> np.ndarra
     _check_nk(view, n, k)
     sub = submatrix_tau(view, n, k)
     N, m = view.block_count, view.partition.sizes[0]
-    B = view.bordered[1:-1, 1:-1]
     zero = np.zeros((m, m), dtype=np.complex128)
-    # the first blocks below and above the window, zero outside the partition
-    lower = (B[(k + n) * m:(k + n + 1) * m, (k + n - 1) * m:(k + n) * m]
-             if k + n < N else zero)
-    upper = B[(k - 1) * m:k * m, k * m:(k + 1) * m] if k > 0 else zero
+    # the first blocks below and above the window, zero outside the
+    # partition; B holds these blocks of A as they are
+    lower = view.block(k + n, k + n - 1) if k + n < N else zero
+    upper = view.block(k - 1, k) if k > 0 else zero
     sub[0:m, (n - 1) * m:n * m] += t * lower
     sub[(n - 1) * m:n * m, 0:m] += np.conj(t) * upper
     return sub

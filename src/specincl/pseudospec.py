@@ -1272,7 +1272,11 @@ def eig(E) -> np.ndarray:
 
 def default_grid(A, pad: float = 0.0, nx: int = 256, ny: int = 256) -> GridSpec:
     """Bounding box from the classical Gershgorin discs, inflated by ``pad``
-    plus two grid cells, so the target sets stay interior to the grid."""
+    plus two grid cells, so the target sets stay interior to the grid.
+
+    The square box keeps the larger extent as it is, however small, so a
+    matrix and pad scaled by a power of two get the box scaled by it; a box
+    of one point gets the width ``1e-6 * max(1, |point|)``."""
     if nx < 2 or ny < 2:
         raise DomainError("grid needs at least 2 nodes per axis")
     A = np.asarray(A, dtype=np.complex128)
@@ -1282,9 +1286,10 @@ def default_grid(A, pad: float = 0.0, nx: int = 256, ny: int = 256) -> GridSpec:
     re_hi = float((d.real + radii).max()) + pad
     im_lo = float((d.imag - radii).min()) - pad
     im_hi = float((d.imag + radii).max()) + pad
-    # keep degenerate boxes (e.g. diagonal real matrices) usable
-    span = max(re_hi - re_lo, im_hi - im_lo, 1e-6)
+    span = max(re_hi - re_lo, im_hi - im_lo)
     re_mid, im_mid = (re_lo + re_hi) / 2, (im_lo + im_hi) / 2
+    if span == 0:
+        span = 1e-6 * max(1.0, abs(complex(re_mid, im_mid)))
     re_lo, re_hi = re_mid - span / 2, re_mid + span / 2
     im_lo, im_hi = im_mid - span / 2, im_mid + span / 2
     cell = span / (min(nx, ny) - 1)

@@ -1,9 +1,10 @@
 """Toeplitz builders, closed-form oracles, and Hausdorff convergence studies.
 
 The Jordan block (superdiagonal of ones) and discrete Laplacian (sub- and
-superdiagonal of ones) admit closed forms for shifted smallest singular
-values, pseudospectral radii, and penalty roots; they serve as independent
-oracles for the grid engine and as the canonical study subjects.
+superdiagonal of ones), built from their symbols, admit closed forms for
+shifted smallest singular values, pseudospectral radii, and penalty roots;
+they serve as independent oracles for the grid engine and as the canonical
+study subjects.
 """
 
 from __future__ import annotations
@@ -51,19 +52,21 @@ SLACK_CELLS = 2.0
 @dataclass(frozen=True)
 class ToeplitzSpec:
     """Symbol coefficients (offset j, a_j) on a finite window, entry (i, k)
-    of the matrix being a_{i-k}, and whether a_{-j} = conj(a_j) for all j.
-    """
+    of the matrix being a_{i-k}."""
 
     coeffs: tuple[tuple[int, complex], ...]
-    hermitian: bool
+
+    @property
+    def hermitian(self) -> bool:
+        """Whether a_{-j} = conj(a_j) for every j, within ``_HERMITIAN_TOL``."""
+        table = dict(self.coeffs)
+        return all(abs(table.get(-j, 0.0) - np.conj(v)) <= _HERMITIAN_TOL
+                   for j, v in self.coeffs)
 
 
-def toeplitz_spec(coeffs, hermitian: bool | None = None) -> ToeplitzSpec:
-    """Canonicalize a coefficient table into a ToeplitzSpec.
-
-    Zero coefficients are dropped; the Hermitian flag is verified (when
-    given) or detected against a_{-j} == conj(a_j).
-    """
+def toeplitz_spec(coeffs) -> ToeplitzSpec:
+    """Canonicalize a coefficient table (a dict or (j, a_j) pairs) into a
+    ToeplitzSpec: equal offsets are summed and zero coefficients dropped."""
     if isinstance(coeffs, dict):
         items = coeffs.items()
     else:
@@ -73,16 +76,8 @@ def toeplitz_spec(coeffs, hermitian: bool | None = None) -> ToeplitzSpec:
         v = complex(val)
         if v != 0:
             table[int(j)] = table.get(int(j), 0.0) + v
-    pairs = tuple(sorted((j, v) for j, v in table.items() if v != 0))
-    is_herm = all(
-        abs(table.get(-j, 0.0) - np.conj(v)) <= _HERMITIAN_TOL
-        for j, v in table.items()
-    )
-    if hermitian is None:
-        hermitian = is_herm
-    elif hermitian and not is_herm:
-        raise DomainError("coefficients are not Hermitian (a_{-j} != conj(a_j))")
-    return ToeplitzSpec(pairs, bool(hermitian))
+    return ToeplitzSpec(tuple(sorted((j, v) for j, v in table.items()
+                                     if v != 0)))
 
 
 def spec_to_json(spec: ToeplitzSpec) -> str:
@@ -94,11 +89,12 @@ def spec_to_json(spec: ToeplitzSpec) -> str:
 
 
 def spec_from_json(text: str) -> ToeplitzSpec:
-    """Inverse of ``spec_to_json``; malformed documents raise DomainError."""
+    """Inverse of ``spec_to_json``; malformed documents raise DomainError.
+    Only ``"coeffs"`` is read: ``hermitian`` derives from them."""
     try:
         doc = json.loads(text)
-        coeffs = [(int(j), complex(re, im)) for j, re, im in doc["coeffs"]]
-        return toeplitz_spec(coeffs, doc.get("hermitian"))
+        return toeplitz_spec([(int(j), complex(re, im))
+                              for j, re, im in doc["coeffs"]])
     except (ValueError, KeyError, TypeError) as exc:
         raise DomainError(f"malformed symbol JSON: "
                           f"{type(exc).__name__}: {exc}") from None
@@ -106,8 +102,8 @@ def spec_from_json(text: str) -> ToeplitzSpec:
 
 def build_toeplitz(spec: ToeplitzSpec, M: int) -> np.ndarray:
     """Order-M Toeplitz matrix with entry (i, k) = a_{i-k}."""
-    if M < 2:
-        raise DomainError("Toeplitz build needs M > 1")
+    if M < 1:
+        raise DomainError("M must be >= 1")
     A = np.zeros((M, M), dtype=np.complex128)
     for j, v in spec.coeffs:
         if abs(j) < M:
@@ -152,18 +148,12 @@ def laplacian_symbol() -> ToeplitzSpec:
 
 def jordan(M: int) -> np.ndarray:
     """Order-M Jordan block at 0 (ones on the superdiagonal)."""
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    return np.eye(M, k=1, dtype=np.complex128) if M > 1 else np.zeros((1, 1), dtype=np.complex128)
+    return build_toeplitz(jordan_symbol(), M)
 
 
 def laplacian(M: int) -> np.ndarray:
     """Order-M discrete Laplacian (ones on both first off-diagonals)."""
-    if M < 1:
-        raise DomainError("M must be >= 1")
-    if M == 1:
-        return np.zeros((1, 1), dtype=np.complex128)
-    return (np.eye(M, k=1) + np.eye(M, k=-1)).astype(np.complex128)
+    return build_toeplitz(laplacian_symbol(), M)
 
 
 # ---------------------------------------------------------------------------

@@ -517,6 +517,23 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
     ["verify", "--count", "1", "--eps", "9e307"],
     ["verify", "--count", "1", "--order-max", "9" * 20],
     ["verify", "--count", "1", "--order-max", "3000000000"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--eps", ""],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--eps", "-1"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau",
+     "--n", "2", "--grid", "1,2,3"],
+    ["include", "--input", "bad.csv", "--builtin", "jordan", "--M", "8",
+     "--method", "gersh"],
+    ["include", "--builtin", "jordan", "--method", "gersh"],
+    ["include", "--method", "gersh"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "tau"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "pi",
+     "--partition", "2,2,4", "--n", "1", "--t", "1"],
+    ["converge", "--eps", "0.1", "--schedule", "24:2:1"],
+    ["converge", "--builtin", "jordan", "--eps", "0.1", "--schedule", "8:2"],
+    ["include", "--builtin", "jordan", "--M", "8", "--method", "pi",
+     "--n", "2", "--t", "abc"],
 ], ids=["eps", "grid-nx", "grid-box", "partition", "partition-uniform",
         "missing-input", "schedule", "converge-eps", "grid-inf",
         "eps-nan", "eps-inf", "converge-eps-nan", "converge-eps-inf",
@@ -531,7 +548,11 @@ def test_include_tau_n2_grid_padded_by_eps2(tmp_path):
         "grid-nx-overflow", "grid-too-big", "converge-grid-nodes-overflow",
         "M-too-big", "M-overflow", "schedule-M-too-big", "grid-out-of-memory",
         "mtx-out-of-memory", "verify-eps-repeated", "verify-eps-overflow",
-        "verify-order-max-overflow", "verify-order-max-too-big"])
+        "verify-order-max-overflow", "verify-order-max-too-big",
+        "eps-empty", "eps-negative", "grid-three-values", "input-and-builtin",
+        "builtin-without-M", "no-input", "tau-without-n",
+        "pi-nonuniform-partition", "converge-no-symbol", "schedule-row-short",
+        "t-not-complex"])
 def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "bad.csv").write_text("1;2\n3;abc\n")
@@ -556,6 +577,18 @@ def test_malformed_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     err = capsys.readouterr().err
     assert err.startswith("specincl: ") and err.count("\n") == 1
     assert "numeric failure" not in err
+
+
+def test_block_gersh_on_zero_matrix(tmp_path):
+    # no nonzero entry, so no off-diagonal block: every radius is 0.0
+    path = tmp_path / "zero.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 0\n")
+    out = tmp_path / "o"
+    assert main(["include", "--input", str(path), "--method", "block-gersh",
+                 "--no-timestamp", "--out-dir", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"block-gersh_n0_eps0.{ext}" for ext in ("csv", "json", "svg")]
 
 
 def test_converge_too_coarse_grid_names_row(tmp_path, capsys):

@@ -366,7 +366,7 @@ def test_run_method_builds_each_family_once(monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(inc, name, counted)
     for method in ("tau", "pi", "tau1"):
-        inc.run_method(view, method, n=3, t=1.0, eps=0.1, grid=grid)
+        inc.method_reports(view, [method], [0.1], 3, 1.0, grid)[0][0]
     assert calls == {"family": 3, "penalty_params": 3}
 
 
@@ -585,7 +585,7 @@ def test_hermitian_shortcut_consistency():
 def test_method_report_roundtrip():
     view = scalar_view(jordan(6))
     grid = ps.GridSpec(-2, 2, -2, 2, 33, 33)
-    report = inc.run_method(view, "tau", n=2, eps=0.1, grid=grid)
+    report = inc.method_reports(view, ["tau"], [0.1], 2, None, grid)[0][0]
     back = inc.MethodReport.from_json(report.to_json())
     assert back.method == "tau" and back.n == 2
     assert back.eps == report.eps and back.penalty == report.penalty
@@ -598,7 +598,7 @@ def test_method_report_roundtrip():
 def test_run_method_all_variants(method):
     view = scalar_view(laplacian(6))
     grid = ps.GridSpec(-3, 3, -3, 3, 41, 41)
-    report = inc.run_method(view, method, n=2, t=1.0, eps=0.1, grid=grid)
+    report = inc.method_reports(view, [method], [0.1], 2, 1.0, grid)[0][0]
     assert report.method == method
     assert report.region.grid == grid
     assert len(report.contributions) >= 1

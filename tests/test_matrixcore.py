@@ -406,6 +406,11 @@ def test_batched_block_norms_equal_one_svd_per_block(seed):
             r.hex() for r in (r_L, r_U, r_L + r_U)]
 
 
+def test_block_radii_of_zero_matrix():
+    view = make_view(np.zeros((4, 4)), BlockPartition((1,) * 4))
+    assert view.block_radii == (0.0,) * 4
+
+
 def test_offdiag_norms_blockdiag_unitary_invariance():
     rng = np.random.default_rng(37)
     sizes = (2, 3, 2, 1)

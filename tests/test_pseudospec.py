@@ -991,6 +991,30 @@ def test_default_grid_contains_gershgorin_box():
     assert grid.re_max > (d.real + radii).max() + 0.5
 
 
+@pytest.mark.parametrize("s", [2.0 ** -30, 2.0 ** -500],
+                         ids=["2^-30", "2^-500"])
+def test_default_grid_scales_with_the_matrix(s):
+    # a matrix of small scale keeps its own box: no least width hides its set
+    E, eps = jordan(40), 0.15
+    unit = default_grid(E, pad=eps, nx=64, ny=64)
+    grid = default_grid(s * E, pad=s * eps, nx=64, ny=64)
+    assert grid == GridSpec(s * unit.re_min, s * unit.re_max,
+                            s * unit.im_min, s * unit.im_max, 64, 64)
+    mask = pseudospectrum(s * E, s * eps, grid, with_field=False).mask
+    expected = pseudospectrum(E, eps, unit, with_field=False).mask
+    assert np.array_equal(mask, expected) and mask.any()
+
+
+def test_default_grid_of_one_point():
+    # the zero matrix keeps its 1e-6 box; a point away from 0 gets a box
+    # relative to its modulus
+    zero = default_grid(np.zeros((2, 2)), nx=5, ny=5)
+    assert zero.re_max - zero.re_min == pytest.approx(1e-6 * (1 + 4 / 4))
+    far = default_grid(np.array([[1e8]]), nx=5, ny=5)
+    assert far.re_max - far.re_min == pytest.approx(100.0 * (1 + 4 / 4))
+    assert far.re_min < 1e8 < far.re_max
+
+
 def test_region_from_points_rasterizes():
     grid = GridSpec(-1, 1, -1, 1, 21, 21)
     region = region_from_points(grid, [0.0, 0.5 + 0.5j])

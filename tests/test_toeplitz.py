@@ -59,10 +59,35 @@ def test_builtin_symbols():
 
 
 def test_spec_hermitian_flag_verified():
-    with pytest.raises(DomainError):
-        toeplitz_spec({-1: 1.0, 1: 0.5}, hermitian=True)
+    # the flag is read from the coefficients, never from the document
+    s = spec_from_json('{"coeffs": [[-1, 1.0, 0.0], [1, 0.5, 0.0]], '
+                       '"hermitian": true}')
+    assert s == toeplitz_spec({-1: 1.0, 1: 0.5})
+    assert not s.hermitian
     s = toeplitz_spec({-1: 0.5 + 0.25j, 1: 0.5 - 0.25j, 0: 1.0})
     assert s.hermitian
+
+
+def test_spec_json_hermitian_false_on_hermitian_table():
+    # a Hermitian table stays Hermitian, so eps = 0 studies accept it
+    s = spec_from_json('{"coeffs": [[-1, 1.0, 0.0], [1, 1.0, 0.0]], '
+                       '"hermitian": false}')
+    assert s == laplacian_symbol() and s.hermitian
+    assert spec_to_json(s) == spec_to_json(laplacian_symbol())
+
+
+def test_builtins_are_their_symbols_at_every_order():
+    # entries bit for bit as the hand-built np.eye forms: 1+0j and +0
+    for M in (1, 2, 7):
+        assert jordan(M).tobytes() == (
+            np.eye(M, k=1, dtype=np.complex128).tobytes())
+        assert laplacian(M).tobytes() == (
+            (np.eye(M, k=1) + np.eye(M, k=-1)).astype(np.complex128)
+            .tobytes())
+    assert build_toeplitz(jordan_symbol(), 1).shape == (1, 1)
+    for build in (jordan, laplacian):
+        with pytest.raises(DomainError):
+            build(0)
 
 
 def test_spec_json_roundtrip():
@@ -203,6 +228,17 @@ def test_jordan_alpha_bracket():
             a = jordan_alpha(n, eps_n + e)
             assert 1 + e - 1e-10 <= a
             assert a <= 1 + e + min(eps_n, math.sqrt(2 * eps_n * e)) + 1e-10
+
+
+def test_jordan_alpha_widens_a_drooping_lower_bracket():
+    # just above eps_1 the computed v_1 already exceeds eps at the analytic
+    # lower end 1 + e, so the root lies below it and the bracket widens
+    n, eps = 1, 1.0000000000000033
+    lower = 1.0 + (eps - 2 * math.sin(math.pi / (4 * n + 2)))
+    assert jordan_vn(n, lower) > eps
+    a = jordan_alpha(n, eps)
+    assert 1.0 <= a < lower
+    assert jordan_vn(n, a) - eps == 0.0
 
 
 def test_jordan_alpha_residual():
