@@ -15,10 +15,11 @@ swept grid sets: the sublevel sets of groups of terms from one
 ``smin_slack`` of its own matrices, intersected into sets with one
 field and one level, or mask-only.  It completes the band
 fields at the nodes ``contour_extract`` reads, in one evaluation for all
-groups.  A mask-only sweep decides a component of one square matrix from
-certified bounds on its smin, and for a bidiagonal matrix from a certified
-Sturm count, wherever they put it on one side of every level, and sends only
-the other nodes to the SVD.  Every swept grid set of the
+groups.  A mask-only sweep decides a component of one square matrix, or a
+term whose square matrices are all Hermitian, bidiagonal or of order 1, from
+certified bounds on their smin and certified Sturm counts of the bidiagonal
+ones, wherever they put it on one side of every level, and sends only the
+other nodes to the SVD.  Every swept grid set of the
 package comes from it, ``pseudospectrum`` included, which returns a band
 field.  The others are masks alone: ``region_from_points`` marks the nodes
 nearest to a point set, and ``inclusion.gershgorin`` its discs, computed
@@ -93,6 +94,9 @@ _QUERY_CHUNK = 1 << 15
 # least node spacing of a grid: 2**22 above the smallest normal float, so
 # 1/spacing and a pixel scale of 2**20 per axis stay finite
 _MIN_SPACING = 2.0 ** -1000
+# least node spacing of ``default_grid``, in units in the last place of the
+# box centre's largest coordinate
+_GRID_ULPS = 64
 
 
 def smin(E) -> float:
@@ -781,18 +785,27 @@ class TermFields:
     def _spectra(self) -> np.ndarray:
         """One row per contribution: its eigenvalues (those of ``embed^H E``
         with an embedding), padded with NaN; computed at the first call, in
-        one ``eigvals`` call per order."""
+        one ``eigvals`` call per order that decomposes each distinct square
+        once (a middle ``embed^H E`` often equals a square truncation)."""
         if self.spectra is None:
-            groups: dict[int, list] = {}
+            # per order: the distinct squares, their index by content, and
+            # the (contribution, square) pairs
+            orders: dict[int, tuple] = {}
             for k, (E, embed) in enumerate(self.items):
-                square = E if embed is None else embed.conj().T @ E
-                groups.setdefault(len(square), []).append((k, square))
-            self.spectra = np.full((len(self.items), max(groups, default=0)),
+                square = np.asarray(E if embed is None
+                                    else embed.conj().T @ E, dtype=complex)
+                index, squares, pairs = orders.setdefault(len(square),
+                                                          ({}, [], []))
+                row = index.setdefault(square.tobytes(), len(squares))
+                if row == len(squares):
+                    squares.append(square)
+                pairs.append((k, row))
+            self.spectra = np.full((len(self.items), max(orders, default=0)),
                                    np.nan, dtype=complex)
-            for order, members in groups.items():
-                keys, stack = zip(*members)
-                self.spectra[list(keys), :order] = np.linalg.eigvals(
-                    np.stack(stack))
+            for order, (_, squares, pairs) in orders.items():
+                keys, rows = map(list, zip(*pairs))
+                self.spectra[keys, :order] = np.linalg.eigvals(
+                    np.stack(squares))[rows]
         return self.spectra
 
     def _evaluate(self, vals, points, want, keys=None) -> None:
@@ -970,50 +983,96 @@ def _corner_need(regions) -> np.ndarray:
 
 
 def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
-    """``field`` as ``level_mask`` calls it, with the pairs that bounds
-    decide taken from them.
+    """``field`` as ``level_mask`` calls it, with the pairs that certified
+    bounds decide taken from them.
 
-    A component whose term holds one distinct square matrix gets the bounds
-    ``lo <= f~ <= hi`` of ``_smin_bounds`` at its own ``slacks`` entry.  A
-    wanted pair with hi at most every level of its row of ``levels`` is
-    inside at all of them, and takes hi as its value; one with lo above
-    every level is outside, and takes lo.  When the matrix is bidiagonal
-    (and not Hermitian, where the bounds are already tight), the pairs
-    these bounds leave get the Sturm count of ``_bidiagonal_test``: a pair
-    it certifies inside takes the row's least level as its value, one it
-    certifies outside the next float above the greatest.  A value from
-    either test gives way to f~ where ``field`` returns f~ for another term
-    of its group.  Each such value lies on the side of each level that f~
-    does, no farther from it, so ``level_mask``'s margins still bound f~ at
-    the neighbours.  The other pairs, ties included, go to ``field``.  Terms
-    of several contributions keep every pair, so ``TermFields`` keeps its
-    anchors.
+    A component qualifies when its term holds one distinct square matrix,
+    or when every contribution of its term is square, has no embedding and
+    a tight certificate: it is Hermitian bit for bit (``_smin_bounds`` then
+    bounds the distance to its ``eigvalsh`` eigenvalues), has order 1, or is
+    bidiagonal (``_bidiagonal_test``).  Each contribution gets the bounds
+    ``lo <= f~ <= hi`` of ``_smin_bounds``, built once per distinct matrix,
+    at its component's ``slacks`` entry, and the Sturm count of
+    ``_bidiagonal_test`` at the nodes these leave.  A contribution is
+    certified at or below the least level of its row of ``levels`` where hi
+    is (with hi as its certified value) or where the count puts f~ below
+    it (with that level), and certified above the greatest level where lo
+    is (with lo) or the count puts f~ above it (with the next float above
+    that level).
+
+    The term, the least f~ over its contributions, is inside at every level
+    where some contribution is certified at or below the least one; it
+    takes the least such certified value, which lies in [f~, least level].
+    Once a node is inside, its remaining contributions are not tested.  It
+    is outside where every contribution is certified above the greatest
+    level, and takes the least certified value, which lies in (greatest
+    level, f~].  Either value lies on the side of each level that f~ does,
+    no farther from it, so ``level_mask``'s margins still bound f~ at the
+    neighbours; a one-matrix term keeps the value of its own test.  A
+    decided value gives way to f~ where ``field`` returns f~ for another
+    term of its group.  The other pairs, ties included, go to ``field``,
+    and so do all pairs of the other terms, which keep ``TermFields``'s
+    anchors: Johnson's bounds are too loose to decide a general term of
+    several matrices.
     """
     radius = _radius(grid)
     low, high = levels.min(axis=1), levels.max(axis=1)
+    bounds = {}
     tests = {}
     for i, idx in enumerate(field.members):
-        E, embed = field.items[idx[0]]
-        shape = np.shape(E)
-        if (idx.size == 1 and embed is None and len(shape) == 2
-                and shape[0] == shape[1]):
-            tests[i] = (_smin_bounds(E, radius), _bidiagonal_test(
-                E, radius, float(low[i]), float(high[i]), slacks[i]))
+        certs = []
+        for k in idx.tolist():
+            E, embed = field.items[k]
+            E = np.asarray(E)
+            if embed is not None or E.ndim != 2 or E.shape[0] != E.shape[1]:
+                break
+            count = _bidiagonal_test(E, radius, float(low[i]),
+                                     float(high[i]), slacks[i])
+            if (idx.size > 1 and count is None and len(E) > 1
+                    and not np.array_equal(E, E.conj().T)):
+                break
+            if k not in bounds:
+                bounds[k] = _smin_bounds(E, radius)
+            certs.append((bounds[k], count))
+        else:
+            tests[i] = certs
 
     def sweep(points, want):
         value = np.full(want.shape, np.nan)
-        for i, (bound, count) in tests.items():
-            at = np.flatnonzero(want[i])
-            lo, hi = bound(points[at], slacks[i])
-            value[i, at] = np.where(hi <= low[i], hi,
-                                    np.where(lo > high[i], lo, np.nan))
-            at = at[np.isnan(value[i, at])]
-            if count is not None and at.size:
-                value[i, at] = count(points[at])
+        for i, certs in tests.items():
+            value[i, want[i]] = _term_test(certs, points[want[i]], low[i],
+                                           high[i], slacks[i])
         vals = field(points, want & np.isnan(value))
         return np.where(np.isnan(vals), value, vals)
 
     return sweep
+
+
+def _term_test(certs, points, low, high, slack) -> np.ndarray:
+    """The values ``_bounds_tier`` takes for one term at the points from its
+    contributions' ``(bounds, count)`` certificates: the least certified
+    value at most ``low`` where one exists, else the least certified value
+    above ``high`` where every contribution has one, else NaN."""
+    upper = np.full(points.size, np.nan)
+    lower = np.full(points.size, np.inf)
+    open_ = np.arange(points.size)
+    for bound, count in certs:
+        at = points[open_]
+        lo, hi = bound(at, slack)
+        up = np.where(hi <= low, hi, np.nan)
+        down = np.where(lo > high, lo, np.nan)
+        rest = np.flatnonzero(np.isnan(up) & np.isnan(down))
+        if count is not None and rest.size:
+            mark = count(at[rest])
+            inside, outside = mark <= low, mark > high
+            up[rest[inside]] = mark[inside]
+            down[rest[outside]] = mark[outside]
+        upper[open_] = up
+        lower[open_] = np.minimum(lower[open_], down)
+        open_ = open_[np.isnan(up)]
+        if not open_.size:
+            break
+    return np.where(np.isnan(upper), lower, upper)
 
 
 def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
@@ -1051,8 +1110,9 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
     names, in one evaluation for all groups.  A value of G within
     the contour nudge of l_0 is one of a component near its level, so the
     band holds it.  Without ``with_field`` the regions are mask-only, and
-    the components of one distinct square matrix take the nodes that their
-    certified bounds, or a bidiagonal matrix's Sturm count, decide from
+    the components whose term holds one distinct square matrix, or only
+    square matrices that are Hermitian, bidiagonal or of order 1, take the
+    nodes that certified bounds and bidiagonal Sturm counts decide from
     them, with no SVD (``_bounds_tier``).
     """
     groups = [(terms, np.asarray(lv, dtype=np.float64))
@@ -1274,9 +1334,12 @@ def default_grid(A, pad: float = 0.0, nx: int = 256, ny: int = 256) -> GridSpec:
     """Bounding box from the classical Gershgorin discs, inflated by ``pad``
     plus two grid cells, so the target sets stay interior to the grid.
 
-    The square box keeps the larger extent as it is, however small, so a
+    The square box keeps the larger extent as it is, down to a floor, so a
     matrix and pad scaled by a power of two get the box scaled by it; a box
-    of one point gets the width ``1e-6 * max(1, |point|)``."""
+    of one point gets the width ``1e-6 * max(1, |point|)``.  The floor gives
+    each cell at least ``_GRID_ULPS`` units in the last place of the
+    centre's largest coordinate, so that the nodes stay distinct and evenly
+    spaced, and twice ``GridSpec``'s least spacing."""
     if nx < 2 or ny < 2:
         raise DomainError("grid needs at least 2 nodes per axis")
     A = np.asarray(A, dtype=np.complex128)
@@ -1290,6 +1353,9 @@ def default_grid(A, pad: float = 0.0, nx: int = 256, ny: int = 256) -> GridSpec:
     re_mid, im_mid = (re_lo + re_hi) / 2, (im_lo + im_hi) / 2
     if span == 0:
         span = 1e-6 * max(1.0, abs(complex(re_mid, im_mid)))
+    ulp = math.ulp(max(abs(re_mid), abs(im_mid)))
+    span = max(span, (max(nx, ny) - 1) * max(_GRID_ULPS * ulp,
+                                             2.0 * _MIN_SPACING))
     re_lo, re_hi = re_mid - span / 2, re_mid + span / 2
     im_lo, im_hi = im_mid - span / 2, im_mid + span / 2
     cell = span / (min(nx, ny) - 1)

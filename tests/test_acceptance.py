@@ -296,6 +296,31 @@ def test_criterion_6_laplacian_convergence():
              f"{'; outside: ' + ', '.join(bad) if bad else ''}")
 
 
+def test_criterion_6_laplacian_target():
+    # The printed target d_H < 0.08, checked where the tau method can meet
+    # it.  As derived in test_criterion_6_laplacian_convergence, every
+    # truncation is a Laplacian, normal with real eigenvalues in (-2, 2),
+    # so Sigma_n holds the discs of radius eps_n about the eigenvalues of
+    # L_n and lies within eps_n of [-2, 2]:
+    #     eps_n <= d_H(Sigma_n, Spec L_M) <= eps_n + g_M,
+    # widened by one cell diagonal on each side for node centres.  At
+    # n = 90, eps_90 = 0.06756 < 0.08 (eps_n first drops below 0.08 at
+    # n = 76), and at M = 1024 the spacing term g_1024 = 0.00306 is small
+    # enough that, on a 700 x 700 grid (cell diagonal 0.00841), the whole
+    # bracket [eps_90 - cell, eps_90 + g_1024 + cell] = [0.0591, 0.0790]
+    # lies below 0.08: a d_H inside it meets the target.  Every truncation
+    # is Hermitian, so the bounds tier decides the tau terms without an SVD
+    t0 = time.perf_counter()
+    [row] = convergence_study(laplacian_symbol(), 0.0, [(1024, 90, 1)],
+                              grid_nodes=700, jobs=2).rows
+    dt = time.perf_counter() - t0
+    lo = eps_L(90) - row.cell
+    hi = eps_L(90) + laplacian_gap(1024) + row.cell
+    announce(6, lo <= row.d_h <= hi and hi < 0.08,
+             f"laplacian target M=1024, n=90, 700x700: d_H={row.d_h:.5f} in "
+             f"[{lo:.4f}, {hi:.4f}], bracket below 0.08 ({dt:.1f} s)")
+
+
 # ---------------------------------------------------------------------------
 # 7. penalty-term minimization
 # ---------------------------------------------------------------------------

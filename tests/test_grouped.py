@@ -27,6 +27,7 @@ from specincl.toeplitz import (
     jordan_symbol,
     laplacian,
     laplacian_symbol,
+    toeplitz_spec,
 )
 
 from support import KernelPairs
@@ -150,33 +151,48 @@ def kernel_pairs(monkeypatch, run):
 
 
 def test_converge_jordan_kernel_budget(monkeypatch):
-    # separate sweeps sent 6,680 units, 1,193 of them a repeated pair; one
-    # grouped sweep sends each of the 5,487 distinct pairs once
+    # the bounds tier decides every term of the study without an SVD: its
+    # truncations of orders 2 to 16 and its order-96 reference are
+    # bidiagonal, and the order-1 edges are the Hermitian zero (a sweep
+    # without the tier sent 5,487 pairs)
     pairs = kernel_pairs(monkeypatch, lambda: convergence_study(
         jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64, jobs=2))
-    assert max(pairs.values()) == 1
-    assert sum(pairs.values()) <= 5487
+    assert not pairs
 
 
 def test_converge_jordan_reference_units(monkeypatch):
     # the order-96 Jordan block is bidiagonal, so the bounds tier decides
     # each of its reference pairs, by Johnson's bounds or by its Sturm
-    # count, without an SVD
-    pairs = kernel_pairs(monkeypatch, lambda: convergence_study(
-        jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64, jobs=2))
-    reference = ps._content_key(build_toeplitz(jordan_symbol(), 96), None)
-    assert pairs and not any(key == reference for key, _ in pairs)
+    # count, without an SVD: alone, as in the study, where no pair at all
+    # reaches the kernel
+    J = build_toeplitz(jordan_symbol(), 96)
+    grid = ps.default_grid(J, pad=0.15, nx=64, ny=64)
+    alone = kernel_pairs(monkeypatch, lambda: ps.pseudospectrum(
+        J, 0.15, grid, with_field=False))
+    study = kernel_pairs(monkeypatch, lambda: convergence_study(
+        jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64, jobs=1))
+    assert not alone and not study
 
 
 def test_laplacian_study_sends_no_reference_pair(monkeypatch):
-    # the Laplacian is Hermitian, so its references are decided from the
-    # distance to its eigenvalues; the 898 pairs a sweep sent are all gone
+    # the Laplacian and its truncations are Hermitian, so the references
+    # and the tau terms are decided from the distance to their
+    # eigenvalues (a sweep without the tier sent 898 reference pairs and
+    # 1,684 of the truncations)
     schedule = [(64, 2, 1), (64, 4, 1), (128, 4, 1)]
     pairs = kernel_pairs(monkeypatch, lambda: convergence_study(
         laplacian_symbol(), 0.1, schedule, grid_nodes=128))
-    references = {ps._content_key(build_toeplitz(laplacian_symbol(), M), None)
-                  for M in (64, 128)}
-    assert pairs and not any(key in references for key, _ in pairs)
+    assert not pairs
+
+
+def test_tau1_study_reaches_the_kernel(monkeypatch):
+    # the spy of the tests above is wired: the rectangular truncations of a
+    # symbol with a tail have embeddings, which the bounds tier leaves to
+    # the kernel, and the study sends each of their pairs once
+    spec = toeplitz_spec({-1: 1.0, 2: 0.5})
+    pairs = kernel_pairs(monkeypatch, lambda: convergence_study(
+        spec, 0.1, [(48, 2, 1), (48, 4, 1)], grid_nodes=48))
+    assert pairs and max(pairs.values()) == 1
 
 
 @pytest.mark.parametrize("nodes", [64, 128])

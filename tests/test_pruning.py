@@ -17,10 +17,12 @@ from specincl import inclusion as inc
 from specincl import pseudospec as ps
 from specincl.cli import main
 from specincl.matrixcore import BlockPartition, make_view, resolve_partition
+from specincl.toeplitz import build_toeplitz, jordan, laplacian, toeplitz_spec
 
 from support import (
     KernelPairs,
     exhaustive_bounded,
+    full_sweep_mask,
     reference_term_fields,
     unpruned_term_fields,
     write_matrix_market,
@@ -218,3 +220,87 @@ def test_pruned_include_all_evaluates_under_45_percent(tmp_path,
     assert names == sorted(p.name for p in oracle_out.iterdir())
     for name in names:
         assert (out / name).read_bytes() == (oracle_out / name).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the bounds tier on whole terms of mask-only sweeps
+# ---------------------------------------------------------------------------
+
+def scalar_view(A):
+    return make_view(A, resolve_partition("uniform:1", A))
+
+
+def bidiagonal(order, seed):
+    rng = np.random.default_rng(seed)
+    return np.diag(rand_complex(rng, order)) + np.diag(
+        rand_complex(rng, order - 1), 1) / 2
+
+
+TIGHT_TERMS = {
+    **{f"jordan-n{n}": (lambda: jordan(24), n) for n in (2, 4, 16)},
+    **{f"laplacian-n{n}": (lambda: laplacian(24), n) for n in (2, 4, 8)},
+    # the edge truncations of order 1 are the complex scalar 0.3 + 0.4i
+    "complex-scalar-edge": (lambda: build_toeplitz(
+        toeplitz_spec({0: 0.3 + 0.4j, -1: 1.0}), 16), 2),
+    # every truncation distinct, the order-1 edges complex scalars too
+    "random-bidiagonal": (lambda: bidiagonal(16, 3), 4),
+}
+
+
+@pytest.mark.parametrize("build, n", TIGHT_TERMS.values(), ids=TIGHT_TERMS)
+def test_tight_terms_are_decided_without_the_kernel(build, n, monkeypatch):
+    # each contribution of these tau terms (the short edge truncations
+    # included) is bidiagonal, Hermitian or of order 1, so the certified
+    # bounds and Sturm counts decide every node of the mask-only sweep, and
+    # the mask is the full sweep's, bit for bit
+    view = scalar_view(build())
+    eps = 0.15
+    grid = ps.default_grid(view.matrix, pad=inc.grid_pad(view, "tau", n, eps),
+                           nx=64, ny=64)
+    region, pairs = counted(monkeypatch, lambda: inc.method_mask(
+        view, "tau", n, eps, grid))
+    full = full_sweep_mask(view, "tau", n, eps, grid)
+    assert np.array_equal(region.mask, full)
+    assert 0 < full.sum() < full.size
+    assert not pairs
+
+
+def test_general_tridiagonal_term_falls_back(monkeypatch):
+    # the main truncations of this Toeplitz matrix are tridiagonal and not
+    # Hermitian, which Johnson's bounds leave loose, so the one term of
+    # main and edge truncations (n = 2) goes to TermFields whole: the
+    # mask-only sweep sends the pairs of a sweep without the tier, and its
+    # mask is the full sweep's
+    A = build_toeplitz(toeplitz_spec({-1: 1.0, 0: 0.2j, 1: 0.5}), 16)
+    view = scalar_view(A)
+    eps = 0.1
+    grid = ps.default_grid(A, pad=inc.grid_pad(view, "tau", 2, eps),
+                           nx=48, ny=48)
+    region, pairs = counted(monkeypatch, lambda: inc.method_mask(
+        view, "tau", 2, eps, grid))
+    assert np.array_equal(region.mask, full_sweep_mask(view, "tau", 2, eps,
+                                                       grid))
+    _, [term], lvls = inc.method_terms(view, "tau", 2, [eps])
+    slack = ps.smin_slack([E for _, E, _ in term], grid)
+    assert len(ps.TermFields([term]).items) == 2
+    _, untiered = counted(monkeypatch, lambda: ps.level_mask(
+        ps.TermFields([term], slack), grid, lvls, slack))
+    assert pairs and pairs == untiered
+
+
+def test_level_below_the_least_sturm_shift_falls_back(monkeypatch):
+    # at a level below the least shift the Sturm count tests at, no
+    # contribution of the Jordan tau term can be certified inside, so the
+    # nodes near the eigenvalue 0 go to the kernel, and the mask is the
+    # full sweep's; the grid has a node at 0, where smin is 0
+    view = scalar_view(jordan(24))
+    terms = inc.family(view, "tau", 4)
+    level = 2.0 ** -500
+    assert level < ps._STURM_LEAST
+    grid = ps.GridSpec(-1.5, 1.5, -1.5, 1.5, 33, 33)
+    ([region],), pairs = counted(monkeypatch, lambda: ps.certified_regions(
+        [(terms, [[level]] * len(terms))], grid, with_field=False))
+    nodes = grid.nodes()
+    full = np.all(reference_term_fields(terms, nodes) <= level, axis=0)
+    assert np.array_equal(region.mask, full.reshape(nodes.shape))
+    assert full.any() and pairs

@@ -1015,6 +1015,28 @@ def test_default_grid_of_one_point():
     assert far.re_min < 1e8 < far.re_max
 
 
+@pytest.mark.parametrize("diag", [(1.0, 1.0 + 1e-15), (0.0, 1e-305)],
+                         ids=["ulps", "least-spacing"])
+def test_default_grid_of_a_near_degenerate_box(diag):
+    # a box a few ulps wide around 1 kept about 6 distinct abscissae of 256,
+    # and one of width 1e-305 fell below GridSpec's least spacing; the
+    # floored box has 256 distinct, evenly spaced nodes per axis around the
+    # entries.  The ulp floor scales with a power of two; the floor at the
+    # least spacing is absolute
+    A = np.diag(diag)
+    grid = default_grid(A)
+    for axis in (grid.xs, grid.ys):
+        steps = np.diff(axis)
+        assert np.all(steps > 0) and steps.max() < 1.1 * steps.min()
+    assert grid.re_min < min(diag) <= max(diag) < grid.re_max
+    assert grid.im_min < 0 < grid.im_max
+    if diag[0]:
+        s = 2.0 ** 40
+        assert default_grid(s * A) == GridSpec(
+            s * grid.re_min, s * grid.re_max, s * grid.im_min,
+            s * grid.im_max, grid.nx, grid.ny)
+
+
 def test_region_from_points_rasterizes():
     grid = GridSpec(-1, 1, -1, 1, 21, 21)
     region = region_from_points(grid, [0.0, 0.5 + 0.5j])
