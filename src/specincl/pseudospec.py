@@ -415,9 +415,12 @@ def smin_slack(matrices, grid: GridSpec) -> float:
     matrices.
     """
     radius = _radius(grid)
+    # each matrix once by content: equal keys give equal norms, bit for bit
+    distinct = {(E.dtype.str, E.shape, E.strides, E.tobytes()): E
+                for E in map(np.asarray, matrices)}
     delta = max((_SLACK_C * E.shape[0] * E.shape[1] + 1) * _U
                 * (float(np.linalg.norm(E)) + radius)
-                for E in map(np.asarray, matrices))
+                for E in distinct.values())
     return 2.0 * delta + 8.0 * _U * radius
 
 
@@ -487,22 +490,38 @@ def _smin_bounds(E, radius: float):
     return bounds
 
 
-# ``_bidiagonal_test``: a pivot of modulus below _PIVMIN is replaced by
-# -_PIVMIN, and _STURM_LEAST is the least shift it counts at, both in scaled
+# the Sturm counts of ``_Sturm``: a pivot of modulus below _PIVMIN is replaced
+# by -_PIVMIN, and _STURM_LEAST is the least shift counted at, both in scaled
 # units
 _PIVMIN = 2.0 ** -1000
 _STURM_LEAST = 2.0 ** -480
 
 
-def _bidiagonal_test(E, radius: float, low: float, high: float,
-                     slack: float):
-    """Certified tests ``f~ < low`` and ``f~ > high`` of the value f~ that
-    ``smin_fields`` computes for f(z) = smin(E - z I), at nodes of modulus at
-    most R = ``radius``, for E upper or lower bidiagonal of order M >= 2 and
-    not Hermitian; ``slack`` is at least 2 delta, delta the error bound |f~ -
-    f| of ``smin_slack``.  Returns ``decide(points)``, which gives ``low``
-    where f~ < low is certified, the next float above ``high`` where f~ >
-    high is, and NaN elsewhere; or None for any other E.
+def _bidiagonal(E):
+    """The diagonal and the off-diagonal of a square E that is upper or lower
+    bidiagonal (a diagonal E counts as upper), or None."""
+    if not (np.triu(E, 2).any() or np.tril(E, -1).any()):
+        return np.diagonal(E), np.diagonal(E, 1)
+    if not (np.tril(E, -2).any() or np.triu(E, 1).any()):
+        return np.diagonal(E), np.diagonal(E, -1)
+    return None
+
+
+class _Sturm:
+    """Certified tests ``f~ < low`` and ``f~ > high`` of the values f~ that
+    ``smin_fields`` computes for f(z) = smin(E - z I), for the bidiagonal
+    contributions E of several terms, at nodes of modulus at most R =
+    ``radius``, from one Sturm recurrence per ``counts`` call.
+
+    ``add(bands, low, high, slack)`` registers a term: ``bands`` holds the
+    (diagonal, off-diagonal) pairs of its bidiagonal contributions of order
+    >= 2, in term order, ``low`` and ``high`` are its least and greatest
+    level, and ``slack`` is at least 2 delta, delta the error bound |f~ - f|
+    of ``smin_slack``.  It returns the term's number, or None where it counts
+    at no shift.  ``counts(asks)`` takes ``(term, ask, points)`` triples, the
+    boolean ``ask`` of shape (contributions, points) naming the pairs to
+    test, and returns per triple the arrays ``inside`` (f~ < low certified)
+    and ``outside`` (f~ > high certified) of that shape.
 
     The count.  E - zI is bidiagonal, and diagonal unitary scalings turn it
     into the real bidiagonal B of the moduli of its entries, of the same
@@ -512,90 +531,233 @@ def _bidiagonal_test(E, radius: float, low: float, high: float,
     for sigma > 0, T - sigma I has M + #{s_i < sigma} negative eigenvalues,
     and by Sylvester's law of inertia as many negative pivots q_1 = -sigma,
     q_k+1 = -sigma - b_k^2 / q_k: f(z) < sigma exactly when more than M are
-    negative.  The count runs in units scaled by a power of two that puts
-    max(|e_ii| + R, |e_i,i+-1|, the outside shift) in [1/2, 1), so every b_k
-    and every shift is below 1 and no quotient exceeds 2^1000.
+    negative.
 
-    Rounding.  (i) Relative.  Each b_k^2 is formed from scaled parts as a
-    sum of two squares (of differences, on the diagonal) within a factor 1
-    +- 4u of its exact value, u = 2^-53; scaling by a power of two is exact.
-    A step rounds its quotient and its difference (-sigma is exact).
-    Divided by the rounding factor of its difference, which keeps its sign,
-    each computed pivot obeys the recurrence exactly with b_k^2 off by two
-    more factors 1 +- u (Kahan, 1966; Demmel, *Applied Numerical Linear
-    Algebra*, 1997, section 5.3.4).  So the count is exact for the
-    Golub-Kahan matrix of a bidiagonal with entries b_k (1 + psi_k), |psi_k|
-    <= psi = 4u (3u to first order), whose singular values are those of B
-    within the factor alpha = (1 - psi)^-(2M-1) <= 1 + 2 (2M - 1) psi
-    (Demmel & Kahan, "Accurate singular values of bidiagonal matrices",
-    *SIAM J. Sci. Stat. Comput.* 11, 1990, Theorem 2).  (ii) Absolute.  A
-    pivot below _PIVMIN in modulus, replaced by -_PIVMIN, moves a diagonal
-    entry of T by less than 2^-998.  Underflow in the scaled parts, squares
-    and quotients moves b_k^2 by at most 2^-1070, so b_k by at most 2^-535,
-    or a diagonal entry of T by at most 2^-1074.  By Weyl's inequality these
-    move the eigenvalues of T by less than omega = 2^-530.  So
-    a count above M at sigma proves f < alpha (sigma + omega), and one of at
-    most M proves f >= (sigma - omega) / alpha, in scaled units.
+    Shared counts.  The first 2m pivots are those of T's leading block of
+    order 2m, the Golub-Kahan matrix of B's leading block of order m; so the
+    count after them is that block's count.  A contribution whose diagonal
+    and off-diagonal are those of the leading block of the term's first
+    contribution of its largest order is read off that contribution's
+    pivots.  One that matches the trailing block of the last contribution of
+    that order is read off a pass over its reversed diagonal and
+    off-diagonal: reversing the rows and columns of B keeps its singular
+    values and makes that block a leading one.  So the short edge
+    truncations of tau, leading blocks of its k = 0 and trailing blocks of
+    its k = N - n main truncation, cost no pass of their own.  The passes of
+    every term at every asked node and both shifts are the rows of one
+    recurrence: sorted by length, so that each step works on the rows still
+    running, each row with its own shift.
+
+    Rounding.  The count runs in units scaled by a power of two that puts
+    max(|e_ii| + R, |e_i,i+-1|, the outside shift) over the term's
+    contributions in [1/2, 1), so every b_k and every shift is below 1 and
+    no quotient exceeds 2^1000.  (i) Relative.  Each b_k^2 is formed from
+    scaled parts as a sum of two squares (of differences, on the diagonal)
+    within a factor 1 +- 4u of its exact value, u = 2^-53; scaling by a
+    power of two is exact.  A step rounds its quotient and its difference
+    (-sigma is exact).  Divided by the rounding factor of its difference,
+    which keeps its sign, each computed pivot obeys the recurrence exactly
+    with b_k^2 off by two more factors 1 +- u (Kahan, 1966; Demmel, *Applied
+    Numerical Linear Algebra*, 1997, section 5.3.4).  So the count after 2m
+    pivots is exact for the Golub-Kahan matrix of a bidiagonal of order m
+    with entries b_k (1 + psi_k), |psi_k| <= psi = 4u (3u to first order),
+    whose singular values are those of B within the factor alpha_m = (1 -
+    psi)^-(2m-1) <= 1 + 2 (2m - 1) psi (Demmel & Kahan, "Accurate singular
+    values of bidiagonal matrices", *SIAM J. Sci. Stat. Comput.* 11, 1990,
+    Theorem 2).  (ii) Absolute.  A pivot below _PIVMIN in modulus, replaced
+    by -_PIVMIN, moves a diagonal entry of T by less than 2^-998.  Underflow
+    in the scaled parts, squares and quotients moves b_k^2 by at most
+    2^-1070, so b_k by at most 2^-535, or a diagonal entry of T by at most
+    2^-1074.  By Weyl's inequality these move the eigenvalues of T by less
+    than omega = 2^-530, whatever the order.  So a count above m at sigma
+    proves f < alpha_m (sigma + omega), and one of at most m proves f >=
+    (sigma - omega) / alpha_m, in scaled units.
 
     Shifts.  s_in = (low - slack) / gamma and s_out = (high + slack) gamma,
-    scaled, with gamma = (1 + 2 (2M - 1) psi)(1 + 2^-40).  A shift below
-    _STURM_LEAST = 2^-480, or not finite, makes no test, so omega is at most
-    2^-50 of a shift; the factor 1 + 2^-40 covers that and the few roundings
-    in forming the shifts.  A count above M at s_in then proves f < low -
-    slack, so f~ <= f + delta < low; one of at most M at s_out proves f >=
-    high + slack, so f~ >= f - delta > high (delta > 0, E not being zero).
-    Either value returned lies on f~'s side of every level, no farther from
-    it than f~, as ``_bounds_tier`` needs.
+    scaled, with gamma = (1 + 2 (2M - 1) psi)(1 + 2^-40), M the term's
+    largest order.  A shift below _STURM_LEAST = 2^-480, or not finite, makes
+    no test, so omega is at most 2^-50 of a shift; the factor 1 + 2^-40
+    covers that and the few roundings in forming the shifts.  A count above
+    m at s_in then proves f < low - slack, so f~ <= f + delta < low; one of
+    at most m at s_out proves f >= high + slack, so f~ >= f - delta > high
+    (delta > 0, E not being zero).  One gamma and one scale serve the whole
+    term, and both keep the certificate for each contribution: alpha_m <=
+    alpha_M for m <= M, so the larger gamma only widens its shifts, and the
+    term's scale is at most the contribution's own, so its scaled parts and
+    shifts stay below 1 and (i) holds for it unchanged, while (ii) does not
+    depend on the scale.
     """
-    E = np.asarray(E, dtype=np.complex128)
-    M = len(E)
-    if M < 2 or np.array_equal(E, E.conj().T):
-        return None
-    if not (np.triu(E, 2).any() or np.tril(E, -1).any()):
-        off = np.diagonal(E, 1)
-    elif not (np.tril(E, -2).any() or np.triu(E, 1).any()):
-        off = np.diagonal(E, -1)
-    else:
-        return None
-    diag = np.diagonal(E)
-    gamma = (1.0 + 8.0 * (2 * M - 1) * _U) * (1.0 + 2.0 ** -40)
-    top = max(float(np.abs(diag).max()) + radius, float(np.abs(off).max()),
-              (high + slack) * gamma)
-    # the scale, at most 2^1000, must be finite
-    if not math.isfinite(top) or top < 2.0 ** -1000:
-        return None
-    scale = math.ldexp(1.0, -math.frexp(top)[1])
-    shifts = np.array([(low - slack) * scale / gamma,
-                       (high + slack) * scale * gamma])
-    made = np.isfinite(shifts) & (shifts >= _STURM_LEAST)
-    if not made.any():
-        return None
-    shifts = shifts[made, None]
-    re, im = diag.real * scale, diag.imag * scale
-    off2 = (off.real * scale) ** 2 + (off.imag * scale) ** 2
-    marks = np.array([low, np.nextafter(high, np.inf)])[made]
-    inside = np.array([True, False])[made, None]
 
-    def decide(points):
-        x, y = points.real * scale, points.imag * scale
-        q = np.repeat(-shifts, x.size, axis=1)
-        negative = np.ones(q.shape, dtype=np.intp)
-        for k in range(2 * M - 1):
-            if k % 2:
-                b2 = off2[k // 2]
-            else:
-                dx, dy = re[k // 2] - x, im[k // 2] - y
-                b2 = dx * dx + dy * dy
-            q = -shifts - b2 / q
-            np.copyto(q, -_PIVMIN, where=np.abs(q) < _PIVMIN)
-            negative += q < 0
-        out = np.full(points.shape, np.nan)
-        # inside where s_in's count exceeds M, outside where s_out's does not
-        for mark, hit in zip(marks, (negative > M) == inside):
-            out[hit] = mark
+    def __init__(self, radius: float):
+        self.radius = radius
+        # per term: its passes, the pass and order of each contribution, its
+        # scale, negated shifts, which shifts are counted at, and its
+        # contributions in pass order with the start of each pass
+        self.terms = []
+        # per pass: the scaled diagonal and squared off-diagonal
+        self.passes = []
+        self.table = None
+
+    def add(self, bands, low: float, high: float, slack: float):
+        orders = np.array([len(d) for d, _ in bands])
+        M = int(orders.max())
+        gamma = (1.0 + 8.0 * (2 * M - 1) * _U) * (1.0 + 2.0 ** -40)
+        top = max([float(np.abs(d).max()) + self.radius for d, _ in bands]
+                  + [float(np.abs(o).max()) for _, o in bands]
+                  + [(high + slack) * gamma])
+        # the scale, at most 2^1000, must be finite
+        if not math.isfinite(top) or top < 2.0 ** -1000:
+            return None
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        shifts = np.array([(low - slack) * scale / gamma,
+                           (high + slack) * scale * gamma])
+        made = np.isfinite(shifts) & (shifts >= _STURM_LEAST)
+        if not made.any():
+            return None
+        # a shift not counted at runs as 1/2, in range, and is not read
+        shifts[~made] = 0.5
+        big = np.flatnonzero(orders == M)
+        first, last = bands[big[0]], bands[big[-1]]
+        # the term's passes, by content, as numbers of ``self.passes``
+        own: dict[tuple, int] = {}
+        local = []
+        for (d, o), m in zip(bands, orders.tolist()):
+            if (m < M and np.array_equal(d, first[0][:m])
+                    and np.array_equal(o, first[1][:m - 1])):
+                d, o = first
+            elif (m < M and np.array_equal(d, last[0][M - m:])
+                  and np.array_equal(o, last[1][M - m:])):
+                d, o = last[0][::-1], last[1][::-1]
+            key = (d.tobytes(), o.tobytes())
+            if key not in own:
+                own[key] = len(own)
+                self.passes.append((d.astype(np.complex128) * scale,
+                                    (o.real * scale) ** 2
+                                    + (o.imag * scale) ** 2))
+            local.append(own[key])
+        first_pass = len(self.passes) - len(own)
+        local = np.array(local)
+        # the contributions in pass order, and where each pass starts
+        by_pass = np.argsort(local, kind="stable")
+        starts = np.searchsorted(local[by_pass], np.arange(len(own)))
+        self.terms.append((first_pass + np.arange(len(own)), local, orders,
+                           scale, -shifts, made, by_pass, starts))
+        self.table = None
+        return len(self.terms) - 1
+
+    def counts(self, asks) -> list:
+        if not asks:
+            return []
+        if self.table is None:
+            # step-major, each pass padded with its last entry
+            width = max(len(d) for d, _ in self.passes)
+            self.table = tuple(np.stack([np.pad(a, (0, size - a.size), "edge")
+                                         for a in column], axis=1)
+                               for column, size in zip(zip(*self.passes),
+                                                       (width, width - 1)))
+        rows, numbers = [], []
+        total = 0
+        for t, ask, points in asks:
+            passes, local, orders, scale, negs, made, by_pass, starts = \
+                self.terms[t]
+            # the order each pass runs to at each shift and node, in the
+            # least unsigned type that holds twice the term's largest order,
+            # and the number of that row
+            need = np.maximum.reduceat(np.where(
+                ask[:, by_pass] & made[:, None, None],
+                orders[by_pass, None].astype(np.min_scalar_type(
+                    2 * orders.max())), 0), starts, axis=1)
+            h, s, at = np.nonzero(need)
+            number = np.zeros(need.shape, dtype=np.intp)
+            number[h, s, at] = total + np.arange(h.size)
+            total += h.size
+            rows.append((passes[s], points[at] * scale, negs[h],
+                         2 * need[h, s, at] - 1))
+            numbers.append(number)
+        if not total:
+            return [np.zeros(ask.shape, dtype=bool) for _, ask, _ in asks]
+        reads = sorted({2 * m - 2 for t, _, _ in asks
+                        for m in self.terms[t][2].tolist()})
+        # the rows longest first (a radix sort of the small lengths), and
+        # the number of rows longer than each step
+        length = np.concatenate([r[3] for r in rows])
+        order = np.argsort(length, kind="stable")[::-1]
+        active = length.size - np.cumsum(np.bincount(length))[:-1]
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        src, z, negs = (np.concatenate([r[j] for r in rows])[order]
+                        for j in range(3))
+        del rows, length, order
+        counted = _sturm_pass(*self.table, src, z, negs, active, reads)
+        out = []
+        for (t, ask, _), number in zip(asks, numbers):
+            _, local, orders, _, _, made, _, _ = self.terms[t]
+            # the row of each pair (one pass: broadcast over contributions)
+            at = rank[number]
+            got = counted[np.searchsorted(reads, 2 * orders - 2)[:, None],
+                          at if at.shape[1] == 1 else at[:, local]]
+            # inside where the count at s_in exceeds m, outside where the
+            # count at s_out does not
+            m = orders[:, None].astype(counted.dtype)
+            out.append(ask & made[:, None, None]
+                       & ((got > m) == np.array([[[True]], [[False]]])))
         return out
 
-    return decide
+
+def _sturm_pass(diag, off2, src, z, negs, active, reads) -> np.ndarray:
+    """The negative pivots of the Sturm recurrences of ``_Sturm``, counted
+    after chosen steps.
+
+    Row r runs over pass ``src[r]``, a column of the step-major tables
+    ``diag`` and ``off2``, at the node ``z[r]`` and the negated shift
+    ``negs[r]``, all scaled; the rows come longest first, and step k works
+    on the first ``active[k]`` of them, those longer than k.  Row i of the
+    result holds the counts after step ``reads[i]`` (from 0, ``reads``
+    ascending) of the rows that ran it.  A step forms the squares b_k^2 of
+    its rows only where an entry of some pass differs from that of its
+    previous step of the same kind (never for Toeplitz passes), in reused
+    buffers, and tests the pivot floor with one reduction.
+    """
+    # the least unsigned type that holds every count and order
+    counts = np.zeros((len(reads), src.size),
+                      dtype=np.min_scalar_type(2 * len(diag)))
+    read = dict(zip(reads, counts))
+    fresh = [[True] + (t[1:] != t[:-1]).any(axis=1).tolist()
+             for t in (diag, off2)]
+    q = negs.copy()
+    # the signs are added to the counts as bytes
+    count = np.ones(q.shape, dtype=counts.dtype)
+    sign = np.empty(q.shape, dtype=bool)
+    neg = sign.view(np.uint8)
+    tmp = np.empty(q.shape)
+    b2 = np.empty((2,) + q.shape)
+    n = 0
+    for k in range(active.size):
+        if active[k] != n:
+            n = int(active[k])
+            qn, tn, cn, en, gn, nn, sn, zn = (
+                a[:n] for a in (q, tmp, count, neg, sign, negs, src, z))
+            dn, on = b2[:, :n]
+        odd, i = k % 2, k // 2
+        if fresh[odd][i] and odd:
+            np.take(off2[i], sn, out=on, mode="clip")
+        elif fresh[odd][i]:
+            # |e_ii - z|^2 as (re - x)^2 + (im - y)^2
+            for part, buf in ((np.real, dn), (np.imag, tn)):
+                np.take(part(diag[i]), sn, out=buf, mode="clip")
+                np.subtract(buf, part(zn), out=buf)
+                np.multiply(buf, buf, out=buf)
+            np.add(dn, tn, out=dn)
+        np.divide(on if odd else dn, qn, out=tn)
+        np.subtract(nn, tn, out=qn)
+        np.abs(qn, out=tn)
+        if tn.min() < _PIVMIN:
+            np.copyto(qn, -_PIVMIN, where=tn < _PIVMIN)
+        np.less(qn, 0.0, out=gn)
+        np.add(cn, en, out=cn)
+        if k in read:
+            read[k][:n] = cn
+    return counts
 
 
 def _content_key(mat, embed) -> bytes:
@@ -990,89 +1152,134 @@ def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
     or when every contribution of its term is square, has no embedding and
     a tight certificate: it is Hermitian bit for bit (``_smin_bounds`` then
     bounds the distance to its ``eigvalsh`` eigenvalues), has order 1, or is
-    bidiagonal (``_bidiagonal_test``).  Each contribution gets the bounds
-    ``lo <= f~ <= hi`` of ``_smin_bounds``, built once per distinct matrix,
-    at its component's ``slacks`` entry, and the Sturm count of
-    ``_bidiagonal_test`` at the nodes these leave.  A contribution is
+    bidiagonal with a Sturm count (``_Sturm``).  Each contribution gets the
+    bounds ``lo <= f~ <= hi`` of ``_smin_bounds``, built once per distinct
+    matrix, at its component's ``slacks`` entry.  A contribution is
     certified at or below the least level of its row of ``levels`` where hi
-    is (with hi as its certified value) or where the count puts f~ below
-    it (with that level), and certified above the greatest level where lo
-    is (with lo) or the count puts f~ above it (with the next float above
-    that level).
+    is (with hi as its certified value) or where its count puts f~ below it
+    (with that level), and certified above the greatest level where lo is
+    (with lo) or its count puts f~ above it (with the next float above that
+    level).
 
     The term, the least f~ over its contributions, is inside at every level
     where some contribution is certified at or below the least one; it
-    takes the least such certified value, which lies in [f~, least level].
-    Once a node is inside, its remaining contributions are not tested.  It
-    is outside where every contribution is certified above the greatest
-    level, and takes the least certified value, which lies in (greatest
-    level, f~].  Either value lies on the side of each level that f~ does,
-    no farther from it, so ``level_mask``'s margins still bound f~ at the
-    neighbours; a one-matrix term keeps the value of its own test.  A
-    decided value gives way to f~ where ``field`` returns f~ for another
-    term of its group.  The other pairs, ties included, go to ``field``,
-    and so do all pairs of the other terms, which keep ``TermFields``'s
-    anchors: Johnson's bounds are too loose to decide a general term of
-    several matrices.
+    takes the least certified value found, which lies in [f~, least level].
+    The bounds are tried first, contribution by contribution, and a node
+    one of them puts inside takes that hi and tests no further
+    contribution; every earlier one had hi above the least level.  At the
+    other nodes the counts of all bidiagonal contributions that their bounds
+    leave come from one recurrence per call for every term, and a count
+    inside gives the least level, which no bound found there undercuts.  The
+    term is outside where every contribution is certified above the
+    greatest level, and takes the least certified value, which lies in
+    (greatest level, f~].  Either value lies on the side of each level that
+    f~ does, no farther from it, so ``level_mask``'s margins still bound f~
+    at the neighbours.  A decided value gives way to f~ where ``field``
+    returns f~ for another term of its group.  The other pairs, ties
+    included, go to ``field``, and so do all pairs of the other terms, which
+    keep ``TermFields``'s anchors: Johnson's bounds are too loose to decide
+    a general term of several matrices.
     """
     radius = _radius(grid)
     low, high = levels.min(axis=1), levels.max(axis=1)
+    sturm = _Sturm(radius)
     bounds = {}
     tests = {}
     for i, idx in enumerate(field.members):
+        items = [(k, np.asarray(field.items[k][0]), field.items[k][1])
+                 for k in idx.tolist()]
+        if any(embed is not None or E.ndim != 2 or E.shape[0] != E.shape[1]
+               for _, E, embed in items):
+            continue
+        # the bidiagonal ones among the contributions of order >= 2 that
+        # are not Hermitian; in a term of several, all of these need counts
+        general = [len(E) > 1 and not np.array_equal(E, E.conj().T)
+                   for _, E, _ in items]
+        bands = [_bidiagonal(E) if g else None
+                 for (_, E, _), g in zip(items, general)]
+        counted = [b for b in bands if b is not None]
+        if idx.size > 1 and len(counted) < sum(general):
+            continue
+        term = sturm.add(counted, float(low[i]), float(high[i]),
+                         slacks[i]) if counted else None
+        if idx.size > 1 and counted and term is None:
+            continue
+        # each contribution's bounds, and its number among the counted ones
         certs = []
-        for k in idx.tolist():
-            E, embed = field.items[k]
-            E = np.asarray(E)
-            if embed is not None or E.ndim != 2 or E.shape[0] != E.shape[1]:
-                break
-            count = _bidiagonal_test(E, radius, float(low[i]),
-                                     float(high[i]), slacks[i])
-            if (idx.size > 1 and count is None and len(E) > 1
-                    and not np.array_equal(E, E.conj().T)):
-                break
+        reads = iter(range(len(counted)))
+        for (k, E, _), b in zip(items, bands):
             if k not in bounds:
                 bounds[k] = _smin_bounds(E, radius)
-            certs.append((bounds[k], count))
-        else:
-            tests[i] = certs
+            certs.append((bounds[k], None if b is None or term is None
+                          else next(reads)))
+        tests[i] = certs, term
 
     def sweep(points, want):
+        staged = {i: _bounded(certs, points[want[i]], low[i], high[i],
+                              slacks[i]) for i, (certs, _) in tests.items()}
+        counted = [i for i, (_, term) in tests.items() if term is not None]
+        decided = dict(zip(counted, sturm.counts(
+            [(tests[i][1], staged[i][2], points[want[i]]) for i in counted])))
         value = np.full(want.shape, np.nan)
-        for i, certs in tests.items():
-            value[i, want[i]] = _term_test(certs, points[want[i]], low[i],
-                                           high[i], slacks[i])
-        vals = field(points, want & np.isnan(value))
+        for i, (upper, lower, ask) in staged.items():
+            value[i, want[i]] = _term_values(
+                upper, lower, ask, decided.get(i, ask), low[i], high[i])
+        left = want & np.isnan(value)
+        if not left.any():
+            return value
+        vals = field(points, left)
         return np.where(np.isnan(vals), value, vals)
 
     return sweep
 
 
-def _term_test(certs, points, low, high, slack) -> np.ndarray:
-    """The values ``_bounds_tier`` takes for one term at the points from its
-    contributions' ``(bounds, count)`` certificates: the least certified
-    value at most ``low`` where one exists, else the least certified value
-    above ``high`` where every contribution has one, else NaN."""
+def _bounded(certs, points, low, high, slack):
+    """The bound stage of ``_bounds_tier`` for one term at the points, from
+    its contributions' ``(bounds, read)`` certificates, ``read`` numbering
+    the counted ones: the hi at most ``low`` of the first contribution that
+    has one, NaN where none has (``upper``); the least lo above ``high`` of
+    the contributions without a count, NaN where one of them has none
+    (``lower``); and the (counted contribution, node) pairs that the bounds
+    leave, at the nodes no bound puts inside, to count at s_in and, where
+    ``lower`` allows the term outside, at s_out (``ask``, of shape (2,
+    counted, nodes))."""
     upper = np.full(points.size, np.nan)
     lower = np.full(points.size, np.inf)
+    ask = np.zeros((2, sum(c is not None for _, c in certs), points.size),
+                   dtype=bool)
     open_ = np.arange(points.size)
-    for bound, count in certs:
-        at = points[open_]
-        lo, hi = bound(at, slack)
-        up = np.where(hi <= low, hi, np.nan)
-        down = np.where(lo > high, lo, np.nan)
-        rest = np.flatnonzero(np.isnan(up) & np.isnan(down))
-        if count is not None and rest.size:
-            mark = count(at[rest])
-            inside, outside = mark <= low, mark > high
-            up[rest[inside]] = mark[inside]
-            down[rest[outside]] = mark[outside]
-        upper[open_] = up
-        lower[open_] = np.minimum(lower[open_], down)
-        open_ = open_[np.isnan(up)]
+    for bound, read in certs:
+        lo, hi = bound(points[open_], slack)
+        above = lo > high
+        lower[open_] = np.minimum(lower[open_], np.where(
+            above, lo, np.nan if read is None else np.inf))
+        if read is not None:
+            ask[:, read, open_[~above]] = True
+        inside = hi <= low
+        upper[open_[inside]] = hi[inside]
+        open_ = open_[~inside]
         if not open_.size:
             break
-    return np.where(np.isnan(upper), lower, upper)
+    ask[:, :, ~np.isnan(upper)] = False
+    ask[1, :, np.isnan(lower)] = False
+    return upper, lower, ask
+
+
+def _term_values(upper, lower, ask, decided, low, high) -> np.ndarray:
+    """The values ``_bounds_tier`` takes for one term from its bound stage
+    (``_bounded``) and the ``_Sturm`` decisions of its asked pairs (``ask``
+    itself where it has no counts, as then it asks nothing): ``upper`` where
+    a bound is inside, else ``low`` where a count is, else the least
+    certified value above ``high`` where every contribution has one, else
+    NaN."""
+    value = upper.copy()
+    inside = np.isnan(value) & decided[0].any(axis=0)
+    value[inside] = low
+    out = (np.isnan(value) & ~np.isnan(lower)
+           & (decided[1] | ~ask[0]).all(axis=0))
+    value[out] = np.where(ask[0][:, out].any(axis=0),
+                          np.nextafter(high, np.inf), lower[out])
+    return value
 
 
 def certified_regions(groups, grid: GridSpec, jobs: int | None = None,

@@ -357,9 +357,11 @@ def convergence_study(spec: ToeplitzSpec, eps: float, schedule,
                    for M in orders]
     regions = [region for region, in ps.certified_regions(
         groups, grid, jobs, with_field=False)]
+    # an eps = 0 study has a Hermitian symbol, so ``eigvalsh`` gives the
+    # eigenvalues
+    spectra = (np.linalg.eigvalsh(build_toeplitz(spec, M)) for M in orders)
     references = dict(zip(orders, regions[len(schedule):] if eps > 0 else (
-        ps.region_from_points(grid, ps.eig(build_toeplitz(spec, M)))
-        for M in orders)))
+        ps.region_from_points(grid, lam) for lam in spectra)))
 
     for (M, n, w), region in zip(schedule, regions):
         if region.is_empty or references[M].is_empty:

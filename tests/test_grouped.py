@@ -174,6 +174,34 @@ def test_converge_jordan_reference_units(monkeypatch):
     assert not alone and not study
 
 
+def test_converge_jordan_sturm_steps(monkeypatch):
+    # one Sturm recurrence per sweep call: each of the four strides of the
+    # study's 64-node grid makes one pass over every count it needs, the
+    # truncations' edges read off their main truncations, so no pass runs
+    # longer than the order-96 reference's 2 * 96 - 1 steps
+    calls = []
+    tier, recurrence = ps._bounds_tier, ps._sturm_pass
+
+    def spy_tier(*args):
+        sweep = tier(*args)
+
+        def counted(points, want):
+            calls.append([])
+            return sweep(points, want)
+        return counted
+
+    def spy_pass(diag, off2, src, z, negs, active, reads):
+        calls[-1].append(active.size)
+        return recurrence(diag, off2, src, z, negs, active, reads)
+
+    monkeypatch.setattr(ps, "_bounds_tier", spy_tier)
+    monkeypatch.setattr(ps, "_sturm_pass", spy_pass)
+    convergence_study(jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64)
+    assert len(calls) == 4
+    assert all(len(steps) == 1 and steps[0] <= 2 * 96 - 1
+               for steps in calls)
+
+
 def test_laplacian_study_sends_no_reference_pair(monkeypatch):
     # the Laplacian and its truncations are Hermitian, so the references
     # and the tau terms are decided from the distance to their

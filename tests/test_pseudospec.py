@@ -562,6 +562,8 @@ def test_smin_slack_scales_with_norm_and_grid():
     assert smin_slack([100 * J], grid) > 50 * small
     assert smin_slack([J], GridSpec(-1e3, 1e3, -1, 1, 9, 9)) > 50 * small
     assert smin_slack([J, jordan(2)], grid) == small
+    # each matrix counts once by content
+    assert smin_slack([J, J.copy(), jordan(2), J], grid) == small
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +639,48 @@ def bidiagonal(n, seed, lower=False):
             + np.diag(rand_complex(rng, n - 1), -1 if lower else 1))
 
 
+def sturm_decisions(mats, grid, level, slack, points):
+    """The Sturm count's decisions for a term of the bidiagonal ``mats`` at
+    one level, every pair asked: certified inside and certified outside, of
+    shape (contributions, points) each, and the term's registration."""
+    sturm = ps._Sturm(ps._radius(grid))
+    term = sturm.add([ps._bidiagonal(E) for E in mats], level, level, slack)
+    ask = np.ones((2, len(mats), len(points)), dtype=bool)
+    [(inside, outside)] = sturm.counts([(term, ask, points)])
+    return inside, outside, sturm.terms[term]
+
+
+def assert_sturm_decisions(mp, mats, grid, slack, points, sweep=None):
+    """Levels from 0.75 to 1.5 allowances (slack plus the relative one of
+    the largest order) above and below the kernel's value of each of
+    ``mats`` (those of ``sweep``, default all) at each point: the count
+    decides none within 0.75 and all beyond 1.5, and each decision of every
+    contribution holds for its exact value (50 digits), by the slack, and
+    for its kernel value."""
+    relative = 8 * (2 * max(map(len, mats)) - 1) * ps._U + 2.0 ** -40
+    computed = np.array([smin_grid(E, points) for E in mats])
+    exact = [[exact_smin(mp, E, z) for z in points.tolist()] for E in mats]
+    for c in range(len(mats)) if sweep is None else sweep:
+        for j, value in enumerate(computed[c].tolist()):
+            allow = slack + relative * value
+            for t in (-1.5, -1.01, -0.75, 0.75, 1.01, 1.5):
+                level = value + t * allow
+                if level < 0:
+                    continue
+                inside, outside, _ = sturm_decisions(mats, grid, level,
+                                                     slack, points)
+                if abs(t) >= 1.5:
+                    assert inside[c, j] == (t > 0) != outside[c, j]
+                if abs(t) < 1:
+                    assert not (inside[c, j] or outside[c, j])
+                for d, e in zip(*np.nonzero(inside)):
+                    assert computed[d, e] < level
+                    assert exact[d][e] < mp.mpf(level) - slack
+                for d, e in zip(*np.nonzero(outside)):
+                    assert computed[d, e] > level
+                    assert exact[d][e] > mp.mpf(level) + slack
+
+
 @pytest.mark.parametrize("build", [
     *(lambda n=n, lower=lower: bidiagonal(n, n, lower)
       for n, lower in ((2, False), (3, True), (11, False), (24, True),
@@ -646,37 +690,49 @@ def bidiagonal(n, seed, lower=False):
 ], ids=["upper-2", "lower-3", "upper-11", "lower-24", "upper-40", "lower-40",
         "jordan-2", "jordan-40"])
 def test_bidiagonal_test_agrees_with_exact_smin(build):
-    # levels from 0.75 to 1.5 allowances (slack plus the relative one) above
-    # and below the kernel's value, at a random node and at the node nearest
-    # to e_11, where smin is small: the count decides none within 0.75 and
-    # all beyond 1.5, and each decision holds for the exact value (50
-    # digits), by the slack, and for the kernel's value
+    # a term of one bidiagonal matrix, at a random node and at the node
+    # nearest to e_11, where smin is small
     mp = pytest.importorskip("mpmath")
     E = np.asarray(build(), dtype=np.complex128)
     grid = default_grid(E, pad=0.5, nx=9, ny=9)
     nodes = grid.nodes().ravel()
     points = np.array([np.random.default_rng(len(E)).choice(nodes),
                        nodes[np.abs(nodes - E[0, 0]).argmin()]])
-    slack = smin_slack([E], grid)
-    relative = 8 * (2 * len(E) - 1) * ps._U + 2.0 ** -40
-    for z, computed in zip(points, smin_grid(E, points).tolist()):
-        exact = exact_smin(mp, E, z)
-        allow = slack + relative * computed
-        for t in (-1.5, -1.01, -0.75, 0.75, 1.01, 1.5):
-            level = computed + t * allow
-            if level < 0:
-                continue
-            test = ps._bidiagonal_test(E, ps._radius(grid), level, level,
-                                       slack)
-            [value] = test(np.array([z]))
-            if math.isnan(value):
-                assert abs(t) < 1.5
-            elif t > 0:
-                assert t > 1 and value == level
-                assert computed < level and exact < mp.mpf(level) - slack
-            else:
-                assert t < -1 and value == np.nextafter(level, np.inf)
-                assert computed > level and exact > mp.mpf(level) + slack
+    assert_sturm_decisions(mp, [E], grid, smin_slack([E], grid), points)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
+def test_sturm_reads_edges_off_main_truncations(n, lower):
+    # the tau term of a random bidiagonal matrix of order 10 with scalar
+    # blocks: its main truncations all differ, each is a pass of its own,
+    # the leading edges are read off the k = 0 one's pivots and the
+    # trailing ones off a reversed pass over the k = N - n one; every
+    # decision read off them holds at 50 digits, at nodes near e_11 and
+    # e_NN, where the leading and the trailing edges have small smin
+    mp = pytest.importorskip("mpmath")
+    A = bidiagonal(10, 10 + n, lower)
+    view = make_view(A, BlockPartition((1,) * 10))
+    [term, *_] = inc.family(view, "tau", n)
+    mats = [E for _, E, _ in term if len(E) > 1]
+    edges = [(k, len(E)) for (_, m, k), E, _ in term if 1 < len(E) < n]
+    grid = default_grid(A, pad=0.5, nx=9, ny=9)
+    nodes = grid.nodes().ravel()
+    points = np.array([nodes[np.abs(nodes - A[0, 0]).argmin()],
+                       nodes[np.abs(nodes - A[-1, -1]).argmin()]])
+    slack = smin_slack([E for _, E, _ in term], grid)
+    _, _, registered = sturm_decisions(mats, grid, 0.5, slack, points)
+    passes, local, orders = registered[:3]
+    mains = 10 - n + 1
+    assert passes.size == mains + 1
+    assert local[:mains].tolist() == list(range(mains))
+    # leading edges on the first main truncation's pass, trailing ones on
+    # the reversed pass over the last
+    assert local[mains:].tolist() == [0 if k == 0 else mains for k, _ in edges]
+    assert orders[mains:].tolist() == [m for _, m in edges]
+    assert_sturm_decisions(mp, mats, grid, slack, points,
+                           sweep=[0, mains - 1] + list(range(mains,
+                                                             len(mats))))
 
 
 @pytest.mark.parametrize("E, level, node", [
@@ -713,6 +769,8 @@ MASK_CASES = {
     "scalar": (lambda: np.array([[0.3 - 0.7j]]), 0.4),
     "upper-30": (lambda: bidiagonal(30, 32) / math.sqrt(2), 0.2),
     "lower-30": (lambda: bidiagonal(30, 33, lower=True) / math.sqrt(2), 0.2),
+    # a real matrix: its Sturm passes hold real diagonals
+    "real-upper-20": (lambda: bidiagonal(20, 34).real, 0.2),
     "jordan-40-2^500": (lambda: jordan(40) * 2.0 ** 500, 0.15, 2.0 ** 500),
     "jordan-40-2^-500": (lambda: jordan(40) * 2.0 ** -500, 0.15,
                          2.0 ** -500),
