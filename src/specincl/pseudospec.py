@@ -538,15 +538,12 @@ class _Sturm:
     count after them is that block's count.  A contribution whose diagonal
     and off-diagonal are those of the leading block of the term's first
     contribution of its largest order is read off that contribution's
-    pivots.  One that matches the trailing block of the last contribution of
-    that order is read off a pass over its reversed diagonal and
-    off-diagonal: reversing the rows and columns of B keeps its singular
-    values and makes that block a leading one.  So the short edge
-    truncations of tau, leading blocks of its k = 0 and trailing blocks of
-    its k = N - n main truncation, cost no pass of their own.  The passes of
-    every term at every asked node and both shifts are the rows of one
-    recurrence: sorted by length, so that each step works on the rows still
-    running, each row with its own shift.
+    pivots; so the leading edge truncations of tau, leading blocks of its k
+    = 0 main truncation, cost no pass of their own, nor, for a Toeplitz
+    matrix, do the trailing ones.  Every other distinct contribution is a
+    pass of its own.  The passes of every term at every asked node and both
+    shifts are the rows of one recurrence: sorted by length, so that each
+    step works on the rows still running, each row with its own shift.
 
     Rounding.  The count runs in units scaled by a power of two that puts
     max(|e_ii| + R, |e_i,i+-1|, the outside shift) over the term's
@@ -616,8 +613,7 @@ class _Sturm:
             return None
         # a shift not counted at runs as 1/2, in range, and is not read
         shifts[~made] = 0.5
-        big = np.flatnonzero(orders == M)
-        first, last = bands[big[0]], bands[big[-1]]
+        first = bands[int(orders.argmax())]
         # the term's passes, by content, as numbers of ``self.passes``
         own: dict[tuple, int] = {}
         local = []
@@ -625,9 +621,6 @@ class _Sturm:
             if (m < M and np.array_equal(d, first[0][:m])
                     and np.array_equal(o, first[1][:m - 1])):
                 d, o = first
-            elif (m < M and np.array_equal(d, last[0][M - m:])
-                  and np.array_equal(o, last[1][M - m:])):
-                d, o = last[0][::-1], last[1][::-1]
             key = (d.tobytes(), o.tobytes())
             if key not in own:
                 own[key] = len(own)
@@ -660,13 +653,11 @@ class _Sturm:
         for t, ask, points in asks:
             passes, local, orders, scale, negs, made, by_pass, starts = \
                 self.terms[t]
-            # the order each pass runs to at each shift and node, in the
-            # least unsigned type that holds twice the term's largest order,
-            # and the number of that row
+            # the order each pass runs to at each shift and node, and the
+            # number of that row
             need = np.maximum.reduceat(np.where(
                 ask[:, by_pass] & made[:, None, None],
-                orders[by_pass, None].astype(np.min_scalar_type(
-                    2 * orders.max())), 0), starts, axis=1)
+                orders[by_pass, None], 0), starts, axis=1)
             h, s, at = np.nonzero(need)
             number = np.zeros(need.shape, dtype=np.intp)
             number[h, s, at] = total + np.arange(h.size)
@@ -692,15 +683,14 @@ class _Sturm:
         out = []
         for (t, ask, _), number in zip(asks, numbers):
             _, local, orders, _, _, made, _, _ = self.terms[t]
-            # the row of each pair (one pass: broadcast over contributions)
-            at = rank[number]
+            # the row of each pair
             got = counted[np.searchsorted(reads, 2 * orders - 2)[:, None],
-                          at if at.shape[1] == 1 else at[:, local]]
+                          rank[number][:, local]]
             # inside where the count at s_in exceeds m, outside where the
             # count at s_out does not
-            m = orders[:, None].astype(counted.dtype)
             out.append(ask & made[:, None, None]
-                       & ((got > m) == np.array([[[True]], [[False]]])))
+                       & ((got > orders[:, None])
+                          == np.array([[[True]], [[False]]])))
         return out
 
 
@@ -716,27 +706,23 @@ def _sturm_pass(diag, off2, src, z, negs, active, reads) -> np.ndarray:
     ascending) of the rows that ran it.  A step forms the squares b_k^2 of
     its rows only where an entry of some pass differs from that of its
     previous step of the same kind (never for Toeplitz passes), in reused
-    buffers, and tests the pivot floor with one reduction.
+    buffers.
     """
-    # the least unsigned type that holds every count and order
-    counts = np.zeros((len(reads), src.size),
-                      dtype=np.min_scalar_type(2 * len(diag)))
+    counts = np.zeros((len(reads), src.size), dtype=np.intp)
     read = dict(zip(reads, counts))
     fresh = [[True] + (t[1:] != t[:-1]).any(axis=1).tolist()
              for t in (diag, off2)]
     q = negs.copy()
-    # the signs are added to the counts as bytes
-    count = np.ones(q.shape, dtype=counts.dtype)
+    count = np.ones(q.shape, dtype=np.intp)
     sign = np.empty(q.shape, dtype=bool)
-    neg = sign.view(np.uint8)
     tmp = np.empty(q.shape)
     b2 = np.empty((2,) + q.shape)
     n = 0
     for k in range(active.size):
         if active[k] != n:
             n = int(active[k])
-            qn, tn, cn, en, gn, nn, sn, zn = (
-                a[:n] for a in (q, tmp, count, neg, sign, negs, src, z))
+            qn, tn, cn, gn, nn, sn, zn = (
+                a[:n] for a in (q, tmp, count, sign, negs, src, z))
             dn, on = b2[:, :n]
         odd, i = k % 2, k // 2
         if fresh[odd][i] and odd:
@@ -751,10 +737,9 @@ def _sturm_pass(diag, off2, src, z, negs, active, reads) -> np.ndarray:
         np.divide(on if odd else dn, qn, out=tn)
         np.subtract(nn, tn, out=qn)
         np.abs(qn, out=tn)
-        if tn.min() < _PIVMIN:
-            np.copyto(qn, -_PIVMIN, where=tn < _PIVMIN)
+        np.copyto(qn, -_PIVMIN, where=tn < _PIVMIN)
         np.less(qn, 0.0, out=gn)
-        np.add(cn, en, out=cn)
+        np.add(cn, gn, out=cn)
         if k in read:
             read[k][:n] = cn
     return counts

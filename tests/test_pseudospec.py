@@ -656,7 +656,8 @@ def assert_sturm_decisions(mp, mats, grid, slack, points, sweep=None):
     ``mats`` (those of ``sweep``, default all) at each point: the count
     decides none within 0.75 and all beyond 1.5, and each decision of every
     contribution holds for its exact value (50 digits), by the slack, and
-    for its kernel value."""
+    for its kernel value.  The term takes the level where a count puts it
+    inside and the next float above where all put it outside."""
     relative = 8 * (2 * max(map(len, mats)) - 1) * ps._U + 2.0 ** -40
     computed = np.array([smin_grid(E, points) for E in mats])
     exact = [[exact_smin(mp, E, z) for z in points.tolist()] for E in mats]
@@ -679,6 +680,13 @@ def assert_sturm_decisions(mp, mats, grid, slack, points, sweep=None):
                 for d, e in zip(*np.nonzero(outside)):
                     assert computed[d, e] > level
                     assert exact[d][e] > mp.mpf(level) + slack
+                every = np.ones((2,) + inside.shape, dtype=bool)
+                taken = ps._term_values(
+                    np.full(len(points), np.nan), np.full(len(points), np.inf),
+                    every, np.stack([inside, outside]), level, level)
+                expect = np.where(inside.any(axis=0), level, np.where(
+                    outside.all(axis=0), np.nextafter(level, np.inf), np.nan))
+                assert np.array_equal(taken, expect, equal_nan=True)
 
 
 @pytest.mark.parametrize("build", [
@@ -703,19 +711,19 @@ def test_bidiagonal_test_agrees_with_exact_smin(build):
 
 @pytest.mark.parametrize("n", [3, 6])
 @pytest.mark.parametrize("lower", [False, True], ids=["upper", "lower"])
-def test_sturm_reads_edges_off_main_truncations(n, lower):
+def test_sturm_reads_leading_edges_off_first_truncation(n, lower):
     # the tau term of a random bidiagonal matrix of order 10 with scalar
     # blocks: its main truncations all differ, each is a pass of its own,
     # the leading edges are read off the k = 0 one's pivots and the
-    # trailing ones off a reversed pass over the k = N - n one; every
-    # decision read off them holds at 50 digits, at nodes near e_11 and
-    # e_NN, where the leading and the trailing edges have small smin
+    # trailing ones are passes of their own; every decision holds at 50
+    # digits, at nodes near e_11 and e_NN, where the leading and the
+    # trailing edges have small smin
     mp = pytest.importorskip("mpmath")
     A = bidiagonal(10, 10 + n, lower)
     view = make_view(A, BlockPartition((1,) * 10))
     [term, *_] = inc.family(view, "tau", n)
     mats = [E for _, E, _ in term if len(E) > 1]
-    edges = [(k, len(E)) for (_, m, k), E, _ in term if 1 < len(E) < n]
+    leading = [k == 0 for (_, m, k), E, _ in term if 1 < len(E) < n]
     grid = default_grid(A, pad=0.5, nx=9, ny=9)
     nodes = grid.nodes().ravel()
     points = np.array([nodes[np.abs(nodes - A[0, 0]).argmin()],
@@ -724,15 +732,34 @@ def test_sturm_reads_edges_off_main_truncations(n, lower):
     _, _, registered = sturm_decisions(mats, grid, 0.5, slack, points)
     passes, local, orders = registered[:3]
     mains = 10 - n + 1
-    assert passes.size == mains + 1
+    assert passes.size == mains + leading.count(False)
     assert local[:mains].tolist() == list(range(mains))
-    # leading edges on the first main truncation's pass, trailing ones on
-    # the reversed pass over the last
-    assert local[mains:].tolist() == [0 if k == 0 else mains for k, _ in edges]
-    assert orders[mains:].tolist() == [m for _, m in edges]
+    assert local[mains:][leading].tolist() == [0] * leading.count(True)
+    assert sorted(local[mains:][~np.array(leading)].tolist()) == list(
+        range(mains, passes.size))
     assert_sturm_decisions(mp, mats, grid, slack, points,
                            sweep=[0, mains - 1] + list(range(mains,
                                                              len(mats))))
+
+
+def test_term_values_take_the_least_certified_value():
+    # one node each: a bound inside, whose hi wins over a count inside; a
+    # count inside; counts outside for both counted contributions; a count
+    # outside for one and none for the other; bounds outside for both, with
+    # no count asked; a bound outside for an uncounted contribution that has
+    # none at the node (lower NaN), with counts outside
+    low, high = 0.25, 0.5
+    upper = np.array([0.125, np.nan, np.nan, np.nan, np.nan, np.nan])
+    lower = np.array([np.inf, np.inf, np.inf, np.inf, 0.75, np.nan])
+    ask = np.ones((2, 2, 6), dtype=bool)
+    ask[:, :, 4] = False
+    decided = np.zeros_like(ask)
+    decided[0, 1, [0, 1]] = True
+    decided[1, :, [2, 5]] = True
+    decided[1, 0, 3] = True
+    value = ps._term_values(upper, lower, ask, decided, low, high)
+    assert np.array_equal(value, [0.125, low, np.nextafter(high, np.inf),
+                                  np.nan, 0.75, np.nan], equal_nan=True)
 
 
 @pytest.mark.parametrize("E, level, node", [
