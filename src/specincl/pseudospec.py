@@ -376,12 +376,6 @@ _DIST_WIDEN = 1.0 + 2.0 ** -30
 _U = 2.0 ** -53
 
 
-def _nudge(level: float) -> float:
-    """Offset by which ``contour_extract`` moves values within it of the
-    level inside, so that no contour vertex sits on a grid node."""
-    return (abs(level) + 1.0) * 1e-7
-
-
 def _radius(grid: GridSpec) -> float:
     """Largest modulus of a point of the grid's box."""
     return math.hypot(max(abs(grid.re_min), abs(grid.re_max)),
@@ -1028,7 +1022,7 @@ def _around(lattice: np.ndarray, idx: np.ndarray):
     return below, above
 
 
-def level_mask(field, grid: GridSpec, levels, slack, nudge=None):
+def level_mask(field, grid: GridSpec, levels, slack):
     """Masks ``f_i(grid.nodes()) <= level`` of each component f_i of a field
     at each of its levels, from the field at as few nodes as certify them
     all.
@@ -1049,23 +1043,18 @@ def level_mask(field, grid: GridSpec, levels, slack, nudge=None):
 
     The field is evaluated on the lattice of every 2^k-th node (and the last
     row and column); then the stride is halved down to 1.  An evaluated
-    value v of a component has margin ``min |v - level| - slack - w`` over
-    the component's levels, w being the largest ``contour_extract`` nudge
-    of all levels, or the component's entry of the (F,) array ``nudge``
-    when given (at least the nudge of each of its levels).  A component of
-    a new node at distance d from a node of the coarser lattice whose
-    margin m for it exceeds d is decided without evaluation: its value lies
-    on that node's side of each level, farther than w from it, and it
-    passes on the margin m - d.  The values that no
-    neighbour decides go to ``field`` in one call per stride.  A value that
-    ties with a level is never decided by a neighbour, so every mask equals
-    the full sweep bit for bit, and every value the nudge would move is in
-    the band.
+    value v of a component has margin ``min |v - level| - slack`` over the
+    component's levels.  A component of a new node at distance d from a
+    node of the coarser lattice whose margin m for it exceeds d is decided
+    without evaluation: its value lies on that node's side of each level,
+    and it passes on the margin m - d.  The values that no neighbour
+    decides go to ``field`` in one call per stride.  A value that ties with
+    a level is never decided by a neighbour, so every mask equals the full
+    sweep bit for bit.
     """
     nodes = grid.nodes()
     comps = np.asarray(levels, dtype=np.float64)
-    nudge = _nudge(float(np.abs(comps).max())) if nudge is None else nudge
-    slack = np.broadcast_to(np.add(slack, nudge), comps.shape[:1])
+    slack = np.broadcast_to(slack, comps.shape[:1])
     inside = np.zeros(comps.shape + nodes.shape, dtype=bool)
     band = np.full(comps.shape[:1] + nodes.shape, np.nan)
     margin = np.full(band.shape, -np.inf)
@@ -1117,15 +1106,12 @@ def level_mask(field, grid: GridSpec, levels, slack, nudge=None):
 
 
 def _corner_need(regions) -> np.ndarray:
-    """The unknown corners of the regions' boundary cells, of the mask or
-    of the mask ``contour_extract`` nudges: the only values it reads.
-    ``regions`` lie on one grid and share one field (NaN where unknown),
-    which must hold every value within the nudge of a level, as the bands
-    of ``level_mask`` do."""
+    """The unknown corners of the regions' boundary cells: the only values
+    ``contour_extract`` reads.  ``regions`` lie on one grid and share one
+    field (NaN where unknown)."""
     need = np.zeros(regions[0].mask.shape, dtype=bool)
     for r in regions:
-        need |= (_contour_corners(np.pad(r.mask, 1))
-                 | _contour_corners(_contour_input(r)[0]))
+        need |= _contour_corners(np.pad(r.mask, 1))
     return need & np.isnan(regions[0].values)
 
 
@@ -1290,22 +1276,19 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
 
     A (contribution, node) pair is evaluated at most once for all groups,
     and each group's regions equal those of a call with it alone, bit for
-    bit: its margins use the ``smin_slack`` of its own matrices and the
-    contour nudge of its own levels, its terms take values from its own
-    needs only (``TermFields``), and its last level column is repeated to
-    the widest group's, which changes no margin.  ``jobs`` passes on to the
-    kernel.
+    bit: its margins use the ``smin_slack`` of its own matrices and its own
+    levels, its terms take values from its own needs only (``TermFields``),
+    and its last level column is repeated to the widest group's, which
+    changes no margin.  ``jobs`` passes on to the kernel.
 
     With ``with_field`` the sweep evaluates every component of a group
     wherever it evaluates one, and the region carries G where the band
     knows it (NaN elsewhere), completed at the corners ``_corner_need``
-    names, in one evaluation for all groups.  A value of G within
-    the contour nudge of l_0 is one of a component near its level, so the
-    band holds it.  Without ``with_field`` the regions are mask-only, and
-    the components whose term holds one distinct square matrix, or only
-    square matrices that are Hermitian, bidiagonal or of order 1, take the
-    nodes that certified bounds and bidiagonal Sturm counts decide from
-    them, with no SVD (``_bounds_tier``).
+    names, in one evaluation for all groups.  Without ``with_field`` the
+    regions are mask-only, and the components whose term holds one distinct
+    square matrix, or only square matrices that are Hermitian, bidiagonal
+    or of order 1, take the nodes that certified bounds and bidiagonal
+    Sturm counts decide from them, with no SVD (``_bounds_tier``).
     """
     groups = [(terms, np.asarray(lv, dtype=np.float64))
               for terms, lv in groups]
@@ -1324,10 +1307,7 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
             np.logical_or.reduceat(want, starts), sizes, axis=0))
     else:
         sweep = _bounds_tier(field, comps, np.repeat(slacks, sizes), grid)
-    masks, band = level_mask(
-        sweep, grid, comps, np.repeat(slacks, sizes),
-        np.repeat([_nudge(float(np.abs(lv).max())) for _, lv in groups],
-                  sizes))
+    masks, band = level_mask(sweep, grid, comps, np.repeat(slacks, sizes))
     out = []
     for (terms, lv), a in zip(groups, starts):
         top = lv.max(axis=0)
@@ -1338,8 +1318,8 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
 
     # the corners each group's fields need, columns of equal shifts sharing
     # one field; each field keeps the corners of the fields before it.  The
-    # nudged masks read only values near a level, which the sweep's band
-    # holds, so every need is known before one evaluation serves them all
+    # corners come from the masks alone, so every need is known before one
+    # evaluation serves them all
     want = np.zeros(band.shape, dtype=bool)
     fills = []
     for (terms, lv), a, regions in zip(groups, starts, out):
@@ -1570,9 +1550,11 @@ def contour_extract(region: Region) -> list[np.ndarray]:
     each cell comes from the mask, and the field is read only at the
     corners of boundary cells, so a band field completed by
     ``certified_regions`` gives the contours of the full field.  The grid
-    is padded with one ring of outside nodes so every contour closes.
-    Returns a list of (k, 2) float arrays of (re, im) vertices; first
-    vertex == last.
+    is padded with one ring of outside nodes, so every crossed grid edge
+    lies on two boundary cells, and segments are joined where their ends
+    lie on one edge: every contour closes, a vertex on a grid node
+    included.  Returns a list of (k, 2) float arrays of (re, im) vertices;
+    first vertex == last.
     """
     if region.is_empty:
         raise EmptyRegionError("no contours in an empty region")
@@ -1580,26 +1562,22 @@ def contour_extract(region: Region) -> list[np.ndarray]:
     g = region.grid
     xs = np.concatenate([[g.xs[0] - g.dx], g.xs, [g.xs[-1] + g.dx]])
     ys = np.concatenate([[g.ys[0] - g.dy], g.ys, [g.ys[-1] + g.dy]])
-    return _chain_segments(_marching_squares(inside, f, xs, ys, level))
+    return _chain_segments(*_marching_squares(inside, f, xs, ys, level))
 
 
 def _contour_input(region: Region):
-    """Inside mask, field and level that marching squares runs on; mask and
-    field are padded with a ring of outside nodes (field NaN there)."""
+    """Inside mask, field and level that marching squares runs on: the
+    region's mask, and its field and level, or 0/1 at level 0.5 for a
+    mask alone; mask and field are padded with a ring of outside nodes
+    (field NaN there)."""
     if region.values is not None and region.level is not None:
         level = float(region.level)
-        # nudge near-level nodes inside so no contour vertex sits on a grid
-        # node (on-node vertices are shared by four cells and break loop
-        # chaining)
-        bump = _nudge(level)
-        near = np.abs(region.values - level) < bump
-        inside = region.mask | near
-        field = np.where(near, level - bump, region.values)
+        field = region.values
     else:
         level = 0.5
-        inside = region.mask
-        field = np.where(inside, 0.0, 1.0)
-    return np.pad(inside, 1), np.pad(field, 1, constant_values=np.nan), level
+        field = np.where(region.mask, 0.0, 1.0)
+    return (np.pad(region.mask, 1), np.pad(field, 1, constant_values=np.nan),
+            level)
 
 
 def _cell_codes(inside: np.ndarray) -> np.ndarray:
@@ -1619,10 +1597,11 @@ def _contour_corners(inside: np.ndarray) -> np.ndarray:
 
 
 # (row, column) offsets of the cell corners a, b, c, d; edge e runs from
-# corner _FROM[e] to corner _TO[e]
+# corner _FROM[e] to corner _TO[e], and _VERTICAL[e] is 1 for R and L
 _DY, _DX = np.array([[0, 0], [0, 1], [1, 1], [1, 0]]).T
 _B, _R, _T, _L = range(4)
 _FROM, _TO = np.array([[0, 1], [1, 2], [3, 2], [0, 3]]).T
+_VERTICAL = np.array([0, 1, 0, 1])
 _NONE = (-1, -1)
 # edge pairs by case code (a=1, b=2, c=4, d=8), padded with -1; the saddles 5
 # and 10 list their pairs for a centre outside the set, and a centre inside
@@ -1636,9 +1615,11 @@ _CASE_PAIRS = np.array([
 ])
 
 
-def _marching_squares(inside, f, xs, ys, level) -> np.ndarray:
+def _marching_squares(inside, f, xs, ys, level):
     """Boundary segments as a (k, 2, 2) array of (re, im) end points, cell
-    by cell in row-major order."""
+    by cell in row-major order, and the (k, 2) ids of the grid edges their
+    ends lie on: twice the flat index of the edge's lower or left node,
+    plus 1 for a vertical edge."""
     case = _cell_codes(inside)
     iy, ix = np.nonzero((case != 0) & (case != 15))
     rows, cols = iy[:, None] + _DY, ix[:, None] + _DX
@@ -1656,45 +1637,42 @@ def _marching_squares(inside, f, xs, ys, level) -> np.ndarray:
         t = np.clip(np.where(vq == vp, 0.5, (level - vp) / (vq - vp)), 0.0, 1.0)
     p, q = corners[:, _FROM], corners[:, _TO]
     points = p + t[:, :, None] * (q - p)
+    edges = 2 * (rows[:, _FROM] * f.shape[1] + cols[:, _FROM]) + _VERTICAL
     code = case[iy, ix]
     centre_in = (v[:, 0] + v[:, 1] + v[:, 2] + v[:, 3]) / 4.0 <= level
     code = np.where(((code == 5) | (code == 10)) & centre_in, 15 - code, code)
     pairs = _CASE_PAIRS[code].reshape(-1, 2)
     cell = np.repeat(np.arange(len(code)), 2)
     keep = pairs[:, 0] >= 0
-    return points[cell[keep, None], pairs[keep]]
+    pick = cell[keep, None], pairs[keep]
+    return points[pick], edges[pick]
 
 
-def _chain_segments(segs: np.ndarray) -> list[np.ndarray]:
-    if not len(segs):
-        return []
-    # vertices meet where their coordinates agree to 9 digits of the scale
-    keys = [(tuple(p), tuple(q)) for p, q in
-            np.round(segs / (np.abs(segs).max() + 1.0), 9).tolist()]
-    live = [i for i, (kp, kq) in enumerate(keys) if kp != kq]
-    adj: dict[tuple, list[int]] = {}
-    for i in live:
-        for k in keys[i]:
-            adj.setdefault(k, []).append(i)
-
-    used = [False] * len(segs)
+def _chain_segments(segs: np.ndarray, edges: np.ndarray) -> list[np.ndarray]:
+    """Closed loops of the segments, joined where their ends lie on one grid
+    edge (``edges``, as ``_marching_squares`` gives them).  Each crossed
+    edge lies on two boundary cells, so it holds exactly two segment ends,
+    and every chain closes.  A loop starts at the first segment of no
+    earlier loop and ends at the vertex on its first vertex's edge, which
+    marching squares computes from the same corners to the same bits."""
+    # end 2i + s is end s of segment i; partner[e] is the other end on e's
+    # edge
+    order = np.argsort(edges.ravel())
+    partner = np.empty_like(order)
+    partner[order[0::2]], partner[order[1::2]] = order[1::2], order[0::2]
+    partner = partner.tolist()
+    points = segs.reshape(-1, 2)
+    used = np.zeros(len(segs), dtype=bool)
     loops = []
-    for start in live:
+    for start in range(len(segs)):
         if used[start]:
             continue
-        used[start] = True
-        loop = [segs[start, 0], segs[start, 1]]
-        first, cur = keys[start]
-        while cur != first:
-            nxt = next((i for i in adj[cur] if not used[i]), None)
-            if nxt is None:
-                loop.append(loop[0])
-                break
-            used[nxt] = True
-            end = 1 if keys[nxt][0] == cur else 0
-            cur = keys[nxt][end]
-            loop.append(segs[nxt, end])
-        loops.append(np.array(loop, dtype=np.float64))
+        close = partner[2 * start]
+        chain = [2 * start, 2 * start + 1]
+        while chain[-1] != close:
+            chain.append(partner[chain[-1]] ^ 1)
+        used[np.array(chain) // 2] = True
+        loops.append(points[chain])
     return loops
 
 

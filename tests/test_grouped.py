@@ -105,12 +105,12 @@ def test_grouped_laplacian_uniform2_equals_alone():
 
 
 @pytest.mark.parametrize("scale, level", [(1e9, 0.1), (1.0, 1e6)],
-                         ids=["slack", "nudge"])
+                         ids=["slack", "level"])
 def test_large_group_leaves_small_band_unchanged(scale, level):
     # an order-96 pseudospectrum beside an order-4 family: at norm 1e9 its
-    # rounding allowance (``smin_slack``), at level 1e6 its contour nudge,
-    # is far larger than the family's.  Either one shared would move the
-    # small group's margins, and so its band
+    # rounding allowance (``smin_slack``), at level 1e6 its level, is far
+    # larger than the family's.  Either one shared would move the small
+    # group's margins, and so its band
     A = jordan(96)
     _, [small] = family_groups(A, "uniform:1", 4, [0.15], methods=["tau"])
     big = ([[(None, scale * A, None)]], [[level]])

@@ -207,6 +207,24 @@ def test_tau1_jordan_disc_and_sandwich():
     assert outer.level == lone.level
 
 
+def test_tau1_default_sandwich_up_to_max_order(monkeypatch):
+    # by default the sandwich is made for views up to _OUTER_AUTO_MAX_ORDER,
+    # and then it is the one outer=True makes, bit for bit
+    N, n, eps = 10, 4, 0.15
+    view = scalar_view(jordan(N))
+    grid = ps.GridSpec(-2.0, 2.0, -2.0, 2.0, 61, 61)
+    gamma, outer = inc.tau1_method(view, n, eps, grid=grid, outer=True)
+    monkeypatch.setattr(inc, "_OUTER_AUTO_MAX_ORDER", N - 1)
+    below, none = inc.tau1_method(view, n, eps, grid=grid)
+    assert none is None
+    monkeypatch.setattr(inc, "_OUTER_AUTO_MAX_ORDER", N)
+    at, sandwich = inc.tau1_method(view, n, eps, grid=grid)
+    for a, b in ((below, gamma), (at, gamma), (sandwich, outer)):
+        assert a.mask.tobytes() == b.mask.tobytes()
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.level == b.level
+
+
 def test_tau1_laplacian_edge_case_single_shape():
     # n = N-1: only the two border variants occur, and they share one
     # pseudospectrum (row permutations of each other)

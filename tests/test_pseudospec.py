@@ -511,17 +511,24 @@ def tie_case():
         (2.0 * math.sin(math.pi / 6), 1.0)
 
 
+def near_tie_case():
+    # smin = |z| on a grid of spacing 1/32, at a level 5e-8 below the radius
+    # 13/32 of twelve nodes: (13, 0), (12, 5), (5, 12), ... in spacings
+    return np.zeros((1, 1)), GridSpec(-1.0, 1.0, -1.0, 1.0, 65, 65), \
+        (13 / 32 - 5e-8,)
+
+
 @pytest.mark.parametrize("case", [
     lambda: (jordan(12), GridSpec(-2.6, 2.4, -2.3, 2.5, 97, 83),
              (0.05, 0.3, 0.8)),
     lambda: (banded_random(16, 2, seed=11),
              GridSpec(-5.0, 5.0, -5.0, 5.0, 90, 101), (0.2, 1.0)),
     tie_case,
-    # smin = |z|; nodes at radius 13/32 lie 5e-8 above the level, inside the
-    # contour nudge, where a neighbour could otherwise decide them
-    lambda: (np.zeros((1, 1)), GridSpec(-1.0, 1.0, -1.0, 1.0, 65, 65),
-             (13 / 32 - 5e-8,)),
-], ids=["jordan", "banded-random", "ties", "nudged"])
+    # the nodes at radius 13/32 lie 5e-8 above the level; neighbours
+    # farther out decide some of them, so the contours need the corner
+    # fill's values there
+    near_tie_case,
+], ids=["jordan", "banded-random", "ties", "near-tie"])
 def test_band_field_contours_equal_full_field(case, tmp_path):
     A, grid, levels = case()
     field = lambda pts: smin_grid(A, pts)
@@ -1044,6 +1051,76 @@ def test_contour_saddle_follows_centre(field, level, count):
     loops = contour_extract(region)
     assert len(loops) == count
     assert all(loop_is_closed(loop) for loop in loops)
+
+
+def crossed_edges(inside):
+    """Ids of the grid edges whose end nodes lie on either side of a padded
+    mask: twice the flat index of the lower or left node, plus 1 for a
+    vertical edge."""
+    flat = np.arange(inside.size).reshape(inside.shape)
+    across = flat[:, :-1][inside[:, :-1] != inside[:, 1:]]
+    up = flat[:-1][inside[:-1] != inside[1:]]
+    return np.sort(np.concatenate([2 * across, 2 * up + 1]))
+
+
+def winding_parity(loops, points):
+    """Whether each point lies inside an odd number of the loops (crossing
+    number)."""
+    x, y = points.real.ravel()[:, None], points.imag.ravel()[:, None]
+    odd = np.zeros(x.shape[0], dtype=bool)
+    for loop in loops:
+        (x1, y1), (x2, y2) = loop[:-1].T, loop[1:].T
+        crosses = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            at = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        odd ^= (crosses & (x < at)).sum(axis=1) % 2 == 1
+    return odd.reshape(points.shape)
+
+
+@pytest.mark.parametrize("case, level", [
+    (tie_case, 2.0 * math.sin(math.pi / 6)), (tie_case, 1.0),
+    (near_tie_case, 13 / 32 - 5e-8), (near_tie_case, 13 / 32),
+], ids=["ulp-below", "tie", "abs-near-tie", "abs-tie"])
+def test_contours_at_ties(case, level):
+    # levels at or just below node values: vertices on or next to grid
+    # nodes still chain by the edges they lie on into closed loops, and the
+    # loops follow the mask, a node just outside included
+    A, grid, _ = case()
+    full = smin_grid(A, grid.nodes())
+    region = Region(grid, full <= level, full, level)
+    loops = contour_extract(region)
+    assert loops and all(np.array_equal(l[0], l[-1]) for l in loops)
+    inside, f, _ = ps._contour_input(region)
+    # the edge ids do not depend on the node coordinates
+    xs = np.arange(inside.shape[1], dtype=float)
+    ys = np.arange(inside.shape[0], dtype=float)
+    _, edges = ps._marching_squares(inside, f, xs, ys, level)
+    ids, counts = np.unique(edges, return_counts=True)
+    assert np.array_equal(ids, crossed_edges(inside)) and np.all(counts == 2)
+    assert not np.any(winding_parity(loops, grid.nodes()) & ~region.mask)
+
+
+def contour_shape(A, eps):
+    """Loop count, vertex count and perimeter of the contours of
+    Spec_eps(A) on its default 96 x 96 grid."""
+    grid = default_grid(A, pad=eps, nx=96, ny=96)
+    loops = contour_extract(pseudospectrum(A, eps, grid))
+    perimeter = sum(float(np.hypot(*np.diff(l, axis=0).T).sum())
+                    for l in loops)
+    return len(loops), sum(map(len, loops)), perimeter
+
+
+@pytest.mark.parametrize("shift", [1e6, 1e9, 1e10, 1e12])
+def test_contour_far_from_origin(shift):
+    # a Jordan block moved far out keeps its one contour: segment ends meet
+    # on grid edges, not at rounded coordinates.  Far out the vertices are
+    # stored to the unit in the last place of the shift
+    count, vertices, perimeter = contour_shape(jordan(16), 0.3)
+    assert (count, vertices) == (1, 353)
+    assert perimeter == pytest.approx(7.8313, abs=1e-4)
+    got = contour_shape(shift * np.eye(16) + jordan(16), 0.3)
+    assert got[:2] == (count, vertices)
+    assert got[2] == pytest.approx(perimeter, rel=1e-6, abs=math.ulp(shift))
 
 
 def test_contour_empty_region():
