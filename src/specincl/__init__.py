@@ -53,6 +53,7 @@ from .inclusion import (
     gershgorin,
     gershgorin_block,
     membership,
+    method_enclosure,
     method_mask,
     method_reports,
     pi_method,

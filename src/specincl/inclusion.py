@@ -52,6 +52,7 @@ __all__ = [
     "membership",
     "method_terms",
     "method_mask",
+    "method_enclosure",
     "sigma_tau",
     "pi_method",
     "tau1_method",
@@ -215,6 +216,25 @@ def method_mask(view: BlockMatrixView, method: str, n: int, eps: float,
     [[region]] = _method_regions(view, method, n, [eps], grid, jobs, t=t,
                                  with_field=False)
     return region
+
+
+def method_enclosure(view: BlockMatrixView, method: str, n: int, eps: float,
+                     grid: ps.GridSpec | None = None, t: complex | None = None,
+                     jobs: int | None = None):
+    """Inner and outer masks of a family method's set at one eps, ``(inner,
+    outer)``, from one mask-only sweep (``ps.enclosing_regions``).
+
+    Every term is 1-Lipschitz in z, so moving its level by half a cell
+    diagonal plus the sweep's rounding allowance gives masks whose closed
+    cells (half-widths dx/2 and dy/2) cover the set and lie in it.  The
+    cover holds only within the grid box.  ``include`` still writes the
+    sampled masks.
+    """
+    _, terms, lvls = method_terms(view, method, n, [eps], t)
+    if grid is None:
+        grid = ps.default_grid(view.matrix,
+                               pad=grid_pad(view, method, n, eps))
+    return ps.enclosing_regions(terms, lvls[:, 0], grid, jobs)
 
 
 # ---------------------------------------------------------------------------

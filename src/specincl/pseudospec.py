@@ -418,12 +418,18 @@ def smin_slack(matrices, grid: GridSpec) -> float:
     return 2.0 * delta + 8.0 * _U * radius
 
 
-def _smin_bounds(E, radius: float):
-    """Bounds ``lo <= f~(z) <= hi`` of the value f~ that ``smin_fields``
-    computes for f(z) = smin(E - z I), E square of order n, at nodes z of
-    modulus at most R = ``radius``.  Returns ``bounds(points, slack)``,
-    ``slack`` being at least 2 delta, delta the error bound |f~ - f| of
-    ``smin_slack`` (whose allowance is such a slack).
+def _certificate(E, embed, radius: float):
+    """The certificate of a contribution for the value f~ that
+    ``smin_fields`` computes for f(z) = smin(E - z I), at nodes z of modulus
+    at most R = ``radius``: None with an embedding or for E not square, else
+    ``(terms, kappa, bands, tight)``.  E, of order n, is Hermitian (equal to
+    E^H bit for bit), of order 1, bidiagonal (``bands``, its diagonal and
+    off-diagonal for ``_Sturm``, at order >= 2 when not Hermitian; None
+    otherwise) or general, and ``tight`` unless general.  The least terms of
+    ``_set_bounds(terms, z)``, shifted by a = W (slack + 2 kappa), are
+    bounds ``lo <= f~(z) <= hi`` at every ``slack`` of at least 2 delta,
+    delta the error bound |f~ - f| of ``smin_slack`` (whose allowance is
+    such a slack).
 
     Exact bounds.  Let r_i and c_i be the sums of |e_ij| over the
     off-diagonal entries of row i and of column i, h_i = (r_i + c_i) / 2,
@@ -453,9 +459,14 @@ def _smin_bounds(E, radius: float):
     the final shift's rounding, at most u (S + a).  So lo <= f - slack <=
     f~ and hi >= f + slack >= f~ at every node.
     """
-    E = np.asarray(E, dtype=np.complex128)
+    E = np.asarray(E)
+    if embed is not None or E.ndim != 2 or E.shape[0] != E.shape[1]:
+        return None
     n = len(E)
-    if np.array_equal(E, E.conj().T):
+    hermitian = np.array_equal(E, E.conj().T)
+    bands = None if hermitian or n == 1 else _bidiagonal(E)
+    E = E.astype(np.complex128)
+    if hermitian:
         norm = float(np.linalg.norm(E))
         kappa = ((_SLACK_C * n * n + 1) * norm + 4.0 * (radius + norm)) * _U
         centres = np.linalg.eigvalsh(E)
@@ -469,19 +480,22 @@ def _smin_bounds(E, radius: float):
                           np.linalg.norm(off, axis=1))
         kappa = (n + 8) * _U * (radius + float((abs(centres) + half).max()))
     # equal diagonal entries of equal rows and columns are one term
-    terms = dict.fromkeys(zip(centres.tolist(), half.tolist(), rest.tolist()))
+    terms = tuple(dict.fromkeys(zip(centres.tolist(), half.tolist(),
+                                    rest.tolist())))
+    return terms, kappa, bands, hermitian or n == 1 or bands is not None
 
-    def bounds(points, slack):
-        lo = np.full(points.shape, np.inf)
-        hi = np.full(points.shape, np.inf)
-        for centre, h, rho in terms:
-            gap = np.abs(points - centre)
-            np.fmin(lo, gap - h, out=lo)
-            np.fmin(hi, np.hypot(gap, rho), out=hi)
-        allow = (slack + 2.0 * kappa) * _DIST_WIDEN
-        return lo - allow, hi + allow
 
-    return bounds
+def _set_bounds(terms, points):
+    """The bounds of a ``_certificate``'s terms at the points before their
+    allowance: the least ``|z - centre| - h`` and the least
+    ``hypot(|z - centre|, rho)``."""
+    lo = np.full(points.shape, np.inf)
+    hi = np.full(points.shape, np.inf)
+    for centre, h, rho in terms:
+        gap = np.abs(points - centre)
+        np.fmin(lo, gap - h, out=lo)
+        np.fmin(hi, np.hypot(gap, rho), out=hi)
+    return lo, hi
 
 
 # the Sturm counts of ``_Sturm``: a pivot of modulus below _PIVMIN is replaced
@@ -1119,82 +1133,106 @@ def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
     """``field`` as ``level_mask`` calls it, with the pairs that certified
     bounds decide taken from them.
 
-    A component qualifies when its term holds one distinct square matrix,
-    or when every contribution of its term is square, has no embedding and
-    a tight certificate: it is Hermitian bit for bit (``_smin_bounds`` then
-    bounds the distance to its ``eigvalsh`` eigenvalues), has order 1, or is
-    bidiagonal with a Sturm count (``_Sturm``).  Each contribution gets the
-    bounds ``lo <= f~ <= hi`` of ``_smin_bounds``, built once per distinct
-    matrix, at its component's ``slacks`` entry.  A contribution is
-    certified at or below the least level of its row of ``levels`` where hi
-    is (with hi as its certified value) or where its count puts f~ below it
-    (with that level), and certified above the greatest level where lo is
-    (with lo) or its count puts f~ above it (with the next float above that
-    level).
+    Each distinct contribution gets one ``_certificate`` per sweep.  A
+    component qualifies when every contribution of its term has one and,
+    in a term of several, each is tight and the ``_Sturm`` count of the
+    bidiagonal ones, at the component's least and greatest level (its row
+    of ``levels``) and its ``slacks`` entry, can be made.  A contribution
+    is certified at or below the least level where its hi is or its count
+    puts f~ below it, and above the greatest level where its lo is or its
+    count puts f~ above it.
 
-    The term, the least f~ over its contributions, is inside at every level
-    where some contribution is certified at or below the least one; it
-    takes the least certified value found, which lies in [f~, least level].
-    The bounds are tried first, contribution by contribution, and a node
-    one of them puts inside takes that hi and tests no further
-    contribution; every earlier one had hi above the least level.  At the
-    other nodes the counts of all bidiagonal contributions that their bounds
-    leave come from one recurrence per call for every term, and a count
-    inside gives the least level, which no bound found there undercuts.  The
-    term is outside where every contribution is certified above the
-    greatest level, and takes the least certified value, which lies in
-    (greatest level, f~].  Either value lies on the side of each level that
-    f~ does, no farther from it, so ``level_mask``'s margins still bound f~
-    at the neighbours.  A decided value gives way to f~ where ``field``
-    returns f~ for another term of its group.  The other pairs, ties
-    included, go to ``field``, and so do all pairs of the other terms, which
-    keep ``TermFields``'s anchors: Johnson's bounds are too loose to decide
-    a general term of several matrices.
+    One term rule: the term, the least f~ over its contributions, is inside
+    where some contribution is certified at or below the least level, and
+    takes the least hi found, or the least level where only a count puts it
+    inside.  It is outside where every contribution is certified above the
+    greatest level, and takes the least lo, or the next float above that
+    level where a count was asked.  Either value lies on the side of each
+    level that f~ does, no farther from it, so ``level_mask``'s margins
+    still bound f~ at the neighbours.
+
+    The term sets are tried in term order, one ``_set_bounds`` call each
+    however many contributions share it, and a node leaves once one puts it
+    inside, with the least hi of that set.  The counts that the bounds
+    leave, of every term, are the rows of one recurrence per call.  A
+    decided value gives way to f~ where ``field`` returns f~ for another
+    term of its group.  The other pairs, ties included, go to ``field``,
+    and so do all pairs of the other terms, which keep ``TermFields``'s
+    anchors: Johnson's bounds are too loose to decide a general term of
+    several matrices.
     """
     radius = _radius(grid)
     low, high = levels.min(axis=1), levels.max(axis=1)
     sturm = _Sturm(radius)
-    bounds = {}
-    tests = {}
+    certs = {}
+    # per qualifying component: its term sets, each with the least allowance
+    # of its contributions and their (allowance, count row) pairs, the
+    # number of counted contributions and the ``_Sturm`` term
+    rules = {}
     for i, idx in enumerate(field.members):
-        items = [(k, np.asarray(field.items[k][0]), field.items[k][1])
-                 for k in idx.tolist()]
-        if any(embed is not None or E.ndim != 2 or E.shape[0] != E.shape[1]
-               for _, E, embed in items):
+        for k in idx.tolist():
+            if k not in certs:
+                certs[k] = _certificate(*field.items[k], radius)
+        mine = [certs[k] for k in idx.tolist()]
+        # a term of several needs a tight certificate of each contribution
+        if any(c is None or (idx.size > 1 and not c[3]) for c in mine):
             continue
-        # the bidiagonal ones among the contributions of order >= 2 that
-        # are not Hermitian; in a term of several, all of these need counts
-        general = [len(E) > 1 and not np.array_equal(E, E.conj().T)
-                   for _, E, _ in items]
-        bands = [_bidiagonal(E) if g else None
-                 for (_, E, _), g in zip(items, general)]
-        counted = [b for b in bands if b is not None]
-        if idx.size > 1 and len(counted) < sum(general):
-            continue
+        counted = [bands for _, _, bands, _ in mine if bands is not None]
         term = sturm.add(counted, float(low[i]), float(high[i]),
                          slacks[i]) if counted else None
         if idx.size > 1 and counted and term is None:
             continue
-        # each contribution's bounds, and its number among the counted ones
-        certs = []
+        sets = {}
         reads = iter(range(len(counted)))
-        for (k, E, _), b in zip(items, bands):
-            if k not in bounds:
-                bounds[k] = _smin_bounds(E, radius)
-            certs.append((bounds[k], None if b is None or term is None
-                          else next(reads)))
-        tests[i] = certs, term
+        for terms, kappa, bands, _ in mine:
+            sets.setdefault(terms, []).append((
+                (slacks[i] + 2.0 * kappa) * _DIST_WIDEN,
+                None if bands is None or term is None else next(reads)))
+        rules[i] = ([(terms, min(a for a, _ in pairs), pairs)
+                     for terms, pairs in sets.items()], len(counted), term)
 
     def sweep(points, want):
-        staged = {i: _bounded(certs, points[want[i]], low[i], high[i],
-                              slacks[i]) for i, (certs, _) in tests.items()}
-        counted = [i for i, (_, term) in tests.items() if term is not None]
+        # per component: the least hi at or below the least level (NaN where
+        # none is), the least lo above the greatest level, or the next float
+        # above it where a count is asked (NaN where an uncounted
+        # contribution is not above), and the asks at s_in and s_out
+        staged = {}
+        for i, (sets, count, _) in rules.items():
+            at = points[want[i]]
+            upper = np.full(at.size, np.nan)
+            lower = np.full(at.size, np.inf)
+            ask = np.zeros((2, count, at.size), dtype=bool)
+            next_above = np.nextafter(high[i], np.inf)
+            open_ = np.arange(at.size)
+            for terms, least, pairs in sets:
+                lo, hi = _set_bounds(terms, at[open_])
+                floor = lower[open_]
+                for allow, read in pairs:
+                    lo_c = lo - allow
+                    above = lo_c > high[i]
+                    floor = np.minimum(floor, np.where(
+                        above, lo_c, np.nan if read is None else next_above))
+                    if read is not None:
+                        ask[:, read, open_[~above]] = True
+                lower[open_] = floor
+                hi += least
+                inside = hi <= low[i]
+                upper[open_[inside]] = hi[inside]
+                open_ = open_[~inside]
+                if not open_.size:
+                    break
+            ask[:, :, ~np.isnan(upper)] = False
+            ask[1, :, np.isnan(lower)] = False
+            staged[i] = upper, lower, ask
+        counted = [i for i, (_, _, term) in rules.items() if term is not None]
         decided = dict(zip(counted, sturm.counts(
-            [(tests[i][1], staged[i][2], points[want[i]]) for i in counted])))
+            [(rules[i][2], staged[i][2], points[want[i]]) for i in counted])))
         value = np.full(want.shape, np.nan)
         for i, (upper, lower, ask) in staged.items():
-            value[i, want[i]] = _term_values(
-                upper, lower, ask, decided.get(i, ask), low[i], high[i])
+            inside, outside = decided.get(i, ask)
+            value[i, want[i]] = np.where(~np.isnan(upper), upper, np.where(
+                inside.any(axis=0), low[i],
+                np.where((outside | ~ask[1]).all(axis=0), lower, np.nan)))
         left = want & np.isnan(value)
         if not left.any():
             return value
@@ -1202,55 +1240,6 @@ def _bounds_tier(field: TermFields, levels, slacks, grid: GridSpec):
         return np.where(np.isnan(vals), value, vals)
 
     return sweep
-
-
-def _bounded(certs, points, low, high, slack):
-    """The bound stage of ``_bounds_tier`` for one term at the points, from
-    its contributions' ``(bounds, read)`` certificates, ``read`` numbering
-    the counted ones: the hi at most ``low`` of the first contribution that
-    has one, NaN where none has (``upper``); the least lo above ``high`` of
-    the contributions without a count, NaN where one of them has none
-    (``lower``); and the (counted contribution, node) pairs that the bounds
-    leave, at the nodes no bound puts inside, to count at s_in and, where
-    ``lower`` allows the term outside, at s_out (``ask``, of shape (2,
-    counted, nodes))."""
-    upper = np.full(points.size, np.nan)
-    lower = np.full(points.size, np.inf)
-    ask = np.zeros((2, sum(c is not None for _, c in certs), points.size),
-                   dtype=bool)
-    open_ = np.arange(points.size)
-    for bound, read in certs:
-        lo, hi = bound(points[open_], slack)
-        above = lo > high
-        lower[open_] = np.minimum(lower[open_], np.where(
-            above, lo, np.nan if read is None else np.inf))
-        if read is not None:
-            ask[:, read, open_[~above]] = True
-        inside = hi <= low
-        upper[open_[inside]] = hi[inside]
-        open_ = open_[~inside]
-        if not open_.size:
-            break
-    ask[:, :, ~np.isnan(upper)] = False
-    ask[1, :, np.isnan(lower)] = False
-    return upper, lower, ask
-
-
-def _term_values(upper, lower, ask, decided, low, high) -> np.ndarray:
-    """The values ``_bounds_tier`` takes for one term from its bound stage
-    (``_bounded``) and the ``_Sturm`` decisions of its asked pairs (``ask``
-    itself where it has no counts, as then it asks nothing): ``upper`` where
-    a bound is inside, else ``low`` where a count is, else the least
-    certified value above ``high`` where every contribution has one, else
-    NaN."""
-    value = upper.copy()
-    inside = np.isnan(value) & decided[0].any(axis=0)
-    value[inside] = low
-    out = (np.isnan(value) & ~np.isnan(lower)
-           & (decided[1] | ~ask[0]).all(axis=0))
-    value[out] = np.where(ask[0][:, out].any(axis=0),
-                          np.nextafter(high, np.inf), lower[out])
-    return value
 
 
 def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
@@ -1285,10 +1274,8 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
     wherever it evaluates one, and the region carries G where the band
     knows it (NaN elsewhere), completed at the corners ``_corner_need``
     names, in one evaluation for all groups.  Without ``with_field`` the
-    regions are mask-only, and the components whose term holds one distinct
-    square matrix, or only square matrices that are Hermitian, bidiagonal
-    or of order 1, take the nodes that certified bounds and bidiagonal
-    Sturm counts decide from them, with no SVD (``_bounds_tier``).
+    regions are mask-only, and certified bounds and Sturm counts decide the
+    pairs they can with no SVD (``_bounds_tier``).
     """
     groups = [(terms, np.asarray(lv, dtype=np.float64))
               for terms, lv in groups]
@@ -1346,6 +1333,38 @@ def certified_regions(groups, grid: GridSpec, jobs: int | None = None,
         for j in cols:
             regions[j] = Region(grid, regions[j].mask, g, regions[j].level)
     return out
+
+
+def enclosing_regions(terms, levels, grid: GridSpec,
+                      jobs: int | None = None):
+    """Inner and outer masks of the set {f_i <= l_i for every i} of
+    ``terms``, as ``TermFields`` takes them, at ``levels``, one per term:
+    ``(inner, outer)``, the mask-only regions of one ``certified_regions``
+    group with the level columns l_i - s, rounded down, and l_i + s, rounded
+    up, where s = W h / 2 + ``smin_slack`` of the terms' matrices, h the
+    cell diagonal and W = ``_DIST_WIDEN``.
+
+    Each f_i, the least smin over a term's contributions, is 1-Lipschitz,
+    and the value f~_i the sweep compares is within delta of it, where
+    ``smin_slack`` is 2 delta + 8 u R (R the grid's largest modulus).  A
+    point z of the grid box lies in the closed cell, of half-widths dx/2 and
+    dy/2, of a node of the exact grid, and the node that ``linspace`` stores
+    is within 4 u R of it on each axis, so within h/2 + 6 u R of z.  If z is
+    in the set, f~_i at that node is at most l_i + h/2 + 6 u R + delta <=
+    l_i + s for every i, and the outer mask marks it: the cells of the outer
+    nodes cover the set within the grid box, and nothing is claimed outside
+    it.  An inner node has f~_i <= l_i - s, so every point z of its cell,
+    within h/2 of it, has f_i(z) <= l_i: the cells of the inner nodes lie in
+    the set.  W covers the rounding of h and of s.
+    """
+    s = grid.cell_diag / 2.0 * _DIST_WIDEN + smin_slack(
+        [mat for contribs in terms for _, mat, _ in contribs], grid)
+    columns = [[math.nextafter(level - s, -math.inf),
+                math.nextafter(level + s, math.inf)]
+               for level in np.asarray(levels, dtype=np.float64).tolist()]
+    [[inner, outer]] = certified_regions([(terms, columns)], grid, jobs,
+                                         with_field=False)
+    return inner, outer
 
 
 def region_from_points(grid: GridSpec, points) -> Region:

@@ -10,6 +10,7 @@ kernel budget must show that no pair is evaluated twice.
 
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -200,6 +201,39 @@ def test_converge_jordan_sturm_steps(monkeypatch):
     assert len(calls) == 4
     assert all(len(steps) == 1 and steps[0] <= 2 * 96 - 1
                for steps in calls)
+
+
+def test_converge_jordan_term_sets_once_per_term(monkeypatch):
+    # J_3 ... J_16 share one term set of Johnson's bounds and differ only in
+    # their allowance: each sweep call evaluates each distinct term set at
+    # most once per term that holds it, 15 evaluations for the 34
+    # contributions of the study's terms
+    calls = []
+    tier, bounds = ps._bounds_tier, ps._set_bounds
+
+    def spy_tier(field, levels, slacks, grid):
+        sweep = tier(field, levels, slacks, grid)
+        radius = ps._radius(grid)
+        holders = Counter(terms for idx in field.members for terms in {
+            ps._certificate(*field.items[k], radius)[0] for k in idx.tolist()})
+        size = sum(idx.size for idx in field.members)
+
+        def counted(points, want):
+            calls.append((Counter(), holders, size))
+            return sweep(points, want)
+        return counted
+
+    def spy_bounds(terms, points):
+        calls[-1][0][terms] += 1
+        return bounds(terms, points)
+
+    monkeypatch.setattr(ps, "_bounds_tier", spy_tier)
+    monkeypatch.setattr(ps, "_set_bounds", spy_bounds)
+    convergence_study(jordan_symbol(), 0.15, CONVERGE_SCHEDULE, grid_nodes=64)
+    assert len(calls) == 4
+    for seen, holders, size in calls:
+        assert all(seen[terms] <= holders[terms] for terms in seen)
+        assert (sum(seen.values()), size) == (15, 34)
 
 
 def test_laplacian_study_sends_no_reference_pair(monkeypatch):

@@ -625,8 +625,14 @@ def test_smin_bounds_enclose_exact_and_computed_smin(build):
     points = np.concatenate([rng.choice(nodes, 5, replace=False),
                              nodes[np.abs(nodes - np.diag(E)[:, None])
                                    .argmin(axis=1)]])
-    bounds = ps._smin_bounds(E, ps._radius(grid))
-    lo, hi = bounds(points, 0.0)
+    terms, kappa, _, _ = ps._certificate(E, None, ps._radius(grid))
+    least_lo, least_hi = ps._set_bounds(terms, points)
+
+    def bounds(slack):
+        allow = (slack + 2.0 * kappa) * ps._DIST_WIDEN
+        return least_lo - allow, least_hi + allow
+
+    lo, hi = bounds(0.0)
     computed = smin_grid(E, points)
     slack = smin_slack([E], grid)
     with mp.workdps(50):
@@ -636,7 +642,7 @@ def test_smin_bounds_enclose_exact_and_computed_smin(build):
         exact = exact_smin(mp, E, z)
         assert mp.mpf(a) <= exact <= mp.mpf(b)
         assert abs(mp.mpf(c) - exact) <= delta
-    lo, hi = bounds(points, slack)
+    lo, hi = bounds(slack)
     assert np.all((lo <= computed) & (computed <= hi))
 
 
@@ -657,22 +663,53 @@ def sturm_decisions(mats, grid, level, slack, points):
     return inside, outside, sturm.terms[term]
 
 
+class Undecided:
+    """The contributions of ``terms`` as ``ps._bounds_tier`` reads them off
+    a ``TermFields``, with NaN for every pair that the tier leaves."""
+
+    def __init__(self, terms):
+        fields = ps.TermFields(terms)
+        self.items, self.members = fields.items, fields.members
+
+    def __call__(self, points, want):
+        return np.full(want.shape, np.nan)
+
+
+def tier_values(mats, grid, levels, slack, points):
+    """The values the bounds tier takes for one term of ``mats`` at its
+    ``levels``: NaN where it leaves a node to the kernel."""
+    sweep = ps._bounds_tier(Undecided([[(None, E, None) for E in mats]]),
+                            np.array([levels], dtype=np.float64),
+                            np.array([slack]), grid)
+    [value] = sweep(points, np.ones((1, len(points)), dtype=bool))
+    return value
+
+
 def assert_sturm_decisions(mp, mats, grid, slack, points, sweep=None):
     """Levels from 0.75 to 1.5 allowances (slack plus the relative one of
     the largest order) above and below the kernel's value of each of
     ``mats`` (those of ``sweep``, default all) at each point: the count
     decides none within 0.75 and all beyond 1.5, and each decision of every
     contribution holds for its exact value (50 digits), by the slack, and
-    for its kernel value.  The term takes the level where a count puts it
-    inside and the next float above where all put it outside."""
+    for its kernel value.  The bounds tier takes the term's values by the
+    rule, checked per contribution: the least hi of the first term set
+    whose hi is at most the level, else the level where a count puts it
+    inside, else where every contribution is certified above, the least lo,
+    or the next float above the level where a count was asked."""
     relative = 8 * (2 * max(map(len, mats)) - 1) * ps._U + 2.0 ** -40
     computed = np.array([smin_grid(E, points) for E in mats])
     exact = [[exact_smin(mp, E, z) for z in points.tolist()] for E in mats]
+    certs = [ps._certificate(E, None, ps._radius(grid)) for E in mats]
+    sets = [terms for terms, *_ in certs]
+    bounds = [ps._set_bounds(terms, points) for terms in sets]
+    allow = [(slack + 2.0 * kappa) * ps._DIST_WIDEN for _, kappa, *_ in certs]
+    los = np.array([lo - a for (lo, _), a in zip(bounds, allow)])
+    his = np.array([hi + a for (_, hi), a in zip(bounds, allow)])
     for c in range(len(mats)) if sweep is None else sweep:
         for j, value in enumerate(computed[c].tolist()):
-            allow = slack + relative * value
+            allowance = slack + relative * value
             for t in (-1.5, -1.01, -0.75, 0.75, 1.01, 1.5):
-                level = value + t * allow
+                level = value + t * allowance
                 if level < 0:
                     continue
                 inside, outside, _ = sturm_decisions(mats, grid, level,
@@ -687,12 +724,18 @@ def assert_sturm_decisions(mp, mats, grid, slack, points, sweep=None):
                 for d, e in zip(*np.nonzero(outside)):
                     assert computed[d, e] > level
                     assert exact[d][e] > mp.mpf(level) + slack
-                every = np.ones((2,) + inside.shape, dtype=bool)
-                taken = ps._term_values(
-                    np.full(len(points), np.nan), np.full(len(points), np.inf),
-                    every, np.stack([inside, outside]), level, level)
-                expect = np.where(inside.any(axis=0), level, np.where(
-                    outside.all(axis=0), np.nextafter(level, np.inf), np.nan))
+                under = his <= level
+                first = [min(his[d, e] for d in range(len(mats))
+                             if sets[d] == sets[under[:, e].argmax()])
+                         for e in range(len(points))]
+                above = los > level
+                expect = np.where(under.any(axis=0), first, np.where(
+                    inside.any(axis=0), level,
+                    np.where((above | outside).all(axis=0),
+                             np.where(above.all(axis=0), los.min(axis=0),
+                                      np.nextafter(level, np.inf)),
+                             np.nan)))
+                taken = tier_values(mats, grid, [level], slack, points)
                 assert np.array_equal(taken, expect, equal_nan=True)
 
 
@@ -749,24 +792,34 @@ def test_sturm_reads_leading_edges_off_first_truncation(n, lower):
                                                              len(mats))))
 
 
-def test_term_values_take_the_least_certified_value():
-    # one node each: a bound inside, whose hi wins over a count inside; a
+def test_term_values_take_the_least_certified_value(monkeypatch):
+    # a term of the order-1 S = 1.75 (no count) and of J_5 and J_3, which
+    # share one term set, J_3 with the smaller allowance; crafted counts,
+    # as ``_Sturm.counts`` would return them for the asked pairs.  One node
+    # each: a bound inside, whose least hi wins over a count inside; a
     # count inside; counts outside for both counted contributions; a count
-    # outside for one and none for the other; bounds outside for both, with
-    # no count asked; a bound outside for an uncounted contribution that has
-    # none at the node (lower NaN), with counts outside
+    # outside for one and none for the other; bounds outside for all, with
+    # no count asked, taking the least lo; S not certified above (lower
+    # NaN), with counts outside
     low, high = 0.25, 0.5
-    upper = np.array([0.125, np.nan, np.nan, np.nan, np.nan, np.nan])
-    lower = np.array([np.inf, np.inf, np.inf, np.inf, 0.75, np.nan])
-    ask = np.ones((2, 2, 6), dtype=bool)
-    ask[:, :, 4] = False
-    decided = np.zeros_like(ask)
-    decided[0, 1, [0, 1]] = True
-    decided[1, :, [2, 5]] = True
-    decided[1, 0, 3] = True
-    value = ps._term_values(upper, lower, ask, decided, low, high)
-    assert np.array_equal(value, [0.125, low, np.nextafter(high, np.inf),
-                                  np.nan, 0.75, np.nan], equal_nan=True)
+    S, J5, J3 = np.array([[1.75 + 0j]]), jordan(5), jordan(3)
+    points = np.array([0.125, 0.375, -1.125, -1.25, -1.75, 1.375],
+                      dtype=complex)
+    counts = np.zeros((2, 2, points.size), dtype=bool)
+    counts[0, 1, [0, 1]] = True
+    counts[1, :, [2, 5]] = True
+    counts[1, 0, 3] = True
+    monkeypatch.setattr(ps._Sturm, "counts", lambda self, asks: [
+        ask & counts for _, ask, _ in asks])
+    grid = GridSpec(-2.0, 2.0, -2.0, 2.0, 17, 17)
+    slack = smin_slack([S, J5, J3], grid)
+    allow = [(slack + 2.0 * ps._certificate(E, None, ps._radius(grid))[1])
+             * ps._DIST_WIDEN for E in (J5, J3)]
+    assert allow[1] < allow[0]
+    value = tier_values([S, J5, J3], grid, [low, high], slack, points)
+    assert np.array_equal(value, [0.125 + allow[1], low,
+                                  np.nextafter(high, np.inf), np.nan,
+                                  0.75 - allow[0], np.nan], equal_nan=True)
 
 
 @pytest.mark.parametrize("E, level, node", [
@@ -811,23 +864,74 @@ MASK_CASES = {
 }
 
 
-@pytest.mark.parametrize("nodes", [64, 129])
-@pytest.mark.parametrize("case", MASK_CASES.values(), ids=MASK_CASES)
-def test_mask_only_pseudospectrum_equals_full_sweep(case, nodes):
-    # a case of scale s sweeps s eps on the grid of E / s scaled by s:
-    # default_grid's least span, 1e-6, would hide a set of scale 2^-500
+def mask_case(case, nodes):
+    """The matrix, eps and grid of a ``MASK_CASES`` entry.  A case of scale
+    s sweeps s eps on the grid of E / s scaled by s: default_grid's least
+    span, 1e-6, would hide a set of scale 2^-500."""
     build, eps, *scale = case
     scale = scale[0] if scale else 1.0
     E = build()
     unit = default_grid(E / scale, pad=eps, nx=nodes, ny=nodes)
     grid = GridSpec(unit.re_min * scale, unit.re_max * scale,
                     unit.im_min * scale, unit.im_max * scale, nodes, nodes)
-    eps *= scale
+    return E, eps * scale, grid
+
+
+@pytest.mark.parametrize("nodes", [64, 129])
+@pytest.mark.parametrize("case", MASK_CASES.values(), ids=MASK_CASES)
+def test_mask_only_pseudospectrum_equals_full_sweep(case, nodes):
+    E, eps, grid = mask_case(case, nodes)
     region = pseudospectrum(E, eps, grid, with_field=False)
     full = reference_pseudospectrum(E, eps, grid)
     assert np.array_equal(region.mask, full.mask)
     assert 0 < full.mask.sum() < full.mask.size
     assert region.values is None
+
+
+def assert_nested(*regions):
+    for small, large in zip(regions, regions[1:]):
+        assert not (small.mask & ~large.mask).any()
+
+
+@pytest.mark.parametrize("case", MASK_CASES.values(), ids=MASK_CASES)
+def test_enclosure_nests_the_sampled_pseudospectrum(case):
+    E, eps, grid = mask_case(case, 64)
+    inner, outer = ps.enclosing_regions([[(None, E, None)]], [eps], grid)
+    sampled = pseudospectrum(E, eps, grid, with_field=False)
+    assert_nested(inner, sampled, outer)
+    assert outer.mask.sum() > sampled.mask.sum() > inner.mask.sum()
+
+
+@pytest.mark.parametrize("method", ["tau", "pi", "tau1"])
+def test_method_enclosure_nests_the_readme_jordan_sets(method):
+    # the README example: Jordan M = 64, n = 4, eps = 0.15, t = 1, on the
+    # default grid
+    view = make_view(jordan(64), BlockPartition((1,) * 64))
+    inner, outer = inc.method_enclosure(view, method, 4, 0.15, t=1)
+    sampled = inc.method_mask(view, method, 4, 0.15, t=1)
+    assert inner.grid == sampled.grid == outer.grid
+    assert_nested(inner, sampled, outer)
+    assert not inner.is_empty
+
+
+def test_method_enclosure_cells_hold_every_eigenvalue():
+    # discs of radius about 1e-6, far below a cell: the sampled tau set at
+    # eps = 0 marks no node of its default 256^2 grid, while the closed
+    # cells of the outer nodes hold all 8 eigenvalues
+    k = np.arange(8)
+    A = (np.diag(0.37 * k + 1j * np.sin(k))
+         + 1e-6 * (np.eye(8, k=1) + np.eye(8, k=-1)))
+    view = make_view(A, BlockPartition((1,) * 8))
+    *_, sampled = inc.sigma_tau(view, 3, 0.0)
+    inner, outer = inc.method_enclosure(view, "tau", 3, 0.0)
+    assert sampled.is_empty and inner.is_empty
+    assert_nested(sampled, outer)
+    grid = outer.grid
+    nodes = grid.nodes()[outer.mask]
+    assert nodes.size == 14
+    for lam in np.linalg.eigvals(A):
+        assert np.any((abs(nodes.real - lam.real) <= grid.dx / 2)
+                      & (abs(nodes.imag - lam.imag) <= grid.dy / 2))
 
 
 # ---------------------------------------------------------------------------
